@@ -11,6 +11,7 @@ only when requested; they dominate memory on large systems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -202,16 +203,10 @@ def _integral_row(row):
     den = 1
     for x in row.values():
         fx = Fraction(x)
-        den = den * fx.denominator // _gcd(den, fx.denominator)
+        den = math.lcm(den, fx.denominator)
     out = {}
     for c, x in row.items():
         fx = Fraction(x) * den
         assert fx.denominator == 1
         out[c] = fx.numerator
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

@@ -4,10 +4,15 @@ Each multihomogeneous component is built inductively: its coordinate space is
 indexed by pairs (u, v) of basis elements of lower components (one block per
 multidegree split), and the component is that pair space modulo all blended
 substitution instances of the defining identities whose arguments are lower
-basis elements.  For multilinear identities these are plain basis tuples; for
-multihomogeneous ones each variable receives a multiset of basis elements and
-the instance sums over its distinct arrangements, which is the correct
-consequence generator in every characteristic.
+basis elements.  For multihomogeneous identities each variable receives a
+multiset of basis elements and the instance sums over its distinct
+arrangements, which is the correct consequence generator in every
+characteristic.  Multilinear identities of arity n are not substituted with
+every ordered n-tuple: each quotient first picks, over its own field, a basis
+of the S_n-module their permutations span (orbit_basis), and substitutes each
+sorted n-multiset of basis elements into each basis element once.  Every
+ordered instance is a combination of those, so the span is the same with
+fewer rows (5 instead of 12 per triple of distinct elements for lsym/rsym).
 
 This keeps the linear algebra tiny compared to free-monomial coordinates
 (e.g. 5k pair columns instead of 240 240 monomials in the heaviest degree-8
@@ -15,30 +20,37 @@ component) at the price of building all lower components first.
 
 Two implementations share the enumeration:
 
-* ModularQuotient: GF(p) with dense numpy rows.  For p < 2^20 every product
-  and accumulated dot fits in the 53-bit float mantissa, so BLAS matmuls are
+* ModularQuotient: GF(p) with dense numpy rows, for primes with
+  2 (p-1)^2 <= 2^53.  The reduced basis is kept as its pivot columns and the
+  rank x non-pivot block N, which is also the struct map (S[piv] = -N);
+  batches are reduced on the non-pivot columns only.  Products and sums of
+  at most 2^53 // (p-1)^2 of them are exact in float64, so BLAS matmuls are
   exact integer arithmetic and the reduced basis is canonical.
 * ExactQuotient: QQ with sparse Fraction rows.  Large components replay only
   the rows that pivoted modulo two independent primes; replayed rows are
-  honest T-ideal members, so zero residuals stay proofs.  Any rank mismatch
-  falls back to full generation.
+  honest T-ideal members, so zero residuals stay proofs.  Row indices name
+  the same rows in two fields only when their orbit bases agree; otherwise,
+  and on any rank mismatch, the component falls back to full generation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from .term import (COMMUTATIVE, PLANAR, GF, QQ, Monomial, Polynomial, mdeg,
-                   mdeg_add, mdeg_key, mdeg_total, splits2)
+from . import linalg
+from .term import (COMMUTATIVE, PLANAR, GF, QQ, Monomial, Polynomial, count_monomials,
+                   mdeg, mdeg_add, mdeg_key, mdeg_total, splits2)
 
 SELECTION_PRIMES = (999983, 999979)
 FULL_COLS_CAP = 420          # exact components at most this wide skip the modular pre-pass
 DEFAULT_DEGREE_CAP = 8
 MAX_PAIR_COLUMNS = 100_000
-BATCH_ROWS = 256
+BATCH_ROWS = 256             # relation rows per DenseModRREF.add_batch, clamped below its chunk
+PANEL_ROWS = 32              # rows per Gauss-Jordan panel inside a batch
 
 
 class BuildError(RuntimeError):
@@ -111,66 +123,138 @@ def _sub_mdegs_upto(d):
     return out
 
 
-def iter_relation_specs(identities, d, dim_of):
+def multilinear_variables(f: Polynomial):
+    """Variables of f in increasing order if each occurs once per term, else None."""
+    profile = identity_profile(f)
+    if any(m != 1 for _, m in profile):
+        return None
+    return [v for v, _ in profile]
+
+
+def orbit_basis(identities, fld):
+    """Greedy basis, per arity n, of the S_n-module spanned by the multilinear identities.
+
+    For an identity f in the variables v_1 < ... < v_n and a permutation sigma
+    of range(n), sigma.f is f with v_k renamed t_{sigma[k]+1}.  The elements
+    (f_idx, sigma) are walked in a fixed order (identities in order, then
+    sigma lexicographically); one joins the basis when sigma.f is independent
+    over fld of the ones before it.  Returns {n: ((f_idx, sigma), ...)} for
+    increasing n.  Substituting a tuple x into sigma.f substitutes
+    x[sigma[k]] for v_k, so every ordered instance of every multilinear
+    identity of arity n is a combination, over fld, of basis elements at
+    the sorted tuple.
+    """
+    spans = {}
+    out = {}
+    for f_idx, f in enumerate(identities):
+        variables = multilinear_variables(f)
+        if variables is None:
+            continue
+        n = len(variables)
+        if n not in spans:
+            spans[n] = (linalg.SpanBasis(fld, count_monomials((1,) * n, f.flavor)), {})
+        basis, index = spans[n]
+        for sigma in itertools.permutations(range(n)):
+            rename = {v: s + 1 for v, s in zip(variables, sigma)}
+            row = {}
+            for m, c in f.terms.items():
+                enc = tuple(rename[x] if x else 0 for x in m.enc)
+                col = index.setdefault(Monomial.from_enc(f.flavor, enc), len(index))
+                row[col] = fld.from_fraction(f.field.to_fraction(c))   # renaming is injective
+            row = {col: x for col, x in row.items() if not fld.is_zero(x)}
+            if row and linalg.insert_row(basis, row):
+                out.setdefault(n, []).append((f_idx, sigma))
+    return {n: tuple(out[n]) for n in sorted(out)}
+
+
+def iter_relation_specs(identities, d, dim_of, orbits=None):
     """Deterministic stream of blended-instance specs at multidegree d.
 
     Yields (row_index, identity_index, assignment) where assignment maps each
     identity variable to a canonically sorted tuple of (mdeg, basis_index)
-    pairs (a multiset over lower-component basis elements).  The enumeration
-    order depends only on the identities and the lower component dimensions,
-    so a row index addresses the same row in every field.
+    pairs (a multiset over lower-component basis elements).
+
+    With orbits (from orbit_basis), the multilinear identities of arity n are
+    substituted only into sorted n-multisets ms of lower basis elements: one
+    spec per (ms, (f_idx, sigma)) in the basis, giving variable v_k the
+    element ms[sigma[k]] (when ms repeats an element, specs that give the
+    same instance are yielded once).  Identities with a repeated variable, and every
+    identity when orbits is None, take every multiset per variable and so
+    every ordered tuple for the multilinear ones.  The order depends only on
+    the identities, the orbit bases and the lower component dimensions, so a
+    row index addresses the same row in every field whose orbit bases agree.
     """
+    row_index = 0
+    for n, basis in (orbits or {}).items():
+        variables = [multilinear_variables(identities[f_idx]) for f_idx, _ in basis]
+        for assignment in _assignments([(1, n)], d, dim_of):
+            ms = assignment[1]
+            seen = set()
+            for (f_idx, sigma), fvars in zip(basis, variables):
+                args = tuple(ms[s] for s in sigma)
+                if (f_idx, args) in seen:      # same instance: ms repeats an element
+                    continue
+                seen.add((f_idx, args))
+                yield row_index, f_idx, dict(zip(fvars, ((x,) for x in args)))
+                row_index += 1
+    for f_idx, f in enumerate(identities):
+        if orbits is not None and multilinear_variables(f) is not None:
+            continue
+        for assignment in _assignments(identity_profile(f), d, dim_of):
+            yield row_index, f_idx, assignment
+            row_index += 1
+
+
+def _assignments(profile, d, dim_of):
+    """Every assignment of lower-basis multisets to the variables of a profile
+    [(variable, multiplicity), ...] whose multidegrees add up to d."""
     total = mdeg_total(d)
     all_sub = _sub_mdegs_upto(d)
-    row_index = 0
-    for f_idx, f in enumerate(identities):
-        profile = identity_profile(f)
-        slots = [(v, k) for v, m in profile for k in range(m)]
-        nslots = len(slots)
-        if nslots > total:
-            continue
+    slots = [(v, k) for v, m in profile for k in range(m)]
+    nslots = len(slots)
+    if nslots > total:
+        return
 
-        # Enumerate per-slot multidegrees: nondecreasing within each variable.
-        def mdeg_assignments(slot_i, remaining, acc):
-            if slot_i == nslots:
-                if mdeg_total(remaining) == 0:
-                    yield tuple(acc)
-                return
-            var, k = slots[slot_i]
-            rem_slots = nslots - slot_i
-            rem_total = mdeg_total(remaining)
-            for e in all_sub:
-                if k > 0 and mdeg_key(e) < mdeg_key(acc[-1][1]):
-                    continue
-                if not _fits(e, remaining):
-                    continue
-                if mdeg_total(e) > rem_total - (rem_slots - 1):
-                    continue
-                yield from mdeg_assignments(slot_i + 1, _msub(remaining, e), acc + [(var, e)])
+    # Enumerate per-slot multidegrees: nondecreasing within each variable.
+    def mdeg_assignments(slot_i, remaining, acc):
+        if slot_i == nslots:
+            if mdeg_total(remaining) == 0:
+                yield tuple(acc)
+            return
+        var, k = slots[slot_i]
+        rem_slots = nslots - slot_i
+        rem_total = mdeg_total(remaining)
+        for e in all_sub:
+            if k > 0 and mdeg_key(e) < mdeg_key(acc[-1][1]):
+                continue
+            if not _fits(e, remaining):
+                continue
+            if mdeg_total(e) > rem_total - (rem_slots - 1):
+                continue
+            yield from mdeg_assignments(slot_i + 1, _msub(remaining, e), acc + [(var, e)])
 
-        for mASS in mdeg_assignments(0, d, []):
-            # group by variable, then enumerate basis indices canonically
-            per_var = {}
-            for var, e in mASS:
-                per_var.setdefault(var, []).append(e)
-            var_names = sorted(per_var)
-            index_pools = []
-            for var in var_names:
-                es = per_var[var]
-                groups = [(e, len(list(g))) for e, g in itertools.groupby(es)]
-                pools = []
-                for e, cnt in groups:
-                    pools.append((e, list(itertools.combinations_with_replacement(range(dim_of(e)), cnt))))
-                index_pools.append(pools)
-            for combo in _product_pools(index_pools):
-                assignment = {}
-                for var, chosen in zip(var_names, combo):
-                    ms = []
-                    for e, idxs in chosen:
-                        ms.extend((e, i) for i in idxs)
-                    assignment[var] = tuple(ms)
-                yield row_index, f_idx, assignment
-                row_index += 1
+    for mASS in mdeg_assignments(0, d, []):
+        # group by variable, then enumerate basis indices canonically
+        per_var = {}
+        for var, e in mASS:
+            per_var.setdefault(var, []).append(e)
+        var_names = sorted(per_var)
+        index_pools = []
+        for var in var_names:
+            es = per_var[var]
+            groups = [(e, len(list(g))) for e, g in itertools.groupby(es)]
+            pools = []
+            for e, cnt in groups:
+                pools.append((e, list(itertools.combinations_with_replacement(range(dim_of(e)), cnt))))
+            index_pools.append(pools)
+        for combo in _product_pools(index_pools):
+            assignment = {}
+            for var, chosen in zip(var_names, combo):
+                ms = []
+                for e, idxs in chosen:
+                    ms.extend((e, i) for i in idxs)
+                assignment[var] = tuple(ms)
+            yield assignment
 
 
 def _product_pools(index_pools):
@@ -194,95 +278,175 @@ def _msub(budget, e):
     return tuple(x - y for x, y in zip(budget, e))
 
 
+def _leaf_positions(enc):
+    """{variable: positions of its leaves} in a monomial encoding."""
+    out = {}
+    for i, x in enumerate(enc):
+        if x:
+            out.setdefault(x, []).append(i)
+    return out
+
+
 def arrangements_of(multiset):
     """Distinct orderings of a multiset of (mdeg, index) pairs."""
     return sorted(set(itertools.permutations(multiset)))
 
 
 # ---------------------------------------------------------------------------
-# GF(p) quotient with dense numpy elimination (exact in float64 for p < 2^20).
+# GF(p) quotient with dense numpy elimination (exact in float64).
 # ---------------------------------------------------------------------------
 
+def mod_p(a, p, out=None):
+    """a mod p in [0, p) for a float64 array of integers with |a| <= 2^53 - p.
+
+    floor(a * (1/p)) is off by at most one, so one correction each way makes
+    the result exact; this is several times faster than np.mod.
+    """
+    q = np.multiply(a, 1.0 / p)
+    np.floor(q, out=q)
+    q *= p
+    r = np.subtract(a, q, out=q if out is None else out)
+    np.add(r, p, out=r, where=r < 0)
+    np.subtract(r, p, out=r, where=r >= p)
+    return r
+
+
 class DenseModRREF:
-    """Reduced row echelon basis over GF(p) kept as a dense float64 matrix."""
+    """Reduced row echelon basis over GF(p), kept as its non-pivot part.
+
+    Row i of the basis has a 1 in column piv[i], zeros in the other pivot
+    columns and N[i] in the non-pivot columns nonpiv (ascending); piv is in
+    insertion order.  N is a float64 matrix of integers in [0, p): every
+    product and every sum of at most chunk products stays below 2^53 - p, so
+    BLAS matmuls are exact integer arithmetic and mod_p applies.  The basis
+    is the canonical RREF of the span, so pivots, rows and the positions
+    that pivot do not depend on how a row stream is cut into batches.
+    """
 
     def __init__(self, p, ncols):
-        if (p - 1) ** 2 * 2 > 2 ** 53:
+        self.chunk = (2 ** 53 - 2 * p) // ((p - 1) ** 2)
+        if self.chunk < 2:
             raise BuildError("modulus too large for exact float64 elimination")
         self.p = p
         self.ncols = ncols
-        self.chunk = max(1, (2 ** 53) // ((p - 1) ** 2))
-        self.rows = np.zeros((0, ncols))
-        self.pivcols = np.zeros(0, dtype=np.int64)
+        self.batch = min(BATCH_ROWS, self.chunk - 1)
+        self.piv = np.zeros(0, dtype=np.int64)
+        self.nonpiv = np.arange(ncols)
+        self.N = np.zeros((0, ncols))
 
     @property
     def rank(self):
-        return self.rows.shape[0]
+        return self.piv.shape[0]
+
+    @property
+    def pivcols(self):
+        """Pivot columns, ascending."""
+        return np.sort(self.piv)
+
+    @property
+    def rows(self):
+        """The RREF rows as a dense (rank, ncols) matrix, ordered by pivot column."""
+        order = np.argsort(self.piv)
+        R = np.zeros((self.rank, self.ncols))
+        R[np.arange(self.rank), self.piv[order]] = 1.0
+        R[:, self.nonpiv] = self.N[order]
+        return R
 
     def _matmul_mod(self, X, B):
         k = B.shape[0]
         if k <= self.chunk:
-            return (X @ B) % self.p
+            return mod_p(X @ B, self.p)
         acc = np.zeros((X.shape[0], B.shape[1]))
         for s in range(0, k, self.chunk):
-            acc += (X[:, s:s + self.chunk] @ B[s:s + self.chunk]) % self.p
-            acc %= self.p
+            acc += mod_p(X[:, s:s + self.chunk] @ B[s:s + self.chunk], self.p)
+            mod_p(acc, self.p, out=acc)
         return acc
-
-    def reduce_batch(self, M):
-        """Batch M (k, ncols) -> fully reduced against the current basis."""
-        if self.rank and M.size:
-            X = M[:, self.pivcols]
-            if np.any(X):
-                M = (M - self._matmul_mod(X, self.rows)) % self.p
-        return M
 
     def add_batch(self, M):
         """Insert a batch; returns positions within the batch that pivoted.
 
-        Inside the batch, mod-p reduction is deferred: each elimination step
-        changes an entry by at most (p-1)^2 and a batch holds fewer than
-        2^53/p^2 pivots, so every intermediate value stays an exact float64
-        integer and a single final reduction suffices.
+        The batch is reduced against the basis on the non-pivot columns only
+        (Y = M[:, nonpiv] - M[:, piv] @ N).  Its rows are then eliminated in
+        panels of PANEL_ROWS: a panel is reduced against the batch's earlier
+        new rows W by one matmul, brought to reduced echelon form by
+        Gauss-Jordan steps inside the panel, and its new rows are cleared
+        from W by another matmul (the back-substitution among the new rows).
+        Mod-p reduction is deferred inside a panel: each step changes an
+        entry by at most (p-1)^2 and a panel holds fewer than chunk rows, so
+        every intermediate value stays an exact float64 integer.  Finally
+        the new pivot columns are cleared from N in one matmul and dropped
+        from the non-pivot set.
         """
         p = self.p
         if M.shape[0] >= self.chunk:
             raise BuildError("batch too large for deferred reduction")
-        M = self.reduce_batch(M)
-        new = []
-        for i in range(M.shape[0]):
-            row = np.mod(M[i], p)
-            nz = np.nonzero(row)[0]
-            if nz.size == 0:
-                M[i] = 0.0
-                continue
-            lead = int(nz[0])
-            inv = pow(int(row[lead]), p - 2, p)
-            row = (row * inv) % p
-            row[lead] = 1.0
-            M[i] = row
-            col = np.mod(M[:, lead], p)
-            col[i] = 0.0
-            touched = np.nonzero(col)[0]
-            if touched.size:
-                M[touched] -= np.outer(col[touched], row)
-            new.append((lead, i))
-        if new:
-            newrows = np.mod(M[[i for (_, i) in new]], p)
-            newcols = np.array([c for (c, _) in new], dtype=np.int64)
-            if self.rank:
-                X = self.rows[:, newcols]
+        Y = M[:, self.nonpiv]
+        if self.rank:
+            X = M[:, self.piv]
+            if np.any(X):
+                Y -= self._matmul_mod(X, self.N)
+        new, leads = [], []
+        W = np.empty_like(Y)            # rows 0..k-1: the new rows, reduced among themselves
+        k = 0
+        for start in range(0, Y.shape[0], PANEL_ROWS):
+            P = Y[start:start + PANEL_ROWS]
+            if k:
+                X = mod_p(P[:, leads], p)
                 if np.any(X):
-                    self.rows = (self.rows - self._matmul_mod(X, newrows)) % p
-            self.rows = np.vstack([self.rows, newrows])
-            self.pivcols = np.concatenate([self.pivcols, newcols])
-            order = np.argsort(self.pivcols, kind="stable")
-            self.pivcols = self.pivcols[order]
-            self.rows = self.rows[order]
-        return [i for (_, i) in new]
+                    P -= X @ W[:k]
+            found = _gauss_jordan_mod(P, p)
+            if not found:
+                continue
+            rows = [i for i, _ in found]
+            cols = [c for _, c in found]
+            mod_p(P[rows], p, out=W[k:k + len(rows)])
+            if k:
+                X = W[:k, cols]
+                if np.any(X):
+                    W[:k] -= X @ W[k:k + len(rows)]
+                    mod_p(W[:k], p, out=W[:k])
+            k += len(rows)
+            new += [start + i for i in rows]
+            leads += cols
+        if new:
+            keep = np.ones(self.nonpiv.shape[0], dtype=bool)
+            keep[leads] = False
+            r = self.rank
+            W = W[:k, keep]
+            N = np.empty((r + k, W.shape[1]))
+            N[:r] = self.N[:, keep]
+            if r:
+                X = self.N[:, leads]
+                if np.any(X):
+                    N[:r] -= X @ W
+                    mod_p(N[:r], p, out=N[:r])
+            N[r:] = W
+            self.N = N
+            self.piv = np.concatenate([self.piv, self.nonpiv[leads]])
+            self.nonpiv = self.nonpiv[keep]
+        return new
 
-    def reduce_vector(self, v):
-        return self.reduce_batch(v.reshape(1, -1))[0]
+
+def _gauss_jordan_mod(P, p):
+    """Reduced echelon form of the rows of P over GF(p), in place, with
+    deferred reduction; returns [(row, lead column)] of the rows that pivoted."""
+    found = []
+    for i in range(P.shape[0]):
+        row = mod_p(P[i], p)
+        nz = np.flatnonzero(row)
+        if nz.size == 0:
+            continue
+        lead = int(nz[0])
+        row = mod_p(row * pow(int(row[lead]), p - 2, p), p)
+        row[lead] = 1.0
+        P[i] = row
+        col = mod_p(P[:, lead], p)
+        col[i] = 0.0
+        touched = np.flatnonzero(col)
+        if touched.size:
+            P[touched] -= np.outer(col[touched], row)
+        found.append((i, lead))
+    return found
 
 
 class _Component:
@@ -300,18 +464,19 @@ class _Component:
 class ModularQuotient:
     """Relatively-free algebra of a variety over GF(p), built by components."""
 
-    def __init__(self, variety, p, degree_cap=DEFAULT_DEGREE_CAP, batch=BATCH_ROWS):
+    def __init__(self, variety, p, degree_cap=DEFAULT_DEGREE_CAP):
         self.variety = variety
         self.flavor = variety.flavor
         self.p = p
         self.field = GF(p)
         self.degree_cap = degree_cap
-        self.batch = batch
         self.identities = [f.to_field(QQ) for f in variety.identities]
+        self._orbits = None
         self.comps: dict[tuple, _Component] = {}
         self.pair_cache: dict[tuple, np.ndarray] = {}
         self.mono_cache: dict[Monomial, np.ndarray] = {}
         self._coeff_cache: dict[Fraction, int] = {}
+        self._terms = None
         self._chunk = (2 ** 53) // ((p - 1) ** 2)
 
     # -- public api -----------------------------------------------------------
@@ -360,17 +525,37 @@ class ModularQuotient:
             cm = self._coeff(poly.field.to_fraction(c))
             if cm:
                 out += cm * self.monomial_image(m)
-        return out % self.p
+                out %= self.p
+        return out
 
     def is_zero_image(self, poly):
         return not np.any(self.poly_image(poly))
 
     # -- internals -------------------------------------------------------------
 
+    def orbits(self):
+        """Module bases of the multilinear identities over GF(p) (see orbit_basis)."""
+        if self._orbits is None:
+            self._orbits = orbit_basis(self.identities, self.field)
+        return self._orbits
+
+    def _identity_terms(self):
+        """Per identity, its nonzero terms mod p as (encoding, coefficient,
+        {variable: leaf positions})."""
+        if self._terms is None:
+            self._terms = [[(m.enc, self._coeff(c), _leaf_positions(m.enc))
+                            for m, c in f.terms_sorted() if self._coeff(c)]
+                           for f in self.identities]
+        return self._terms
+
     def _coeff(self, fr: Fraction):
+        """fr mod p as the representative of least absolute value, so that the
+        small integer coefficients of the identities keep sums small."""
         got = self._coeff_cache.get(fr)
         if got is None:
             got = self.field.from_fraction(fr)
+            if 2 * got > self.p:
+                got -= self.p
             self._coeff_cache[fr] = got
         return got
 
@@ -455,12 +640,13 @@ class ModularQuotient:
             batch.clear()
             meta.clear()
 
-        for row_index, f_idx, assignment in iter_relation_specs(self.identities, d, self.dim):
+        for row_index, f_idx, assignment in iter_relation_specs(self.identities, d, self.dim,
+                                                                self.orbits()):
             row = self._relation_row(comp, f_idx, assignment)
             if row is not None:
                 batch.append(row)
                 meta.append(row_index)
-                if len(batch) >= self.batch:
+                if len(batch) >= rre.batch:
                     flush()
         flush()
 
@@ -471,26 +657,29 @@ class ModularQuotient:
         return comp
 
     def _relation_row(self, comp, f_idx, assignment):
-        f = self.identities[f_idx]
         row = np.zeros(comp.paircols)
         wrote = False
         arr_per_var = {v: arrangements_of(ms) for v, ms in assignment.items()}
         var_names = sorted(assignment)
-        for m, c in f.terms_sorted():
-            coeff = self._coeff(Fraction(c))
-            if coeff == 0:
-                continue
-            positions = {v: [i for i, x in enumerate(m.enc) if x == v] for v in var_names}
+        # each placement moves an entry by at most |coeff| (p - 1); reduce
+        # before the accumulated bound could leave the exact float64 range
+        per_term = (self.p - 1) * math.prod(len(a) for a in arr_per_var.values())
+        bound = 0
+        for enc, coeff, positions in self._identity_terms()[f_idx]:
+            bound += abs(coeff) * per_term
+            if bound > 2 ** 53 - self.p:
+                mod_p(row, self.p, out=row)
+                bound = self.p + abs(coeff) * per_term
             for combo in itertools.product(*(arr_per_var[v] for v in var_names)):
                 leaf_map = {}
                 for v, arrangement in zip(var_names, combo):
                     for pos, elem in zip(positions[v], arrangement):
                         leaf_map[pos] = elem
-                self._place_term(row, comp, m.enc, leaf_map, coeff)
+                self._place_term(row, comp, enc, leaf_map, coeff)
                 wrote = True
         if not wrote:
             return None
-        row %= self.p
+        mod_p(row, self.p, out=row)
         if not np.any(row):
             return None
         return row
@@ -554,14 +743,9 @@ class ModularQuotient:
         row[off:off + block.shape[0]] += coeff * (block % self.p)
 
     def _extract_struct(self, comp, rre: DenseModRREF):
-        paircols, dim = comp.paircols, comp.dim
-        piv = set(int(c) for c in rre.pivcols)
-        nonpiv = [c for c in range(paircols) if c not in piv]
-        S = np.zeros((paircols, dim))
-        for k, c in enumerate(nonpiv):
-            S[c, k] = 1.0
-        if rre.rank:
-            S[rre.pivcols.astype(int)] = (-rre.rows[:, nonpiv]) % self.p
+        S = np.zeros((comp.paircols, comp.dim))
+        S[rre.nonpiv, np.arange(comp.dim)] = 1.0
+        S[rre.piv] = mod_p(-rre.N, self.p)
         for split in comp.splits:
             off = comp.offsets[split]
             n1, n2 = comp.sizes[split]
@@ -572,19 +756,13 @@ class ModularQuotient:
 # Integer-scaled incremental RREF (exact over QQ, no Fraction arithmetic).
 # ---------------------------------------------------------------------------
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _integral(row):
     """Scale a sparse Fraction row to integers (clearing denominators)."""
     den = 1
     for v in row.values():
         d = v.denominator
         if d != 1:
-            den = den * d // _gcd(den, d)
+            den = math.lcm(den, d)
     if den == 1:
         return {c: v.numerator for c, v in row.items()}
     return {c: (v * den).numerator for c, v in row.items()}
@@ -593,7 +771,7 @@ def _integral(row):
 def _content_normalize(row):
     g = 0
     for v in row.values():
-        g = _gcd(g, v if v > 0 else -v)
+        g = math.gcd(g, v)
         if g == 1:
             break
     if g > 1:
@@ -711,6 +889,7 @@ class ExactQuotient:
         self.mono_cache: dict[Monomial, dict] = {}
         self._primes = primes
         self._twins = None
+        self._orbits = None
         self.twins_consistent = True
         self.warnings: list[str] = []
 
@@ -766,6 +945,12 @@ class ExactQuotient:
         return not self.poly_image(poly)
 
     # -- internals ---------------------------------------------------------------
+
+    def orbits(self):
+        """Module bases of the multilinear identities over QQ (see orbit_basis)."""
+        if self._orbits is None:
+            self._orbits = orbit_basis(self.identities, QQ)
+        return self._orbits
 
     def _twin(self, k):
         if self._twins is None:
@@ -836,16 +1021,24 @@ class ExactQuotient:
                                  % (d, off, MAX_PAIR_COLUMNS))
 
         replay = None
+        orbits = self.orbits()
         if off > self.full_cols_cap and self.twins_consistent:
-            t0 = self._twin(0).component(d)
-            t1 = self._twin(1).component(d)
-            if t0.rank == t1.rank and self._twin_dims_match(d):
-                replay = set(t0.selected)
+            if any(self._twin(k).orbits() != orbits for k in range(2)):
+                # row indices differ between the fields: nothing to replay
+                self.twins_consistent = False
+                self.warnings.append("modular twins chose other orbit bases at %r; "
+                                     "full generation" % (d,))
             else:
-                self.warnings.append("modular twins disagree at %r; full generation" % (d,))
+                t0 = self._twin(0).component(d)
+                t1 = self._twin(1).component(d)
+                if t0.rank == t1.rank and self._twin_dims_match(d):
+                    replay = set(t0.selected)
+                else:
+                    self.warnings.append("modular twins disagree at %r; full generation" % (d,))
         basis = IntRREF(off)
         comp.mode = "replay" if replay is not None else "full"
-        for row_index, f_idx, assignment in iter_relation_specs(self.identities, d, self.dim):
+        for row_index, f_idx, assignment in iter_relation_specs(self.identities, d, self.dim,
+                                                                orbits):
             if replay is not None and row_index not in replay:
                 continue
             row = self._relation_row(comp, f_idx, assignment)
@@ -857,7 +1050,8 @@ class ExactQuotient:
             self.twins_consistent = False
             basis = IntRREF(off)
             comp.mode = "full"
-            for row_index, f_idx, assignment in iter_relation_specs(self.identities, d, self.dim):
+            for row_index, f_idx, assignment in iter_relation_specs(self.identities, d, self.dim,
+                                                                    orbits):
                 row = self._relation_row(comp, f_idx, assignment)
                 if row:
                     basis.insert(_integral(row))

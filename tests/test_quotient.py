@@ -1,13 +1,15 @@
 """The inductive quotient construction: eliminators, enumeration, consistency."""
 
+import itertools
+import os
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from freealg import lang, linalg, quotient, tideal
-from freealg.term import COMMUTATIVE, PLANAR, GF, Monomial, Polynomial, QQ
+from freealg import engine, lang, linalg, quotient, tideal
+from freealg.term import COMMUTATIVE, PLANAR, GF, Monomial, Polynomial, QQ, field_by_char
 
 
 def rand_int_rows(rng, nrows, ncols, density=0.4, bound=6):
@@ -23,24 +25,44 @@ def rand_int_rows(rng, nrows, ncols, density=0.4, bound=6):
     return rows
 
 
-def test_dense_mod_rref_matches_sparse():
+def test_dense_mod_rref_matches_sparse(monkeypatch):
     rng = random.Random(41)
-    p = 999983
-    for _ in range(5):
-        rows = rand_int_rows(rng, 14, 10)
-        rre = quotient.DenseModRREF(p, 10)
-        M = np.zeros((len(rows), 10))
-        for i, r in enumerate(rows):
-            for c, v in r.items():
-                M[i, c] = v % p
-        rre.add_batch(M)
-        oracle = linalg.rref([{c: v % p for c, v in r.items() if v % p} for r in rows],
-                             10, GF(p))
-        assert rre.rank == oracle.rank
-        assert sorted(int(c) for c in rre.pivcols) == oracle.pivots
-        for i in range(rre.rank):
-            got = {c: int(rre.rows[i, c]) for c in range(10) if rre.rows[i, c]}
-            assert got == {c: int(v) for c, v in oracle.rows[i].items()}
+    panels = (quotient.PANEL_ROWS, 2)
+    # whole batches, and batches of 1, 3 and 5 rows; 33554467 allows at most 6
+    for p, batch_sizes in ((999983, (14, 1, 3, 5)), (33554467, (1, 3, 5))):
+        for _ in range(5):
+            rows = [{c: v % p for c, v in r.items() if v % p}
+                    for r in rand_int_rows(rng, 14, 10)]
+            oracle = linalg.rref(rows, 10, GF(p))
+            running = linalg.SpanBasis(GF(p), 10)
+            independent = [i for i, r in enumerate(rows) if linalg.insert_row(running, dict(r))]
+            M = np.zeros((len(rows), 10))
+            for i, r in enumerate(rows):
+                for c, v in r.items():
+                    M[i, c] = v
+            for size, panel in itertools.product(batch_sizes, panels):
+                monkeypatch.setattr(quotient, "PANEL_ROWS", panel)
+                rre = quotient.DenseModRREF(p, 10)
+                selected = []
+                for k in range(0, len(rows), size):
+                    selected += [k + i for i in rre.add_batch(M[k:k + size].copy())]
+                assert selected == independent
+                assert rre.rank == oracle.rank
+                assert sorted(int(c) for c in rre.pivcols) == oracle.pivots
+                for i in range(rre.rank):
+                    got = {c: int(rre.rows[i, c]) for c in range(10) if rre.rows[i, c]}
+                    assert got == {c: int(v) for c, v in oracle.rows[i].items()}
+
+
+def test_mod_p_matches_np_mod():
+    # floor(a / p) in floating point errs both ways near multiples of p
+    rng = np.random.default_rng(5)
+    for p in (3, 5, 10007, 999979, 33554467):
+        top = (2 ** 53 - p) // p - 1
+        k = rng.integers(-top, top, size=4000).astype(float)
+        a = np.concatenate([k * p, k * p + 1, k * p - 1,
+                            rng.integers(-(2 ** 53 - p), 2 ** 53 - p, size=4000).astype(float)])
+        assert np.array_equal(quotient.mod_p(a, p), np.mod(a, p))
 
 
 def test_dense_mod_rref_batch_split_invariant():
@@ -162,3 +184,86 @@ def test_degree_cap():
     qm = quotient.ModularQuotient(assym, 10007, degree_cap=3)
     with pytest.raises(quotient.DegreeCapExceeded):
         qm.dim((2, 2))
+
+
+def test_large_prime_builds_and_decides():
+    # only 7 products of residues fit below 2^53 here: batches are clamped below that
+    assym = tideal.get_variety("assosymmetric")
+    big = 33554467
+    assert quotient.ModularQuotient(assym, big).dim((1, 1, 1, 1)) == 29
+    got = engine.is_identity(assym, "wjor(t1,t2,t3,t4)", big, "plus")
+    want = engine.is_identity(assym, "wjor(t1,t2,t3,t4)", 999983, "plus")
+    assert got.is_identity is want.is_identity is False
+
+
+def test_module_basis_stream_cuts_rows():
+    assym = tideal.get_variety("assosymmetric")
+    for fld in (QQ, GF(3), GF(5)):
+        orbits = quotient.orbit_basis(assym.identities, fld)
+        assert list(orbits) == [3] and len(orbits[3]) == 5
+    ordered = list(quotient.iter_relation_specs(assym.identities, (1, 1, 1), lambda e: 1))
+    cut = list(quotient.iter_relation_specs(assym.identities, (1, 1, 1), lambda e: 1, orbits))
+    assert len(ordered) == 12 and len(cut) == 5
+    # a multiset with a repeated element gives each distinct instance once
+    cut = list(quotient.iter_relation_specs(assym.identities, (3,), lambda e: 1, orbits))
+    instances = {(f_idx, tuple(a[v] for v in sorted(a))) for _, f_idx, a in cut}
+    assert len(instances) == len(cut) < 5
+
+
+def _compositions(n):
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(1, n + 1) for rest in _compositions(n - k)]
+
+
+UP_TO_DEGREE_4 = [d for n in range(1, 5) for d in _compositions(n)]
+
+
+@pytest.mark.parametrize("char", [0, 3, 5])
+@pytest.mark.parametrize("name", ["assosymmetric", "dual_assosymmetric", "assder"])
+def test_module_basis_stream_matches_free_oracle(name, char):
+    variety = tideal.get_variety(name)
+    fld = field_by_char(char)
+    for d in UP_TO_DEGREE_4:
+        free = tideal.quotient_dim(variety, d, fld, method="free")
+        assert tideal.quotient_dim(variety, d, fld, method="quotient") == free, d
+
+
+@pytest.mark.parametrize("char", [0, 3, 5])
+def test_module_basis_stream_degree5(char, monkeypatch):
+    """(1,1,1,1,1) against the stream of every ordered tuple, and against the
+    free-monomial oracle (about 160 s per field) when FREEALG_EXTENDED=1."""
+    assym = tideal.get_variety("assosymmetric")
+    fld = field_by_char(char)
+    d = (1, 1, 1, 1, 1)
+
+    def fresh():
+        if char == 0:
+            return quotient.ExactQuotient(assym, full_cols_cap=10 ** 6)
+        return quotient.ModularQuotient(assym, char)
+
+    ordered = fresh()
+    monkeypatch.setattr(ordered, "orbits", lambda: None)
+    cut = fresh()
+    assert cut.dim(d) == ordered.dim(d)
+    assert cut.component(d).rank == ordered.component(d).rank
+    if os.environ.get("FREEALG_EXTENDED") == "1":
+        assert cut.dim(d) == tideal.quotient_dim(assym, d, fld, method="free")
+
+
+def test_replay_needs_matching_orbit_bases(monkeypatch):
+    assym = tideal.get_variety("assosymmetric")
+    p0, p1 = quotient.SELECTION_PRIMES
+    twin = quotient.ModularQuotient(assym, p1)
+    # greedy from rsym first: another subset spanning the same module
+    swapped = quotient.orbit_basis(twin.identities[::-1], GF(p1))
+    other = {n: tuple((1 - f_idx, sigma) for f_idx, sigma in basis)
+             for n, basis in swapped.items()}
+    monkeypatch.setattr(twin, "orbits", lambda: other)
+    qe = quotient.ExactQuotient(assym, full_cols_cap=20)
+    assert other != qe.orbits()
+    monkeypatch.setattr(qe, "_twins", [quotient.ModularQuotient(assym, p0), twin])
+    comp = qe.component((2, 1, 1))
+    assert comp.mode == "full"
+    assert any("orbit" in w for w in qe.warnings)
+    assert comp.dim == tideal.quotient_dim(assym, (2, 1, 1), QQ, method="free")
