@@ -4,8 +4,14 @@ Hermitian matrices under a*b = ab + ba.
 The octonion multiplication table is generated once by three Cayley-Dickson
 doublings from the reals with the convention (a,b)(c,d) = (ac - conj(d) b,
 d a + b conj(c)); any fixed valid table works for the witness computations,
-this one is pinned for determinism.  Coordinates are Python ints or Fractions
-throughout, so every zero/nonzero verdict is exact.
+this one is pinned for determinism.
+
+An element is 27 flat coordinates (AlbertElement.coords(): the diagonal, then
+x12, x13, x23).  On them a*b + b*a is a fixed bilinear map: a table of 531
+integer structure constants, each +-1 or 2, derived from the octonion table on
+first use.  Evaluation multiplies flat coordinate lists through that table and
+wraps the result in an AlbertElement once.  Coordinates are Python ints or
+Fractions throughout, so every zero/nonzero verdict is exact.
 
 The model serves as the numeric oracle: the Jordan and Lie-triple identities
 evaluate to zero on every sample, while the degree-8 Glennie polynomial has
@@ -14,8 +20,10 @@ nonzero witnesses, separating it from the other two.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -169,15 +177,10 @@ class AlbertElement:
                 (x13.conjugate(), x23.conjugate(), sc(self.d[2])))
 
     @staticmethod
-    def from_matrix(m):
-        for i in range(3):
-            diag = m[i][i]
-            if any(c != 0 for c in diag.co[1:]):
-                raise ValueError("matrix is not Hermitian: imaginary diagonal")
-            if m[i][(i + 1) % 3] != m[(i + 1) % 3][i].conjugate():
-                raise ValueError("matrix is not Hermitian: off-diagonal mismatch")
-        return AlbertElement((m[0][0].co[0], m[1][1].co[0], m[2][2].co[0]),
-                             (m[0][1], m[0][2], m[1][2]))
+    def from_coords(co):
+        """Inverse of coords()."""
+        return AlbertElement(tuple(co[:3]),
+                             tuple(Octonion(co[o:o + OCT_DIM]) for o in (3, 11, 19)))
 
     def __add__(self, other):
         return AlbertElement(tuple(a + b for a, b in zip(self.d, other.d)),
@@ -202,33 +205,88 @@ class AlbertElement:
         return out
 
 
-def _mat_mul(a, b):
-    out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            acc = Octonion.zero()
-            for k in range(3):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+# Flat coordinate index of each off-diagonal entry's octonion, in coords() order.
+_OFF = {(0, 1): 3, (0, 2): 11, (1, 2): 19}
+
+
+def _entry(i, j):
+    """Entry (i, j) of a flat element's matrix: ((coordinate, octonion index, sign), ...)."""
+    if i == j:
+        return ((i, 0, 1),)
+    off = _OFF[(min(i, j), max(i, j))]
+    return tuple((off + t, t, 1 if i < j or t == 0 else -1) for t in range(OCT_DIM))
+
+
+@functools.cache
+def star_table():
+    """Structure constants of a*b + b*a on the 27 flat coordinates.
+
+    rows[i] = ((j, k, c), ...) with (ab + ba)[i] = sum of c * a[j] * b[k];
+    derived in closed form from OCT_TABLE, once, on first use.
+    """
+    acc = defaultdict(int)
+    imag = defaultdict(int)     # imaginary parts of the diagonal, which cancel
+    for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+        for m in range(3):
+            for ca, ta, sa in _entry(i, m):
+                for cb, tb, sb in _entry(m, j):
+                    t, s = OCT_TABLE[ta][tb]
+                    if i == j:
+                        tgt, out = (imag, (i, t)) if t else (acc, i)
+                    else:
+                        tgt, out = acc, _OFF[i, j] + t
+                    s *= sa * sb
+                    tgt[out, ca, cb] += s      # a b contributes a[ca] b[cb]
+                    tgt[out, cb, ca] += s      # b a contributes b[ca] a[cb]
+    assert not any(imag.values()), "a*b + b*a has an imaginary diagonal"
+    rows = [[] for _ in range(27)]
+    for (out, j, k), c in sorted(acc.items()):
+        if c:
+            rows[out].append((j, k, c))
+    return tuple(map(tuple, rows))
+
+
+def _star(a, b):
+    """a*b + b*a on flat coordinate lists."""
+    return [sum(c * a[j] * b[k] for j, k, c in row) for row in star_table()]
 
 
 def albert_star(a: AlbertElement, b: AlbertElement) -> AlbertElement:
-    """a*b + b*a; the result is Hermitian (checked exactly)."""
-    ma, mb = a.matrix(), b.matrix()
-    ab, ba = _mat_mul(ma, mb), _mat_mul(mb, ma)
-    s = tuple(tuple(ab[i][j] + ba[i][j] for j in range(3)) for i in range(3))
-    return AlbertElement.from_matrix(s)
+    """a*b + b*a, through the structure-constant table."""
+    return AlbertElement.from_coords(_star(a.coords(), b.coords()))
+
+
+def _evaluate_flat(poly, coords):
+    """Value of a commutative polynomial at flat coordinate lists {var: coords}."""
+    cache = {}
+
+    def ev(m):
+        got = cache.get(m)
+        if got is None:
+            if m.is_leaf():
+                got = coords[m.enc[0]]
+            else:
+                l, r = m.children()
+                got = _star(ev(l), ev(r))
+            cache[m] = got
+        return got
+
+    acc = [0] * 27
+    for m, c in poly.terms.items():
+        fr = poly.field.to_fraction(c)
+        if fr.denominator == 1:       # int arithmetic is far cheaper than Fraction
+            fr = fr.numerator
+        acc = [x + fr * y for x, y in zip(acc, ev(m))]
+    return acc
 
 
 def evaluate(expr, assignment: dict) -> AlbertElement:
     """Exact evaluation of a commutative/star expression on Albert elements.
 
     The expression is expanded in commutative flavor (the product standing for
-    the algebra's symmetrized product) and each monomial is evaluated with
-    albert_star.  Lie brackets are rejected by the commutative expansion.
+    the algebra's symmetrized product) and each monomial is evaluated on flat
+    coordinates with the star table, sharing common subtrees.  Lie brackets
+    are rejected by the commutative expansion.
     """
     if isinstance(expr, (str, tuple)):
         poly = lang.expand(expr, COMMUTATIVE)
@@ -238,25 +296,8 @@ def evaluate(expr, assignment: dict) -> AlbertElement:
         poly = expr
     else:
         raise TypeError("expr must be DSL text, an expression tree, or a Polynomial")
-    cache = {}
-
-    def ev(m):
-        got = cache.get(m)
-        if got is not None:
-            return got
-        if m.is_leaf():
-            res = assignment[m.enc[0]]
-        else:
-            l, r = m.children()
-            res = albert_star(ev(l), ev(r))
-        cache[m] = res
-        return res
-
-    acc = AlbertElement.zero()
-    for m, c in poly.terms.items():
-        fr = poly.field.to_fraction(c)
-        acc = acc + ev(m).scale(fr)
-    return acc
+    return AlbertElement.from_coords(
+        _evaluate_flat(poly, {k: e.coords() for k, e in assignment.items()}))
 
 
 def random_element(rng: random.Random, bound=3) -> AlbertElement:
@@ -267,15 +308,16 @@ def random_element(rng: random.Random, bound=3) -> AlbertElement:
                          tuple(Octonion(tuple(r() for _ in range(OCT_DIM))) for _ in range(3)))
 
 
-def sample_report(expr, seed, samples, bound=3, workers=1):
+def sample_report(expr, seed, samples, bound=3):
     """Evaluate expr on seeded random element tuples; record the first nonzero witness.
 
     The sample stream is drawn sequentially from one seeded generator, so the
-    report is a function of (expr, seed, samples, bound) alone; a worker pool
-    only parallelizes the evaluations, reassembled by sample index.
+    report is a function of (expr, seed, samples, bound) alone.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if bound < 1:
+        raise ValueError("need a coordinate bound of at least 1")
     if isinstance(expr, str):
         tree = lang.parse(expr)
     else:
@@ -286,28 +328,23 @@ def sample_report(expr, seed, samples, bound=3, workers=1):
         nvars = max((v for m in poly.terms for v in m.enc if v), default=0)
     else:
         nvars = len(md)
-    rng = random.Random(seed)
-    batches = [{k: random_element(rng, bound) for k in range(1, nvars + 1)}
-               for _ in range(samples)]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            values = list(ex.map(lambda elems: evaluate(poly, elems), batches))
-    else:
-        values = [evaluate(poly, elems) for elems in batches]
+
     def ser(coords):
         return [str(Fraction(x)) for x in coords]
 
+    rng = random.Random(seed)
     zero_count = 0
     witness = None
-    for idx, (elems, val) in enumerate(zip(batches, values)):
-        if val.is_zero():
+    for idx in range(samples):
+        args = {k: random_element(rng, bound).coords() for k in range(1, nvars + 1)}
+        val = _evaluate_flat(poly, args)
+        if not any(val):
             zero_count += 1
         elif witness is None:
             witness = {
                 "sample_index": idx,
-                "arguments": {("t%d" % k): ser(e.coords()) for k, e in sorted(elems.items())},
-                "value": ser(val.coords()),
+                "arguments": {("t%d" % k): ser(co) for k, co in sorted(args.items())},
+                "value": ser(val),
             }
     return {
         "seed": seed,

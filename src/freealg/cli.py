@@ -2,8 +2,10 @@
 series, witness-model sampling, and the named check suites.
 
 Reports carry the stable schema {check, claim_ref, verdict, char,
-multidegrees, timing, warnings}; `--format json` emits them verbatim, and the
-process exits nonzero iff any sub-check fails its expected outcome.
+multidegrees, timing, warnings}; `--format json` emits them verbatim.  The
+exit status is 0 when every sub-check has its expected outcome, 1 when one is
+contradicted, and 2 on bad input or a build or budget error, which is printed
+as one line on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import albert27, engine, lang, series, tideal
+from .quotient import BuildError
 from .term import COMMUTATIVE, PLANAR, field_by_char, mdeg
+
+# Failures caused by the input (expression, variety, prime, size): reported in
+# one line with exit status 2, apart from a contradicted check's status 1.
+USER_ERRORS = (ValueError, BuildError, tideal.BudgetExceeded, tideal.UnknownVariety,
+               engine.EngineError)
 
 
 @dataclass
@@ -112,7 +120,7 @@ def cmd_expand(cfg, args):
     p = lang.expand(args.expr, flavor)
     if args.star_expand:
         if flavor != COMMUTATIVE:
-            raise SystemExit("--star-expand needs commutative flavor")
+            raise ValueError("--star-expand needs commutative flavor")
         p = lang.star_expand(p)
     payload = [{
         "check": "expand:%s" % args.expr,
@@ -217,8 +225,7 @@ def cmd_koszul(cfg, args):
 
 def cmd_albert(cfg, args):
     t0 = time.time()
-    report = albert27.sample_report(args.expr, args.seed, args.samples, args.bound,
-                                    workers=cfg.workers)
+    report = albert27.sample_report(args.expr, args.seed, args.samples, args.bound)
     payload = [{
         "check": "albert:%s" % args.expr,
         "claim_ref": "hermitian-octonion-samples",
@@ -339,7 +346,11 @@ def main(argv=None):
                     exact_column_cap=args.exact_column_cap, workers=args.workers,
                     fmt=args.fmt, extended=args.extended,
                     certificates=args.certificates, catalog_path=args.catalog_path)
-    return args.fn(cfg, args)
+    try:
+        return args.fn(cfg, args)
+    except USER_ERRORS as e:
+        print("%s: error: %s" % (ap.prog, e), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -151,10 +151,10 @@ def mdeg_total(d) -> int:
     return sum(d)
 
 def mdeg_add(a, b) -> tuple:
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    return mdeg(x + y for x, y in zip(a, b))
+    """Sum of two normalized multidegrees, which is normalized already."""
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(x + y for x, y in zip(a, b)) + a[len(b):]
 
 
 def mdeg_sub(a, b) -> tuple:

@@ -31,6 +31,13 @@ class BudgetExceeded(RuntimeError):
     """A component is larger than the configured column budget."""
 
 
+class UnknownVariety(KeyError):
+    """No variety of that name in the catalog."""
+
+    def __str__(self):
+        return self.args[0]
+
+
 @dataclass(frozen=True)
 class VarietyPresentation:
     """Ambient flavor plus defining identities (all multihomogeneous)."""
@@ -111,7 +118,7 @@ def get_variety(name, q=None) -> VarietyPresentation:
         return quasi_assosymmetric(q)
     cat = catalog()
     if name not in cat:
-        raise KeyError("unknown variety %r (have: %s)" % (name, ", ".join(sorted(cat))))
+        raise UnknownVariety("unknown variety %r (have: %s)" % (name, ", ".join(sorted(cat))))
     return cat[name]
 
 

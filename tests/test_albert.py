@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freealg import albert27
+from freealg import albert27, lang
 from freealg.albert27 import (AlbertElement, Octonion, albert_star, associator,
                               evaluate, oct_mul, random_element, sample_report)
+from freealg.term import COMMUTATIVE
 
 E = [Octonion.basis(i) for i in range(8)]
 
@@ -70,19 +71,31 @@ def test_norm_multiplicative_and_conjugation(seed):
     assert two_re == Octonion((2 * x.re(),) + (0,) * 7)
 
 
+def mm(p, q):
+    """Independent full 3x3 multiply of octonion matrices."""
+    return tuple(tuple(sum((p[i][k] * q[k][j] for k in range(3)), Octonion.zero())
+                       for j in range(3)) for i in range(3))
+
+
+def mm_star(p, q):
+    s, t = mm(p, q), mm(q, p)
+    return tuple(tuple(s[i][j] + t[i][j] for j in range(3)) for i in range(3))
+
+
+def albert_basis(c):
+    co = [1 if i == c else 0 for i in range(27)]
+    return AlbertElement(tuple(co[:3]), tuple(Octonion(co[o:o + 8]) for o in (3, 11, 19)))
+
+
 def test_albert_star_against_entrywise_oracle():
     rng = random.Random(7)
     a, b = random_element(rng), random_element(rng)
-    ma, mb = a.matrix(), b.matrix()
-    # independent full 3x3 multiply
-    def mm(p, q):
-        return tuple(tuple(sum((p[i][k] * q[k][j] for k in range(3)), Octonion.zero())
-                           for j in range(3)) for i in range(3))
-    s = mm(ma, mb)
-    t = mm(mb, ma)
-    want = tuple(tuple(s[i][j] + t[i][j] for j in range(3)) for i in range(3))
-    got = albert_star(a, b).matrix()
-    assert got == want
+    assert albert_star(a, b).matrix() == mm_star(a.matrix(), b.matrix())
+    basis = [albert_basis(c) for c in range(27)]
+    for a in basis:
+        for b in basis:
+            assert albert_star(a, b).matrix() == mm_star(a.matrix(), b.matrix())
+    assert sum(len(row) for row in albert27.star_table()) == 531
 
 
 def test_identity_and_commutativity():
@@ -110,6 +123,44 @@ def test_glennie_has_a_witness():
     assert data["witness"]["sample_index"] == w["sample_index"]
 
 
+def test_glennie_witness_matches_entrywise_oracle():
+    rep = sample_report("glen(t1,t2,t3)", seed=5, samples=3)
+    w = rep["witness"]
+    args = {int(name[1:]): [Fraction(x) for x in co] for name, co in w["arguments"].items()}
+    # the arguments are the seeded stream's draws at the witness index
+    rng = random.Random(5)
+    for _ in range(w["sample_index"] + 1):
+        drawn = [random_element(rng) for _ in range(3)]
+    assert [args[k] for k in (1, 2, 3)] == [e.coords() for e in drawn]
+    # the value is glen evaluated monomial by monomial on full octonion matrices
+    mats = {k: e.matrix() for k, e in zip((1, 2, 3), drawn)}
+    poly = lang.expand("glen(t1,t2,t3)", COMMUTATIVE)
+    cache = {}
+
+    def ev(m):
+        if m not in cache:
+            if m.is_leaf():
+                cache[m] = mats[m.enc[0]]
+            else:
+                left, right = m.children()
+                cache[m] = mm_star(ev(left), ev(right))
+        return cache[m]
+
+    total = [[Octonion.zero()] * 3 for _ in range(3)]
+    for m, c in poly.terms.items():
+        fr = poly.field.to_fraction(c)
+        val = ev(m)
+        for i in range(3):
+            for j in range(3):
+                total[i][j] = total[i][j] + val[i][j].scale(fr)
+    want = [total[i][i].re() for i in range(3)]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert total[j][i] == total[i][j].conjugate()
+        want.extend(total[i][j].co)
+    assert all(total[i][i].co[1:] == (0,) * 7 for i in range(3))
+    assert [Fraction(x) for x in w["value"]] == want and any(want)
+
+
 def test_reports_are_deterministic():
     a = sample_report("glen(t1,t2,t3)", seed=42, samples=4)
     b = sample_report("glen(t1,t2,t3)", seed=42, samples=4)
@@ -128,6 +179,10 @@ def test_evaluation_multilinear_in_each_slot():
     lhs = evaluate(lt, {1: a + a2, 2: b, 3: c})
     rhs = v1 + evaluate(lt, {1: a2, 2: b, 3: c})
     assert (lhs - rhs).is_zero()
+    # homogeneous over the rationals, in exact Fraction arithmetic
+    f = Fraction(2, 3)
+    scaled = evaluate(lt, {1: a.scale(f), 2: b, 3: c})
+    assert (scaled - v1.scale(f)).is_zero()
 
 
 def test_wjor_vanishes_on_the_jordan_model():

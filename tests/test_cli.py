@@ -129,6 +129,24 @@ def test_albert_workers_deterministic():
     assert runs[0][0]["report"]["witness"] is not None
 
 
+@pytest.mark.parametrize("argv", [
+    ["--char", "67108879", "check", "assym", "lietriple(t1,t2,t3)", "--mode", "plus"],
+    ["albert", "glen(t1,t2,t3)", "--samples", "0"],
+    ["albert", "glen(t1,t2,t3)", "--bound", "0"],
+    ["albert", "glen(t1,t2,t3)", "--bound", "-1"],
+    ["albert", "t1+"],
+    ["dim", "nosuch", "--multidegree", "1,1"],
+    ["expand", "t1 t2", "--star-expand"],
+])
+def test_bad_input_is_one_line_exit_2(argv):
+    rc = subprocess.run([sys.executable, "-m", "freealg.cli"] + argv,
+                        capture_output=True, text=True, env=dict(os.environ))
+    assert rc.returncode == 2
+    assert "Traceback" not in rc.stderr
+    (line,) = rc.stderr.splitlines()
+    assert line.startswith("freealg: error: ")
+
+
 def test_certificate_flag():
     rc, out = run(["--certificate", "--format", "json", "check", "assym",
                    "lsym(t1,t2,t3)"])

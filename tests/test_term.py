@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from freealg.term import (COMMUTATIVE, PLANAR, FlavorError, GF, Monomial,
                           Polynomial, QQ, count_monomials, enumerate_monomials,
-                          linear_combine, mdeg, mul_monomial, multidegree_of)
+                          linear_combine, mdeg, mdeg_add, mul_monomial,
+                          multidegree_of)
 
 
 def leaves(*ks):
@@ -171,3 +172,11 @@ def test_zero_polynomial_keeps_tags():
     z = Polynomial.zero(COMMUTATIVE, GF(7))
     assert z.flavor == COMMUTATIVE and z.field is GF(7)
     assert (z + z).is_zero()
+
+
+@given(st.lists(st.integers(0, 4), max_size=6), st.lists(st.integers(0, 4), max_size=6))
+def test_mdeg_add_is_the_normalized_sum(x, y):
+    a, b = mdeg(x), mdeg(y)
+    n = max(len(a), len(b))
+    padded = [u + v for u, v in zip(a + (0,) * (n - len(a)), b + (0,) * (n - len(b)))]
+    assert mdeg_add(a, b) == mdeg(padded)
