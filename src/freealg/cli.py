@@ -342,11 +342,11 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    cfg = RunConfig(char=args.char, degree_cap=args.degree_cap,
-                    exact_column_cap=args.exact_column_cap, workers=args.workers,
-                    fmt=args.fmt, extended=args.extended,
-                    certificates=args.certificates, catalog_path=args.catalog_path)
     try:
+        cfg = RunConfig(char=args.char, degree_cap=args.degree_cap,
+                        exact_column_cap=args.exact_column_cap, workers=args.workers,
+                        fmt=args.fmt, extended=args.extended,
+                        certificates=args.certificates, catalog_path=args.catalog_path)
         return args.fn(cfg, args)
     except USER_ERRORS as e:
         print("%s: error: %s" % (ap.prog, e), file=sys.stderr)

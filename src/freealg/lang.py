@@ -79,6 +79,11 @@ def _tokenize(text):
 # Parser producing expression trees (plain nested tuples, hashable).
 # ---------------------------------------------------------------------------
 
+def _describe(tok):
+    """A token as error messages name it."""
+    return "end of input" if tok[0] == "end" else repr(tok[1])
+
+
 class _Parser:
     def __init__(self, text):
         self.toks = _tokenize(text)
@@ -95,7 +100,7 @@ class _Parser:
     def expect(self, kind):
         t = self.next()
         if t[0] != kind:
-            raise ParseError("expected %r, got %r" % (kind, t[1]), t[2])
+            raise ParseError("expected %r, got %s" % (kind, _describe(t)), t[2])
         return t
 
     def parse(self):
@@ -222,6 +227,8 @@ class _Parser:
                 return ("qprod", params[0][1], args[0], args[1])
             args = self.parse_args()
             return ("call", name, params, args)
+        if t[0] == "end":
+            raise ParseError("unexpected end of input", t[2])
         raise ParseError("unexpected token %r" % (t[1],), t[2])
 
 

@@ -26,11 +26,17 @@ Two implementations share the enumeration:
   batches are reduced on the non-pivot columns only.  Products and sums of
   at most 2^53 // (p-1)^2 of them are exact in float64, so BLAS matmuls are
   exact integer arithmetic and the reduced basis is canonical.
-* ExactQuotient: QQ with sparse Fraction rows.  Large components replay only
-  the rows that pivoted modulo two independent primes; replayed rows are
-  honest T-ideal members, so zero residuals stay proofs.  Row indices name
-  the same rows in two fields only when their orbit bases agree; otherwise,
-  and on any rank mismatch, the component falls back to full generation.
+* ExactQuotient: QQ with sparse rows whose values are ints when integral
+  and Fractions otherwise.  Large components assemble only the rows that
+  pivoted modulo the first of two independent primes; replayed rows are
+  honest T-ideal members.  Their struct map is lifted from the two GF(p)
+  struct matrices by CRT and rational reconstruction (lift_struct) and
+  accepted only when every replayed row maps to zero exactly and the rows
+  have full rank modulo p, which proves it is the map of their span; so
+  zero residuals stay proofs.  Otherwise the rows are reduced by IntRREF,
+  the integer-scaled RREF that small components use.  Row indices name the
+  same rows in two fields only when their orbit bases agree; otherwise, and
+  on any rank mismatch, the component falls back to full generation.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import numpy as np
 
 from . import linalg
 from .term import (COMMUTATIVE, PLANAR, GF, QQ, Monomial, Polynomial, count_monomials,
-                   mdeg, mdeg_add, mdeg_key, mdeg_total, splits2)
+                   mdeg, mdeg_add, mdeg_key, mdeg_total, splits2, sub_multidegrees)
 
 SELECTION_PRIMES = (999983, 999979)
 FULL_COLS_CAP = 420          # exact components at most this wide skip the modular pre-pass
@@ -51,6 +57,7 @@ DEFAULT_DEGREE_CAP = 8
 MAX_PAIR_COLUMNS = 100_000
 BATCH_ROWS = 256             # relation rows per DenseModRREF.add_batch, clamped below its chunk
 PANEL_ROWS = 32              # rows per Gauss-Jordan panel inside a batch
+RANK_CHECK_ROWS = 32         # rows per block in lift_struct's checks; small blocks keep peak RSS
 
 
 class BuildError(RuntimeError):
@@ -102,25 +109,6 @@ def identity_profile(f: Polynomial):
     if fd is None:
         raise BuildError("defining identity is not multihomogeneous: %s" % (f,))
     return [(v + 1, fd[v]) for v in range(len(fd)) if fd[v] > 0]
-
-
-def _sub_mdegs_upto(d):
-    """Nonzero multidegrees <= d componentwise (including d), canonically sorted."""
-    ranges = [range(x + 1) for x in d]
-    out = []
-
-    def rec(i, acc):
-        if i == len(ranges):
-            t = mdeg(acc)
-            if t:
-                out.append(t)
-            return
-        for v in ranges[i]:
-            rec(i + 1, acc + [v])
-
-    rec(0, [])
-    out.sort(key=mdeg_key)
-    return out
 
 
 def multilinear_variables(f: Polynomial):
@@ -209,7 +197,7 @@ def _assignments(profile, d, dim_of):
     """Every assignment of lower-basis multisets to the variables of a profile
     [(variable, multiplicity), ...] whose multidegrees add up to d."""
     total = mdeg_total(d)
-    all_sub = _sub_mdegs_upto(d)
+    all_sub = sub_multidegrees(d) + [d]
     slots = [(v, k) for v, m in profile for k in range(m)]
     nslots = len(slots)
     if nslots > total:
@@ -451,7 +439,7 @@ def _gauss_jordan_mod(P, p):
 
 class _Component:
     __slots__ = ("d", "dim", "splits", "offsets", "sizes", "paircols",
-                 "struct", "selected", "rank", "mode")
+                 "struct", "selected", "rank", "mode", "nonpiv", "S")
 
     def __init__(self, d):
         self.d = d
@@ -459,6 +447,8 @@ class _Component:
         self.selected = []
         self.rank = 0
         self.mode = "full"
+        self.nonpiv = None       # GF(p): non-pivot columns, ascending
+        self.S = None            # GF(p): paircols x dim struct matrix; struct blocks are views
 
 
 class ModularQuotient:
@@ -746,6 +736,7 @@ class ModularQuotient:
         S = np.zeros((comp.paircols, comp.dim))
         S[rre.nonpiv, np.arange(comp.dim)] = 1.0
         S[rre.piv] = mod_p(-rre.N, self.p)
+        comp.nonpiv, comp.S = rre.nonpiv, S
         for split in comp.splits:
             off = comp.offsets[split]
             n1, n2 = comp.sizes[split]
@@ -753,11 +744,26 @@ class ModularQuotient:
 
 
 # ---------------------------------------------------------------------------
-# Integer-scaled incremental RREF (exact over QQ, no Fraction arithmetic).
+# Exact coordinates, and the integer-scaled incremental RREF over QQ.
 # ---------------------------------------------------------------------------
 
+def _q(num, den):
+    """num/den as an int when integral, else as a Fraction."""
+    if num % den == 0:
+        return num // den
+    return Fraction(num, den)
+
+
+def _ints(vec):
+    """vec with its integral Fraction values replaced by ints, in place."""
+    for k, v in vec.items():
+        if v.__class__ is Fraction and v.denominator == 1:
+            vec[k] = v.numerator
+    return vec
+
+
 def _integral(row):
-    """Scale a sparse Fraction row to integers (clearing denominators)."""
+    """Scale a sparse row of ints and Fractions to integers (clearing denominators)."""
     den = 1
     for v in row.values():
         d = v.denominator
@@ -861,6 +867,136 @@ class IntRREF:
         self.pos = {c: i for i, c in enumerate(self.pivots)}
         return True
 
+    def struct_columns(self):
+        """Per column, its image {non-pivot index: int or Fraction} under the
+        projection along the span onto the non-pivot columns."""
+        colmap = {c: k for k, c in enumerate(c for c in range(self.ncols) if c not in self.pos)}
+        cols = []
+        for c in range(self.ncols):
+            i = self.pos.get(c)
+            if i is None:
+                cols.append({colmap[c]: 1})
+            else:
+                r = self.rows[i]
+                pv = r[c]
+                cols.append({colmap[c2]: _q(-x, pv) for c2, x in r.items() if c2 != c})
+        return cols
+
+
+# ---------------------------------------------------------------------------
+# Struct maps over QQ lifted from two GF(p) twins, verified exactly.
+# ---------------------------------------------------------------------------
+
+def rational_reconstruction(u, m, bound):
+    """The fraction n/d with |n| <= bound, 0 < d <= bound and n = u d (mod m), or None.
+
+    Extended Euclid on (m, u) stopped at the first remainder <= bound (Wang,
+    Guy and Davenport 1982); with 2 bound^2 < m the answer is unique when it
+    exists.
+    """
+    r0, r1 = m, u % m
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def lift_struct(rows, nonpivs, structs, primes):
+    """Struct columns over QQ of the span of integer rows, lifted from two twins; or None.
+
+    structs[t] is the paircols x dim struct matrix of a reduced echelon basis
+    over GF(primes[t]) and nonpivs[t] its non-pivot columns; rows is an
+    iterable of sparse integer rows, read in blocks and only once the lift
+    has a candidate.  The twins' pivot rows are combined by CRT modulo
+    m = p0 p1 and each distinct residue is reconstructed as a fraction with
+    numerator and denominator at most sqrt(m / 2) < p0, p1, so a value that
+    is 0 modulo one prime is 0.  The candidate S is accepted only when
+      1. both twins have the same non-pivot columns and zero entries,
+      2. every residue reconstructs,
+      3. rows @ S = 0 exactly (D rows @ S in float64 while the bound allows,
+         D the common denominator, else in Python ints), and
+      4. the rows have rank paircols - dim modulo p0.
+    Then span_QQ(rows) has dimension paircols - dim and lies in the kernel of
+    S, which has that dimension, so the two are equal.  S is the identity on
+    the non-pivot columns and, like the twins, vanishes left of each pivot,
+    so it is the struct map of the reduced echelon basis of the span: the
+    one IntRREF gives.  By 3, rows[:, nonpiv] = -rows[:, piv] S[piv], so the
+    rank in 4 is that of the square block rows[:, piv].  Returns, per pair
+    column, {struct column: int or Fraction}.
+    """
+    (n0, n1), (S0, S1), (p0, p1) = nonpivs, structs, primes
+    ncols, dim = S0.shape
+    k = ncols - dim
+    if not np.array_equal(n0, n1):
+        return None
+    piv = np.setdiff1d(np.arange(ncols), n0)
+    P0, P1 = S0[piv], S1[piv]
+    nz = P0 != 0
+    if not np.array_equal(nz, P1 != 0):
+        return None
+    a = P0[nz].astype(np.int64)
+    t = (P1[nz].astype(np.int64) - a) % p1 * pow(p0, -1, p1) % p1
+    uniq, inv = np.unique(a + p0 * t, return_inverse=True)
+    del P0, P1, a, t
+    m = p0 * p1
+    bound = math.isqrt((m - 1) // 2)
+    fracs = [rational_reconstruction(int(u), m, bound) for u in uniq]
+    if None in fracs:
+        return None
+    vals = [_q(f.numerator, f.denominator) for f in fracs]
+    cols = [None] * ncols
+    for j, c in enumerate(n0):
+        cols[c] = {j: 1}
+    at = np.concatenate([[0], np.cumsum(np.count_nonzero(nz, axis=1))]).tolist()
+    where = np.nonzero(nz)[1].tolist()
+    inv = inv.tolist()
+    for i, c in enumerate(piv):
+        cols[c] = {where[x]: vals[inv[x]] for x in range(at[i], at[i + 1])}
+
+    D = math.lcm(*(f.denominator for f in fracs))
+    Z = [f.numerator * (D // f.denominator) for f in fracs]
+    max_z = max(map(abs, Z), default=0)
+    Zf = None
+    if max_z < 2 ** 53:
+        Zf = np.zeros((k, dim))
+        Zf[nz] = np.array(Z, dtype=float)[inv]
+    rre = DenseModRREF(p0, k)
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, RANK_CHECK_ROWS)):
+        max_r = max(abs(x) for r in block for x in r.values())
+        in_floats = (Zf is not None and (k * max_z + D) * max_r < 2 ** 53
+                     and max_r <= 2 ** 53 - p0)
+        if not in_floats and not _kills(block, cols):
+            return None
+        M = np.zeros((len(block), ncols))
+        for i, r in enumerate(block):
+            M[i, list(r)] = list(r.values()) if in_floats else [x % p0 for x in r.values()]
+        A = M[:, piv]
+        if in_floats:
+            if np.any(A @ Zf + D * M[:, n0]):
+                return None
+            mod_p(A, p0, out=A)
+        rre.add_batch(A)
+    if rre.rank != k:
+        return None
+    return cols
+
+
+def _kills(rows, cols):
+    """Is row @ S = 0 for every row, in exact arithmetic?  cols[c] is row c of S."""
+    for r in rows:
+        acc = {}
+        for c, x in r.items():
+            for j, y in cols[c].items():
+                acc[j] = acc.get(j, 0) + x * y
+        if any(acc.values()):
+            return False
+    return True
+
 
 # ---------------------------------------------------------------------------
 # Exact rational quotient with modular row selection.
@@ -869,11 +1005,16 @@ class IntRREF:
 class ExactQuotient:
     """Relatively-free algebra over QQ.
 
-    Small components generate and reduce every relation row exactly.  Larger
-    ones take the pivot-row selection from a GF(p) twin (cross-checked against
-    a second prime) and redo only those rows over QQ; a zero image against the
-    resulting span is an exact membership proof, and any rank shortfall during
-    the replay triggers full generation.
+    Small components generate and reduce every relation row exactly with
+    IntRREF.  Larger ones take the pivot-row selection from a GF(p) twin
+    (cross-checked against a second prime) and assemble only those rows over
+    QQ; replayed rows are honest T-ideal members.  The struct map is then
+    lifted from the twins' struct matrices by CRT and rational reconstruction
+    and accepted only after the exact check of lift_struct, which proves it
+    is the map of the span of those rows.  When the lift fails the rows are
+    reduced by IntRREF instead, and any rank shortfall there triggers full
+    generation.  Coordinates are ints when integral and Fractions otherwise;
+    poly_image returns Fractions.
     """
 
     def __init__(self, variety, degree_cap=DEFAULT_DEGREE_CAP,
@@ -890,6 +1031,7 @@ class ExactQuotient:
         self._primes = primes
         self._twins = None
         self._orbits = None
+        self._terms = None
         self.twins_consistent = True
         self.warnings: list[str] = []
 
@@ -917,7 +1059,7 @@ class ExactQuotient:
         if got is not None:
             return got
         if m.is_leaf():
-            vec = {0: Fraction(1)}
+            vec = {0: 1}
         else:
             l, r = m.children()
             vec = self.product(l.multidegree(), self.monomial_image(l),
@@ -932,14 +1074,14 @@ class ExactQuotient:
         self.component(d)
         out = {}
         for m, c in poly.terms.items():
-            fr = poly.field.to_fraction(c)
+            fr = _q(*poly.field.to_fraction(c).as_integer_ratio())
             for k, x in self.monomial_image(m).items():
-                v = out.get(k, Fraction(0)) + fr * x
+                v = out.get(k, 0) + fr * x
                 if v:
                     out[k] = v
                 else:
                     out.pop(k, None)
-        return out
+        return {k: Fraction(v) for k, v in out.items()}
 
     def is_zero_image(self, poly):
         return not self.poly_image(poly)
@@ -951,6 +1093,14 @@ class ExactQuotient:
         if self._orbits is None:
             self._orbits = orbit_basis(self.identities, QQ)
         return self._orbits
+
+    def _identity_terms(self):
+        """Per identity, its terms as (encoding, coefficient, {variable: leaf positions})."""
+        if self._terms is None:
+            self._terms = [[(m.enc, _q(*Fraction(c).as_integer_ratio()), _leaf_positions(m.enc))
+                            for m, c in f.terms_sorted()]
+                           for f in self.identities]
+        return self._terms
 
     def _twin(self, k):
         if self._twins is None:
@@ -976,12 +1126,12 @@ class ExactQuotient:
                 ab = a * b
                 col = S[idx]
                 for k, x in col.items():
-                    v = out.get(k, Fraction(0)) + ab * x
+                    v = out.get(k, 0) + ab * x
                     if v:
                         out[k] = v
                     else:
                         out.pop(k, None)
-        return out
+        return _ints(out)
 
     def pair_product(self, d1, i, d2, j):
         if self.flavor == COMMUTATIVE and (mdeg_key(d1), i) > (mdeg_key(d2), j):
@@ -1020,7 +1170,7 @@ class ExactQuotient:
             raise BudgetExceeded("component %r needs %d pair columns, over the budget %d"
                                  % (d, off, MAX_PAIR_COLUMNS))
 
-        replay = None
+        twins = None
         orbits = self.orbits()
         if off > self.full_cols_cap and self.twins_consistent:
             if any(self._twin(k).orbits() != orbits for k in range(2)):
@@ -1029,47 +1179,62 @@ class ExactQuotient:
                 self.warnings.append("modular twins chose other orbit bases at %r; "
                                      "full generation" % (d,))
             else:
-                t0 = self._twin(0).component(d)
-                t1 = self._twin(1).component(d)
-                if t0.rank == t1.rank and self._twin_dims_match(d):
-                    replay = set(t0.selected)
-                else:
+                twins = (self._twin(0).component(d), self._twin(1).component(d))
+                if twins[0].rank != twins[1].rank or not self._twin_dims_match(d):
+                    twins = None
                     self.warnings.append("modular twins disagree at %r; full generation" % (d,))
-        basis = IntRREF(off)
-        comp.mode = "replay" if replay is not None else "full"
-        for row_index, f_idx, assignment in iter_relation_specs(self.identities, d, self.dim,
-                                                                orbits):
-            if replay is not None and row_index not in replay:
-                continue
-            row = self._relation_row(comp, f_idx, assignment)
-            if row:
-                basis.insert(_integral(row))
-        if replay is not None and basis.rank != len(replay):
-            # unlucky primes: redo with every row
-            self.warnings.append("replay rank shortfall at %r; full generation" % (d,))
-            self.twins_consistent = False
-            basis = IntRREF(off)
+        cols = None
+        if twins is not None:
+            comp.mode = "replay"
+            replay = set(twins[0].selected)
+
+            def replayed():
+                for row_index, f_idx, assignment in iter_relation_specs(self.identities, d,
+                                                                        self.dim, orbits):
+                    if row_index in replay:
+                        row = self._relation_row(comp, f_idx, assignment)
+                        if row:
+                            yield _integral(row)
+
+            cols = lift_struct(replayed(), [t.nonpiv for t in twins], [t.S for t in twins],
+                               self._primes)
+            if cols is not None:
+                comp.rank = twins[0].rank
+            else:
+                basis = IntRREF(off)
+                for row in replayed():
+                    basis.insert(row)
+                if basis.rank != len(replay):
+                    # unlucky primes: redo with every row
+                    self.warnings.append("replay rank shortfall at %r; full generation" % (d,))
+                    self.twins_consistent = False
+                    twins = None
+        if twins is None:
             comp.mode = "full"
+            basis = IntRREF(off)
             for row_index, f_idx, assignment in iter_relation_specs(self.identities, d, self.dim,
                                                                     orbits):
                 row = self._relation_row(comp, f_idx, assignment)
                 if row:
                     basis.insert(_integral(row))
-        comp.rank = basis.rank
-        comp.dim = comp.paircols - basis.rank
+        if cols is None:
+            comp.rank = basis.rank
+            cols = basis.struct_columns()
+        comp.dim = comp.paircols - comp.rank
         comp.selected = []
         if self._twins is not None and self.twins_consistent:
             t0 = self._twins[0].comps.get(d)
             if t0 is not None and t0.dim != comp.dim:
                 self.twins_consistent = False
                 self.warnings.append("exact/modular dimension mismatch at %r" % (d,))
-        self._extract_struct(comp, basis)
+        for split in comp.splits:
+            off = comp.offsets[split]
+            n1, n2 = comp.sizes[split]
+            comp.struct[split] = cols[off:off + block_size(self.flavor, split[0], split[1], n1, n2)]
         return comp
 
     def _twin_dims_match(self, d):
-        for e in _sub_mdegs_upto(d):
-            if e == d:
-                continue
+        for e in sub_multidegrees(d):
             c = self.comps.get(e)
             if c is None:
                 continue
@@ -1078,19 +1243,16 @@ class ExactQuotient:
         return True
 
     def _relation_row(self, comp, f_idx, assignment):
-        f = self.identities[f_idx]
         row = {}
         arr_per_var = {v: arrangements_of(ms) for v, ms in assignment.items()}
         var_names = sorted(assignment)
-        for m, c in f.terms_sorted():
-            coeff = Fraction(c)
-            positions = {v: [i for i, x in enumerate(m.enc) if x == v] for v in var_names}
+        for enc, coeff, positions in self._identity_terms()[f_idx]:
             for combo in itertools.product(*(arr_per_var[v] for v in var_names)):
                 leaf_map = {}
                 for v, arrangement in zip(var_names, combo):
                     for pos, elem in zip(positions[v], arrangement):
                         leaf_map[pos] = elem
-                self._place_term(row, comp, m.enc, leaf_map, coeff)
+                self._place_term(row, comp, enc, leaf_map, coeff)
         return row
 
     def _eval_tree(self, enc, i, leaf_map):
@@ -1102,8 +1264,8 @@ class ExactQuotient:
         if k1 == "b" and k2 == "b":
             vec = self.pair_product(d1, p1, d2, p2)
         else:
-            v1 = p1 if k1 == "v" else {p1: Fraction(1)}
-            v2 = p2 if k2 == "v" else {p2: Fraction(1)}
+            v1 = p1 if k1 == "v" else {p1: 1}
+            v2 = p2 if k2 == "v" else {p2: 1}
             vec = self.product(d1, v1, d2, v2)
         return mdeg_add(d1, d2), "v", vec, nxt
 
@@ -1117,38 +1279,21 @@ class ExactQuotient:
         n1, n2 = comp.sizes[(d1, d2)]
         off = comp.offsets[(d1, d2)]
         sym = self.flavor == COMMUTATIVE and d1 == d2
-        v1 = p1 if k1 == "v" else {p1: Fraction(1)}
-        v2 = p2 if k2 == "v" else {p2: Fraction(1)}
+        v1 = p1 if k1 == "v" else {p1: 1}
+        v2 = p2 if k2 == "v" else {p2: 1}
         for i, a in v1.items():
+            ca = coeff * a
             for j2, b in v2.items():
                 if sym:
                     idx = tri_index(min(i, j2), max(i, j2), n1)
                 else:
                     idx = i * n2 + j2
                 col = off + idx
-                v = row.get(col, Fraction(0)) + coeff * a * b
+                v = row.get(col, 0) + ca * b
                 if v:
                     row[col] = v
                 else:
                     row.pop(col, None)
-
-    def _extract_struct(self, comp, basis: IntRREF):
-        piv = {c: i for i, c in enumerate(basis.pivots)}
-        nonpiv = [c for c in range(comp.paircols) if c not in piv]
-        colmap = {c: k for k, c in enumerate(nonpiv)}
-        cols = []
-        for c in range(comp.paircols):
-            if c in piv:
-                r = basis.rows[piv[c]]
-                pv = r[c]
-                cols.append({colmap[c2]: Fraction(-x, pv) for c2, x in r.items() if c2 != c})
-            else:
-                cols.append({colmap[c]: Fraction(1)})
-        for split in comp.splits:
-            off = comp.offsets[split]
-            n1, n2 = comp.sizes[split]
-            size = block_size(self.flavor, split[0], split[1], n1, n2)
-            comp.struct[split] = cols[off:off + size]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import lang, linalg, quotient
 from .term import (COMMUTATIVE, PLANAR, FlavorError, Polynomial, QQ,
                    enumerate_monomials, mdeg, mdeg_key, mdeg_leq, mdeg_sub,
-                   mdeg_total, splits2)
+                   mdeg_total, splits2, sub_multidegrees)
 
 DEFAULT_DEGREE_CAP = 8
 MAX_FREE_COLUMNS = 250_000
@@ -179,7 +179,7 @@ def load_catalog_file(path):
 def _monomial_multisets(flavor, sizes, budget):
     """Nondecreasing tuples of monomials per size within a multidegree budget."""
     all_mons = []
-    for e in quotient._sub_mdegs_upto(budget):
+    for e in sub_multidegrees(budget) + [budget]:
         all_mons.extend(enumerate_monomials(e, flavor))
     all_mons.sort(key=lambda m: (mdeg_key(m.multidegree()), m.enc))
 

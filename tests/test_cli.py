@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from freealg import cli
 from freealg.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -86,7 +87,7 @@ def test_char_flag_and_validation():
     rc, out = run(["--char", "3", "check", "assym", "wjor(t1,t2,t3,t4)", "--mode", "plus"])
     assert rc == 0
     with pytest.raises(ValueError):
-        run(["--char", "4", "dim", "assym", "--multidegree", "4"])
+        cli.RunConfig(char=4)
 
 
 def test_equiv_exit_codes():
@@ -137,6 +138,8 @@ def test_albert_workers_deterministic():
     ["albert", "t1+"],
     ["dim", "nosuch", "--multidegree", "1,1"],
     ["expand", "t1 t2", "--star-expand"],
+    ["--char", "4", "dim", "assym", "--multidegree", "4"],
+    ["--workers", "0", "dim", "assym", "--multidegree", "1,1"],
 ])
 def test_bad_input_is_one_line_exit_2(argv):
     rc = subprocess.run([sys.executable, "-m", "freealg.cli"] + argv,

@@ -19,9 +19,9 @@ def test_parse_basic_shapes():
 
 
 def test_parse_errors():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="end of input"):
         parse("t1 +")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="end of input"):
         parse("(t1 t2")
     with pytest.raises(MacroError):
         expand("nosuchmacro(t1)", PLANAR)

@@ -1,12 +1,14 @@
 """The inductive quotient construction: eliminators, enumeration, consistency."""
 
 import itertools
+import math
 import os
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freealg import engine, lang, linalg, quotient, tideal
 from freealg.term import COMMUTATIVE, PLANAR, GF, Monomial, Polynomial, QQ, field_by_char
@@ -267,3 +269,162 @@ def test_replay_needs_matching_orbit_bases(monkeypatch):
     assert comp.mode == "full"
     assert any("orbit" in w for w in qe.warnings)
     assert comp.dim == tideal.quotient_dim(assym, (2, 1, 1), QQ, method="free")
+
+
+# -- struct maps lifted from the GF(p) twins -----------------------------------
+
+P0, P1 = quotient.SELECTION_PRIMES
+BOUND = math.isqrt((P0 * P1 - 1) // 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-BOUND, BOUND), st.integers(1, BOUND))
+def test_rational_reconstruction_round_trip(a, b):
+    m = P0 * P1
+    u = a * pow(b, -1, m) % m
+    assert quotient.rational_reconstruction(u, m, BOUND) == Fraction(a, b)
+
+
+def _twin(rows, ncols, p):
+    """(non-pivot columns, struct matrix, positions that pivoted) of integer rows over GF(p)."""
+    rre = quotient.DenseModRREF(p, ncols)
+    M = np.array([[r.get(c, 0) % p for c in range(ncols)] for r in rows], dtype=float)
+    selected = rre.add_batch(M)
+    S = np.zeros((ncols, ncols - rre.rank))
+    S[rre.nonpiv, np.arange(ncols - rre.rank)] = 1.0
+    S[rre.piv] = quotient.mod_p(-rre.N, p)
+    return rre.nonpiv, S, selected
+
+
+def _lift(rows, ncols, twins=None):
+    twins = twins or [_twin(rows, ncols, p) for p in (P0, P1)]
+    return quotient.lift_struct(rows, [t[0] for t in twins], [t[1] for t in twins], (P0, P1))
+
+
+def _int_rref_struct(rows, ncols):
+    basis = quotient.IntRREF(ncols)
+    for r in rows:
+        basis.insert(dict(r))
+    return basis.struct_columns()
+
+
+def _independent_rows(seed, nrows=6, ncols=10):
+    rows = rand_int_rows(random.Random(seed), nrows, ncols, bound=3)
+    _, _, selected = _twin(rows, ncols, P0)
+    return [rows[i] for i in selected]
+
+
+# rows scaled by 2^50 span the same space but leave the float64 bound: Python ints
+SCALES = (1, 2 ** 50)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("seed", range(4))
+def test_lift_struct_returns_the_int_rref_struct(seed, scale):
+    rows = _independent_rows(seed)
+    twins = [_twin(rows, 10, p) for p in (P0, P1)]
+    got = _lift([{c: scale * x for c, x in r.items()} for r in rows], 10, twins)
+    assert got == _int_rref_struct(rows, 10)
+    assert any(isinstance(x, Fraction) for col in got for x in col.values())
+    for col in got:
+        assert not any(isinstance(x, Fraction) and x.denominator == 1 for x in col.values())
+
+
+def _corrupt(twins, primes):
+    """Add 1 to the last struct constant of the last pivot row in the given twins."""
+    piv = np.setdiff1d(np.arange(10), twins[0][0])
+    for (_, S, _), p in zip(twins, primes):
+        S[piv[-1], -1] = (S[piv[-1], -1] + 1) % p
+
+
+def test_lift_struct_rejects_a_corrupted_residue():
+    rows = _independent_rows(0)
+    twins = [_twin(rows, 10, p) for p in (P0, P1)]
+    _corrupt(twins[1:], (P1,))
+    assert _lift(rows, 10, twins) is None
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_lift_struct_rejects_a_reconstructible_wrong_value(scale):
+    # the same change in both twins reconstructs to a small fraction: the exact check refuses it
+    rows = [{c: scale * x for c, x in r.items()} for r in _independent_rows(0)]
+    twins = [_twin(rows, 10, p) for p in (P0, P1)]
+    _corrupt(twins, (P0, P1))
+    assert _lift(rows, 10, twins) is None
+
+
+def test_lift_struct_rejects_rank_deficient_rows():
+    # every row lies in the span, so rows @ S = 0 holds: only the rank check can refuse
+    rows = _independent_rows(1)
+    twins = [_twin(rows, 10, p) for p in (P0, P1)]
+    assert _lift(rows[:-1] + [rows[0]], 10, twins) is None
+
+
+def test_lift_struct_rejects_heights_above_the_bound():
+    n, q = 1000003, 999961            # struct constant n/q: both above BOUND
+    rows = [{0: q, 1: -n}, {2: 1, 3: 5}]
+    assert BOUND < q < n
+    assert quotient.rational_reconstruction(n * pow(q, -1, P0 * P1) % (P0 * P1),
+                                            P0 * P1, BOUND) is None
+    assert _lift(rows, 4) is None
+    assert _int_rref_struct(rows, 4)[0] == {0: Fraction(n, q)}
+
+
+def test_lift_struct_checks_in_ints_beyond_the_float_bound():
+    # 2^53 + 1 rounds to 2^53 in float64, which would make this wrong row look killed
+    twins = [_twin([{0: 1, 1: -1}], 2, p) for p in (P0, P1)]
+    assert _lift([{0: 2 ** 53 + 1, 1: -2 ** 53}], 2, twins) is None
+    assert _lift([{0: 2 ** 53, 1: -2 ** 53}], 2, twins) == [{0: 1}, {0: 1}]
+
+
+def _replay_inserts(monkeypatch):
+    """Count IntRREF.insert calls per ExactQuotient component being built."""
+    calls, building = {}, []
+    build, insert = quotient.ExactQuotient._build, quotient.IntRREF.insert
+
+    def counted_build(self, d):
+        building.append(d)
+        try:
+            return build(self, d)
+        finally:
+            building.pop()
+
+    def counted_insert(self, row):
+        calls[building[-1]] = calls.get(building[-1], 0) + 1
+        return insert(self, row)
+
+    monkeypatch.setattr(quotient.ExactQuotient, "_build", counted_build)
+    monkeypatch.setattr(quotient.IntRREF, "insert", counted_insert)
+    return calls
+
+
+def _structs(q):
+    return {d: (c.dim, c.struct) for d, c in q.comps.items()}
+
+
+@pytest.mark.parametrize("name,q", [("assosymmetric", None), ("quasi_assosymmetric", Fraction(3))])
+def test_replay_lifts_struct_without_int_rref(name, q, monkeypatch):
+    variety = tideal.get_variety(name, q)
+    full = quotient.ExactQuotient(variety, full_cols_cap=10 ** 6)
+    full.component((2, 1, 1, 1))
+    calls = _replay_inserts(monkeypatch)
+    qe = quotient.ExactQuotient(variety, full_cols_cap=20)
+    qe.component((2, 1, 1, 1))
+    replayed = [d for d, c in qe.comps.items() if c.mode == "replay"]
+    assert (2, 1, 1, 1) in replayed
+    assert not any(calls.get(d) for d in replayed)
+    assert _structs(qe) == _structs(full)
+    assert not qe.warnings
+
+
+def test_replay_falls_back_to_int_rref_above_the_height_bound(monkeypatch):
+    # quasi-assosymmetric q = -1/3 has struct constants like 3819349/3271840 at (2,1,1,1)
+    variety = tideal.get_variety("quasi_assosymmetric", Fraction(-1, 3))
+    full = quotient.ExactQuotient(variety, full_cols_cap=10 ** 6)
+    full.component((2, 1, 1, 1))
+    calls = _replay_inserts(monkeypatch)
+    qe = quotient.ExactQuotient(variety, full_cols_cap=20)
+    comp = qe.component((2, 1, 1, 1))
+    assert comp.mode == "replay" and calls.get((2, 1, 1, 1)) == comp.rank
+    assert _structs(qe) == _structs(full)
+    assert not qe.warnings

@@ -8,7 +8,7 @@ import pytest
 from freealg import lang, linalg, quotient, tideal
 from freealg.term import (COMMUTATIVE, PLANAR, GF, Monomial, Polynomial, QQ,
                           count_monomials, enumerate_monomials, mdeg, mdeg_leq,
-                          mdeg_sub, mdeg_total, splits2)
+                          mdeg_sub, mdeg_total, splits2, sub_multidegrees)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,7 @@ def test_substitution_instances_match_exhaustive_oracle(assym):
     got = {str(r.poly) for r in tideal.substitution_instances(lsym, d, PLANAR)}
     # oracle: brute-force monomial triples with componentwise-fitting multidegrees
     pool = []
-    for e in quotient._sub_mdegs_upto(d):
+    for e in sub_multidegrees(d) + [d]:
         pool.extend(enumerate_monomials(e, PLANAR))
     want = set()
     for m1, m2, m3 in itertools.product(pool, repeat=3):
