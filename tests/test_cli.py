@@ -118,14 +118,14 @@ def test_suite_report_file(tmp_path):
     assert "[PASS]" in out
 
 
-def test_albert_workers_deterministic():
+def test_albert_report_deterministic():
     runs = []
-    for w in (1, 4, 8):
-        rc, out = run(["--workers", str(w), "--format", "json",
+    for _ in range(3):
+        rc, out = run(["--format", "json",
                        "albert", "glen(t1,t2,t3)", "--samples", "3", "--seed", "7"])
         assert rc == 0
         runs.append(normalize(json.loads(out)))
-    # one seeded sample stream: the full report is worker-count independent
+    # one seeded sample stream: the full report is the same on every run
     assert runs[0] == runs[1] == runs[2]
     assert runs[0][0]["report"]["witness"] is not None
 
@@ -139,7 +139,6 @@ def test_albert_workers_deterministic():
     ["dim", "nosuch", "--multidegree", "1,1"],
     ["expand", "t1 t2", "--star-expand"],
     ["--char", "4", "dim", "assym", "--multidegree", "4"],
-    ["--workers", "0", "dim", "assym", "--multidegree", "1,1"],
 ])
 def test_bad_input_is_one_line_exit_2(argv):
     rc = subprocess.run([sys.executable, "-m", "freealg.cli"] + argv,

@@ -221,6 +221,33 @@ def _compositions(n):
 UP_TO_DEGREE_4 = [d for n in range(1, 5) for d in _compositions(n)]
 
 
+def _partitions(n, largest):
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(min(n, largest), 0, -1) for rest in _partitions(n - k, k)]
+
+
+# up to relabeling, in at most three variables: (3,3) and (2,2,2) included
+UP_TO_DEGREE_6 = [d for n in range(1, 7) for d in _partitions(n, n) if len(d) <= 3]
+
+
+@pytest.mark.parametrize("name", ["jordan", "lie_triple", "commutative_magmatic"])
+def test_commutative_modular_quotient_matches_exact(name):
+    # equal splits of commutative components take the upper-triangular blocks
+    variety = tideal.get_variety(name)
+    fld = GF(999983)
+    qe = quotient.get_quotient(variety, QQ)
+    qm = quotient.get_quotient(variety, fld)
+    for d in UP_TO_DEGREE_6:
+        assert qm.dim(d) == qe.dim(d), d
+    for text in ["((t1 t2) t1)(t2 t1) - 3 ((t1 t1) t2)(t2 t1)", "jor(t1,t2)",
+                 "((t1 t2) t3)((t2 t3) t1) + 2 ((t1 t2) t3)((t1 t2) t3)"]:
+        poly = lang.expand(text, COMMUTATIVE)
+        img_e = qe.poly_image(poly)
+        img_m = qm.poly_image(poly.to_field(fld))
+        assert [fld.from_fraction(img_e.get(k, 0)) for k in range(len(img_m))] == img_m.tolist()
+
+
 @pytest.mark.parametrize("char", [0, 3, 5])
 @pytest.mark.parametrize("name", ["assosymmetric", "dual_assosymmetric", "assder"])
 def test_module_basis_stream_matches_free_oracle(name, char):
