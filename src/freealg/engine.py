@@ -4,7 +4,9 @@ identity kernels, identity-system equivalence, and named check suites.
 Field strategy for verdicts: components whose free-monomial coordinate space
 has at most `exact_column_cap` columns (default 20 000) are decided exactly
 over QQ; larger ones run modulo two independent primes with a cross-check and
-the verdict carries a 'modular' warning.  Zero images over QQ are exact
+the verdict carries a 'modular' warning.  The two primes' quotients are built
+side by side in two child processes, or one after the other in process on a
+single CPU (quotient.build_twins).  Zero images over QQ are exact
 membership proofs even when the span was assembled from modular-selected rows
 (the rows are honest consequence members either way).
 """
@@ -102,10 +104,12 @@ def is_identity(variety, expr, char=0, mode="direct",
                         if w not in warnings:
                             warnings.append(w)
             else:
+                twins = [quotient.get_quotient(variety, GF(p), degree_cap)
+                         for p in STRATEGY_PRIMES]
+                quotient.build_twins(twins, d)
                 supports = []
-                for p in STRATEGY_PRIMES:
-                    qa = quotient.get_quotient(variety, GF(p), degree_cap)
-                    img = qa.poly_image(part.to_field(GF(p)))
+                for qa in twins:
+                    img = qa.poly_image(part.to_field(qa.field))
                     supports.append(int(np.count_nonzero(img)))
                 if supports[0] != supports[1] and (supports[0] == 0) != (supports[1] == 0):
                     raise EngineError("strategy primes disagree at %r" % (d,))

@@ -530,9 +530,3 @@ def blended_instance(p: Polynomial, assignment: dict) -> Polynomial:
             enc = _graft(m.enc, rep)
             out = out + Polynomial.unit(Monomial.from_enc(p.flavor, enc), 1, f).scale(f.to_fraction(c))
     return out
-
-
-def print_polynomial(p: Polynomial) -> str:
-    """Deterministic text form; expand(parse(...)) recovers the polynomial."""
-    from .term import format_polynomial
-    return format_polynomial(p)

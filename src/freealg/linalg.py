@@ -11,11 +11,7 @@ only when requested; they dominate memory on large systems.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
-
-from .term import GF
 
 
 def vec_items(v):
@@ -56,10 +52,6 @@ class SpanBasis:
 
     def pivot_set(self):
         return set(self.pivots)
-
-    def nonpivot_columns(self):
-        piv = self.pivot_set()
-        return [c for c in range(self.ncols) if c not in piv]
 
     def reduce_vector(self, v: dict, want_coeffs=False):
         """Return (coeffs, residual): v minus its projection onto the row span.
@@ -171,42 +163,4 @@ def kernel(rows, ncols, fld) -> SpanBasis:
             if x is not None:
                 v[c] = fld.neg(x)
         _insert(out, v)
-    return out
-
-
-def rank_modular(rows, ncols, primes):
-    """Rank of an integer/rational row set modulo each prime; flags disagreement.
-
-    Rows may have Fraction entries; each row is scaled integral first, so a
-    denominator divisible by p never corrupts the reduction.
-    """
-    if len(primes) < 2:
-        raise ValueError("need at least two primes")
-    int_rows = [_integral_row(r) for r in rows]
-    ranks = {}
-    for p in primes:
-        fld = GF(p)
-        rp = []
-        for r in int_rows:
-            row = {}
-            for c, x in r.items():
-                v = x % p
-                if v:
-                    row[c] = v
-            rp.append(row)
-        ranks[p] = rref(rp, ncols, fld).rank
-    vals = set(ranks.values())
-    return {"ranks": ranks, "agree": len(vals) == 1, "rank": max(vals)}
-
-
-def _integral_row(row):
-    den = 1
-    for x in row.values():
-        fx = Fraction(x)
-        den = math.lcm(den, fx.denominator)
-    out = {}
-    for c, x in row.items():
-        fx = Fraction(x) * den
-        assert fx.denominator == 1
-        out[c] = fx.numerator
     return out

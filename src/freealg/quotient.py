@@ -40,12 +40,29 @@ subclasses give the coordinate type and the elimination:
   the integer-scaled RREF that small components use.  Row indices name the
   same rows in two fields only when their orbit bases agree; otherwise, and
   on any rank mismatch, the component falls back to full generation.
+
+The two GF(p) builds of one component, one per strategy prime (the twins
+of a rational component, and the two-prime verdicts in engine), are built
+side by side by build_twins: in two long-lived child processes, one per
+prime, each a fresh interpreter that imports freealg from this package's
+directory and uses max(1, ncpu // 2) BLAS threads.  The parent installs the
+components they return, so every later lookup, image and replay is the same
+as after an in-process build.  With one CPU the twins are built in process,
+one after the other.  Children start on the first such build, never at
+import, and stop in clear_cache, at exit, or when the parent's pipe closes.
 """
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import math
+import os
+import pickle
+import resource
+import signal
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -580,11 +597,15 @@ class InductiveQuotient:
                                  % (d, off, MAX_PAIR_COLUMNS))
         struct = self._reduce(comp)
         comp.dim = comp.paircols - comp.rank
+        self._split_struct(comp, struct)
+        return comp
+
+    def _split_struct(self, comp, struct):
+        """One struct block per split: a slice (for numpy, a view) of the struct map."""
         for split in comp.splits:
             off = comp.offsets[split]
             n1, n2 = comp.sizes[split]
             comp.struct[split] = struct[off:off + block_size(self.flavor, split[0], split[1], n1, n2)]
-        return comp
 
     def _term_instances(self, f_idx, assignment):
         """Per term of identity f_idx: (encoding, coefficient, leaf maps), one
@@ -683,6 +704,16 @@ class ModularQuotient(InductiveQuotient):
         else:
             block = mod_p(np.outer(v1, v2).reshape(-1), self.p)
         return matmul_mod(block, S, self.p)
+
+    def _install(self, records):
+        """Take components built in another process (see build_twins) as if built here."""
+        for d, values in records:
+            comp = _Component(d)
+            for name, value in zip(_WIRE, values):
+                setattr(comp, name, value)
+            if comp.S is not None:
+                self._split_struct(comp, comp.S)
+            self.comps[d] = comp
 
     def _unit(self, d, i):
         return _one_hot(self.comps[d].dim, i)
@@ -1112,6 +1143,7 @@ class ExactQuotient(InductiveQuotient):
                 self.warnings.append("modular twins chose other orbit bases at %r; "
                                      "full generation" % (d,))
             else:
+                build_twins(self._twins, d)
                 twins = (self._twin(0).component(d), self._twin(1).component(d))
                 if twins[0].rank != twins[1].rank or not self._twin_dims_match(d):
                     twins = None
@@ -1217,3 +1249,193 @@ def get_quotient(variety, field, degree_cap=DEFAULT_DEGREE_CAP):
 
 def clear_cache():
     _CACHE.clear()
+    stop_twin_builders()
+
+
+# ---------------------------------------------------------------------------
+# GF(p) twins built side by side, one long-lived child process per prime.
+# ---------------------------------------------------------------------------
+
+# What a child sends of each component; the struct blocks are rebuilt as views of S.
+_WIRE = ("dim", "splits", "offsets", "sizes", "paircols", "selected", "rank", "mode",
+         "nonpiv", "S")
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# A fresh interpreter that imports freealg from the parent's directory, never __main__.
+_CHILD_CODE = ("import sys; sys.path.insert(0, sys.argv[1]); "
+               "from freealg.quotient import serve_twin_builds; serve_twin_builds()")
+_BUILDERS: dict[int, "_TwinBuilder"] = {}
+
+
+def build_twins(quotients, d):
+    """Build component d of several ModularQuotients at once, one child process per prime.
+
+    Each quotient that lacks d sends (variety, p, degree cap, d, the
+    multidegrees it holds) to the child of its prime, which builds d and its
+    lower components in its own cached ModularQuotient and answers with
+    those of them the quotient lacks, in build order; they are installed as
+    if built here, so every later lookup is unchanged.  Components are
+    bit-identical to an in-process build, since GF(p) elimination is exact
+    in any BLAS summation order.  With one CPU, fewer than two quotients
+    lacking d, or no process to be had, nothing happens and the callers'
+    component(d) builds in process as before.  A child's exception is raised
+    here with its type and message, after every other child has answered; a
+    child that died raises BuildError, and the next request starts a fresh
+    one.
+    """
+    d = mdeg(d)
+    lacking = [q for q in quotients if d not in q.comps]
+    ncpu = len(os.sched_getaffinity(0))
+    if ncpu < 2 or len(lacking) < 2:
+        return
+    try:
+        builders = [_BUILDERS.get(q.p) or _TwinBuilder(q.p, ncpu) for q in lacking]
+    except OSError:
+        return
+    error = None
+    try:
+        sent = []
+        for q, builder in zip(lacking, builders):
+            try:
+                builder.send((q.variety, q.p, q.degree_cap, d, set(q.comps)))
+                sent.append((q, builder))
+            except BuildError as exc:
+                error = error or exc
+        for q, builder in sent:
+            try:
+                q._install(builder.receive())
+            except Exception as exc:
+                error = error or exc
+    except BaseException:
+        # interrupted mid-exchange: the children's replies are out of step
+        for builder in list(_BUILDERS.values()):
+            builder.close(force=True)
+        raise
+    if error is not None:
+        raise error
+
+
+def stop_twin_builders():
+    """Stop build_twins' children; returns {p: the child's report}, where a
+    report ({"pid", "freealg", "maxrss_mb"}) is None for a child that had died."""
+    return {p: _BUILDERS[p].stop() for p in list(_BUILDERS)}
+
+
+atexit.register(stop_twin_builders)
+
+
+class _TwinBuilder:
+    """The parent's end of one child process that builds GF(p) components.
+
+    Requests and replies are pickles on the child's stdin and stdout.  The
+    child gets max(1, ncpu // 2) BLAS threads, set before numpy loads, and
+    exits when its stdin reaches EOF, so none outlives the parent.
+    """
+
+    def __init__(self, p, ncpu):
+        env = dict(os.environ)
+        env.update(dict.fromkeys(_BLAS_THREAD_VARS, str(max(1, ncpu // 2))))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        self.p = p
+        self.proc = subprocess.Popen([sys.executable, "-c", _CHILD_CODE, src],
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
+        _BUILDERS[p] = self
+
+    def send(self, msg):
+        try:
+            pickle.dump(msg, self.proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
+            self.proc.stdin.flush()
+        except OSError:
+            raise self._died() from None
+
+    def receive(self):
+        try:
+            status, payload = pickle.load(self.proc.stdout)
+        except (EOFError, OSError, pickle.UnpicklingError):
+            raise self._died() from None
+        if status == "error":
+            raise payload
+        return payload
+
+    def stop(self):
+        """End the child; returns its report, or None if it had died."""
+        try:
+            self.send("stop")
+            report = self.receive()
+        except BuildError:
+            report = None
+        self.close()
+        return report
+
+    def close(self, force=False):
+        """Forget this child and reap it; force kills it first (it may be mid-build)."""
+        if _BUILDERS.get(self.p) is self:
+            del _BUILDERS[self.p]
+        if force:
+            self.proc.kill()
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            try:
+                pipe.close()
+            except OSError:
+                pass
+        self.proc.wait()
+
+    def _died(self):
+        try:
+            status = self.proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            status = "unknown"
+        self.close(force=True)
+        return BuildError("the GF(%d) twin builder process died (exit status %s)"
+                          % (self.p, status))
+
+
+def serve_twin_builds():
+    """Child side of build_twins: answer requests from stdin until EOF or "stop"."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)    # the parent handles interrupts
+    out = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)                 # stray output goes to stderr, not into the replies
+    inp = sys.stdin.buffer
+    while True:
+        try:
+            msg = pickle.load(inp)
+        except EOFError:
+            return
+        if msg == "stop":
+            reply = ("ok", {"pid": os.getpid(), "freealg": os.path.dirname(os.path.abspath(__file__)),
+                            "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024})
+        else:
+            variety, p, degree_cap, d, held = msg
+            try:
+                q = get_quotient(variety, GF(p), degree_cap)
+                q.component(d)
+                reply = ("ok", [(e, tuple(getattr(q.comps[e], name) for name in _WIRE))
+                                for e in _tower(d, q.flavor) if e not in held])
+            except Exception as exc:
+                reply = ("error", _portable(exc))
+        try:
+            pickle.dump(reply, out, protocol=pickle.HIGHEST_PROTOCOL)
+            out.flush()
+        except BrokenPipeError:
+            return
+        if msg == "stop":
+            return
+
+
+def _tower(d, flavor, out=None):
+    """d and the components below it, in the order component(d) builds them."""
+    out = {} if out is None else out
+    if d not in out:
+        for d1, d2 in component_splits(d, flavor):
+            _tower(mdeg(d1), flavor, out)
+            _tower(mdeg(d2), flavor, out)
+        out[d] = None
+    return out
+
+
+def _portable(exc):
+    """exc itself if it survives a pickle round trip, else a BuildError naming it."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return BuildError("%s: %s" % (type(exc).__name__, exc))

@@ -350,15 +350,6 @@ class Monomial:
         return "Monomial(%s, %s)" % (self.flavor[0], self.to_text())
 
 
-def mul_monomial(a: Monomial, b: Monomial) -> Monomial:
-    """Free product of two monomials of the same flavor."""
-    return Monomial.pair(a, b)
-
-
-def multidegree_of(m: Monomial) -> tuple:
-    return m.multidegree()
-
-
 # ---------------------------------------------------------------------------
 # Component enumeration.
 # ---------------------------------------------------------------------------
@@ -562,18 +553,6 @@ class Polynomial:
 
     def __repr__(self):
         return "Polynomial(%s, %s)" % (self.flavor, format_polynomial(self))
-
-
-def linear_combine(coeffs, polys) -> Polynomial:
-    """Sparse sum of coeff * poly with zero terms dropped."""
-    if len(coeffs) != len(polys):
-        raise ValueError("coefficient/polynomial count mismatch")
-    if not polys:
-        raise ValueError("need at least one polynomial")
-    acc = Polynomial.zero(polys[0].flavor, polys[0].field)
-    for c, p in zip(coeffs, polys):
-        acc = acc + p.scale(c)
-    return acc
 
 
 def format_polynomial(p: Polynomial) -> str:

@@ -13,6 +13,14 @@ from freealg import cli
 from freealg.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def cli_env():
+    """The environment for `python -m freealg.cli`: freealg's directory on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
 
 
 def run(argv):
@@ -142,7 +150,7 @@ def test_albert_report_deterministic():
 ])
 def test_bad_input_is_one_line_exit_2(argv):
     rc = subprocess.run([sys.executable, "-m", "freealg.cli"] + argv,
-                        capture_output=True, text=True, env=dict(os.environ))
+                        capture_output=True, text=True, env=cli_env())
     assert rc.returncode == 2
     assert "Traceback" not in rc.stderr
     (line,) = rc.stderr.splitlines()
@@ -160,7 +168,7 @@ def test_certificate_flag():
 
 
 def test_console_entry_point_runs():
-    env = dict(os.environ)
+    env = cli_env()
     rc = subprocess.run(
         [sys.executable, "-m", "freealg.cli", "dim", "assym", "--multidegree", "1,1,1"],
         capture_output=True, text=True, env=env)

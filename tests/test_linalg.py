@@ -3,10 +3,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freealg import linalg
+from freealg import linalg, quotient
 from freealg.term import GF, QQ
 
 
@@ -149,13 +150,14 @@ def test_rank_nullity_against_oracle():
 
 
 def test_rank_modular():
+    # the dense GF(p) eliminator at two primes against the rational oracle
     rng = random.Random(23)
     rows = rand_rows(rng, 10, 12)
-    rep = linalg.rank_modular(rows, 12, [10007, 10009])
-    assert rep["agree"]
-    assert rep["rank"] == dense_rref_rank(rows, 12)
-    with pytest.raises(ValueError):
-        linalg.rank_modular(rows, 12, [10007])
+    for p in (10007, 10009):
+        rre = quotient.DenseModRREF(p, 12)
+        rre.add_batch(np.array([[GF(p).from_fraction(r.get(c, Fraction(0))) for c in range(12)]
+                                for r in rows], dtype=float))
+        assert rre.rank == dense_rref_rank(rows, 12)
 
 
 def test_provenance_tracks_row_combinations():

@@ -248,6 +248,18 @@ def test_commutative_modular_quotient_matches_exact(name):
         assert [fld.from_fraction(img_e.get(k, 0)) for k in range(len(img_m))] == img_m.tolist()
 
 
+def test_square_zero_commutative_quotient_matches_free_oracle():
+    # x x = 0 over GF(2) is not trivial (x y + y x = 0 holds anyway); its relation
+    # terms put two basis elements of one multidegree at the root of a symmetric
+    # block: (2,2,2) squares (1,1,1), of dimension 3, so the two can differ
+    square_zero = tideal.VarietyPresentation(
+        "square_zero", COMMUTATIVE, (lang.expand("t1 t1", COMMUTATIVE),))
+    qm = quotient.ModularQuotient(square_zero, 2)
+    for d in [d for n in range(1, 6) for d in _partitions(n, n)] + [(2, 2, 2)]:
+        assert qm.dim(d) == tideal.quotient_dim(square_zero, d, GF(2), method="free"), d
+    assert qm.dim((2, 2)) == 2 and qm.dim((2, 2, 2)) == 81
+
+
 @pytest.mark.parametrize("char", [0, 3, 5])
 @pytest.mark.parametrize("name", ["assosymmetric", "dual_assosymmetric", "assder"])
 def test_module_basis_stream_matches_free_oracle(name, char):

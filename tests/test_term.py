@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from freealg.term import (COMMUTATIVE, PLANAR, FlavorError, GF, Monomial,
                           Polynomial, QQ, count_monomials, enumerate_monomials,
-                          linear_combine, mdeg, mdeg_add, mul_monomial,
-                          multidegree_of)
+                          mdeg, mdeg_add)
 
 
 def leaves(*ks):
@@ -43,32 +42,32 @@ def polynomials(draw, flavor=PLANAR):
 
 def test_planar_product_is_ordered():
     a, b = leaves(1, 2)
-    assert mul_monomial(a, b) != mul_monomial(b, a)
-    assert mul_monomial(a, b).to_text() == "(t1 t2)"
+    assert Monomial.pair(a, b) != Monomial.pair(b, a)
+    assert Monomial.pair(a, b).to_text() == "(t1 t2)"
 
 
 def test_commutative_product_canonicalizes():
     a = Monomial.leaf(1, COMMUTATIVE)
     b = Monomial.leaf(2, COMMUTATIVE)
-    assert mul_monomial(b, a) == mul_monomial(a, b)
+    assert Monomial.pair(b, a) == Monomial.pair(a, b)
 
 
 def test_product_degree_and_flavor_mismatch():
     a, b, c = leaves(1, 2, 3)
-    m = mul_monomial(mul_monomial(a, b), c)
+    m = Monomial.pair(Monomial.pair(a, b), c)
     assert m.degree == 3
     with pytest.raises(FlavorError):
-        mul_monomial(a, Monomial.leaf(1, COMMUTATIVE))
+        Monomial.pair(a, Monomial.leaf(1, COMMUTATIVE))
 
 
 # -- multidegrees -------------------------------------------------------------
 
 def test_multidegree_examples():
     a, b = leaves(1, 2)
-    assert multidegree_of(mul_monomial(mul_monomial(a, a), b)) == (2, 1)
-    assert multidegree_of(Monomial.leaf(3)) == (0, 0, 1)
+    assert Monomial.pair(Monomial.pair(a, a), b).multidegree() == (2, 1)
+    assert Monomial.leaf(3).multidegree() == (0, 0, 1)
     m = Monomial.from_text("(((t1 t2) t1)(t3 t1))")
-    assert multidegree_of(m) == (3, 1, 1)
+    assert m.multidegree() == (3, 1, 1)
 
 
 # -- encodings ----------------------------------------------------------------
@@ -144,12 +143,12 @@ def test_field_reduction_of_polynomials():
 
 def test_linear_combine_examples():
     a, b = leaves(1, 2)
-    p = Polynomial.unit(mul_monomial(a, b))
-    assert linear_combine([1, -1], [p, p]).is_zero()
+    p = Polynomial.unit(Monomial.pair(a, b))
+    assert (p.scale(1) + p.scale(-1)).is_zero()
     over3 = p.to_field(GF(3))
-    assert linear_combine([3], [over3]).is_zero()
-    q = linear_combine([2, 3], [p, p])
-    assert q.terms[mul_monomial(a, b)] == 5
+    assert over3.scale(3).is_zero()
+    q = p.scale(2) + p.scale(3)
+    assert q.terms[Monomial.pair(a, b)] == 5
 
 
 @settings(max_examples=60)

@@ -1,0 +1,201 @@
+"""GF(p) twins built side by side in child processes: equal to the in-process build."""
+
+import os
+import signal
+import subprocess
+import sys
+import time
+
+import numpy as np
+import pytest
+
+import freealg
+from freealg import cli, quotient, tideal
+
+P0, P1 = quotient.SELECTION_PRIMES
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(freealg.__file__)))
+
+
+def _partitions(n, largest):
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(min(n, largest), 0, -1) for rest in _partitions(n - k, k)]
+
+
+UP_TO_DEGREE_6 = [d for n in range(1, 7) for d in _partitions(n, n) if len(d) <= 3]
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _twins(variety, degree_cap=quotient.DEFAULT_DEGREE_CAP):
+    return [quotient.ModularQuotient(variety, p, degree_cap) for p in (P0, P1)]
+
+
+def _record(comp):
+    S = None if comp.S is None else comp.S.tobytes()
+    nonpiv = None if comp.nonpiv is None else comp.nonpiv.tolist()
+    return comp.dim, comp.rank, comp.selected, nonpiv, S, comp.mode, comp.paircols
+
+
+def _count_batches(monkeypatch):
+    calls = []
+    add_batch = quotient.DenseModRREF.add_batch
+
+    def counted(self, M):
+        calls.append(M.shape[0])
+        return add_batch(self, M)
+
+    monkeypatch.setattr(quotient.DenseModRREF, "add_batch", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,targets", [
+    ("assosymmetric", [(2, 2, 2)]),
+    ("jordan", UP_TO_DEGREE_6),
+    ("lie_triple", UP_TO_DEGREE_6),
+])
+def test_child_builds_equal_in_process_builds(name, targets, monkeypatch):
+    variety = tideal.get_variety(name)
+    batches = _count_batches(monkeypatch)
+    _cpus(monkeypatch, 1)
+    serial = _twins(variety)
+    for d in targets:
+        quotient.build_twins(serial, d)
+        assert not any(d in q.comps for q in serial)     # one CPU: left to component(d)
+        for q in serial:
+            q.component(d)
+    assert batches
+    batches.clear()
+    _cpus(monkeypatch, 2)
+    quotient.build_twins(_twins(variety), (1, 1, 1, 1))   # children holding other components
+    batches.clear()
+    parallel = _twins(variety)
+    for d in targets:
+        held = [dict(q.comps) for q in parallel]
+        quotient.build_twins(parallel, d)
+        assert all(d in q.comps for q in parallel)
+        # only the components a quotient lacked came back
+        assert all(q.comps[e] is c for q, h in zip(parallel, held) for e, c in h.items())
+    assert not batches                                   # every elimination ran in a child
+    for s, q in zip(serial, parallel):
+        assert list(q.comps) == list(s.comps)
+        for d, comp in s.comps.items():
+            assert _record(q.comps[d]) == _record(comp), d
+            for split, block in comp.struct.items():
+                assert np.shares_memory(q.comps[d].struct[split], q.comps[d].S)
+                assert np.array_equal(q.comps[d].struct[split], block)
+    reports = quotient.stop_twin_builders()
+    assert sorted(reports) == sorted((P0, P1))
+    for report in reports.values():
+        assert report["freealg"] == os.path.dirname(os.path.abspath(freealg.__file__))
+        assert report["maxrss_mb"] > 0
+
+
+def test_child_error_is_raised_with_its_type_and_message(monkeypatch):
+    assym = tideal.get_variety("assosymmetric")
+    _cpus(monkeypatch, 1)
+    with pytest.raises(quotient.DegreeCapExceeded) as serial:
+        quotient.build_twins(_twins(assym, degree_cap=3), (2, 2))
+        _twins(assym, degree_cap=3)[0].component((2, 2))
+    _cpus(monkeypatch, 2)
+    batches = _count_batches(monkeypatch)
+    with pytest.raises(quotient.DegreeCapExceeded) as parallel:
+        quotient.build_twins(_twins(assym, degree_cap=3), (2, 2))
+    assert str(parallel.value) == str(serial.value)
+    assert not batches
+    # the children still answer after an error
+    twins = _twins(assym)
+    quotient.build_twins(twins, (2, 2))
+    assert [q.comps[(2, 2)].dim for q in twins] == [9, 9]       # the paper's degree-4 table
+
+
+def test_child_error_is_one_cli_line_with_exit_2(monkeypatch, capsys):
+    # degree 8 above the cap 7, on the two-prime route: the children raise it
+    _cpus(monkeypatch, 2)
+    argv = ["--degree-cap", "7", "check", "assym", "glen(t1,t2,t3)", "--mode", "plus"]
+    assert cli.main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("freealg: error: ") and "exceeds degree cap 7" in line
+
+
+def test_dead_child_raises_then_restarts(monkeypatch):
+    assym = tideal.get_variety("assosymmetric")
+    _cpus(monkeypatch, 2)
+    quotient.build_twins(_twins(assym), (2, 1))
+    dead = quotient._BUILDERS[P0].proc
+    dead.terminate()
+    dead.wait(timeout=30)
+    with pytest.raises(quotient.BuildError, match=r"GF\(%d\).*exit status -%d"
+                       % (P0, signal.SIGTERM)):
+        quotient.build_twins(_twins(assym), (2, 1))
+    assert P0 not in quotient._BUILDERS and P1 in quotient._BUILDERS
+    twins = _twins(assym)
+    quotient.build_twins(twins, (2, 1))
+    assert quotient._BUILDERS[P0].proc.pid != dead.pid
+    want = quotient.ModularQuotient(assym, P0).dim((2, 1))
+    assert [q.comps[(2, 1)].dim for q in twins] == [want, want]
+
+
+def test_clear_cache_stops_both_children(monkeypatch):
+    monkeypatch.setattr(quotient, "_CACHE", {})
+    _cpus(monkeypatch, 2)
+    quotient.build_twins(_twins(tideal.get_variety("assosymmetric")), (1, 1))
+    procs = [quotient._BUILDERS[p].proc for p in (P0, P1)]
+    quotient.clear_cache()
+    assert not quotient._BUILDERS
+    assert [proc.returncode for proc in procs] == [0, 0]
+
+
+SCRIPT = """\
+import os, sys
+sys.path.insert(0, {src!r})
+os.sched_getaffinity = lambda pid: {{0, 1}}     # children even on a one-CPU host
+from freealg import quotient, tideal
+assym = tideal.get_variety("assosymmetric")
+comp = quotient.ExactQuotient(assym, full_cols_cap=20).component((2, 1, 1))
+print(comp.mode, comp.dim, *sorted(b.proc.pid for b in quotient._BUILDERS.values()), flush=True)
+if len(sys.argv) > 1:
+    input()
+"""
+
+
+def _script(tmp_path):
+    path = tmp_path / "unguarded.py"
+    path.write_text(SCRIPT.format(src=SRC))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return [sys.executable, str(path)], env
+
+
+def test_unguarded_script_builds_through_children(tmp_path):
+    # no __main__ guard: the children must never import the caller's script
+    cmd, env = _script(tmp_path)
+    run = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert run.returncode == 0, run.stderr
+    mode, dim, *pids = run.stdout.split()
+    assert (mode, int(dim), len(pids)) == ("replay", 16, 2)
+    assert "Traceback" not in run.stderr
+
+
+def _alive(pid):
+    try:
+        with open("/proc/%d/stat" % pid) as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_children_exit_when_the_parent_is_killed(tmp_path):
+    cmd, env = _script(tmp_path)
+    with subprocess.Popen(cmd + ["wait"], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          text=True, env=env, cwd=tmp_path) as parent:
+        try:
+            pids = [int(x) for x in parent.stdout.readline().split()[2:]]
+            assert len(pids) == 2 and all(map(_alive, pids))
+        finally:
+            parent.kill()
+    deadline = time.monotonic() + 30
+    while any(map(_alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_alive, pids))
