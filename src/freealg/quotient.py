@@ -503,6 +503,11 @@ class InductiveQuotient:
         self.field = field
         self.degree_cap = degree_cap
         self.identities = [f.to_field(QQ) for f in variety.identities]
+        for f in self.identities:
+            if mdeg_total(f.multidegree()) < 2:
+                raise BuildError("identity %s of %r has degree %d; the quotient needs "
+                                 "defining identities of degree at least 2"
+                                 % (f, variety.name, mdeg_total(f.multidegree())))
         self.comps: dict[tuple, _Component] = {}
         self.pair_cache: dict[tuple, object] = {}
         self.mono_cache: dict[Monomial, object] = {}

@@ -7,10 +7,13 @@ closure under single left/right multiplications by monomials until the target
 multidegree is reached.  Rows live in the coordinate space indexed by
 enumerate_monomials(d); reduction is canonical RREF.
 
-The free-monomial construction is exact and simple but its coordinate spaces
-grow like Catalan(n-1) * n!, so quotient_dim routes large components through
-the inductive quotient construction (see quotient.py); the two paths are
-cross-validated on every small component in the tests.
+This free-monomial construction is exact and simple, but its coordinate
+spaces grow like Catalan(n-1) * n!, so dimensions (quotient_dim,
+multilinear_dims) and membership verdicts come from the inductive quotient
+(quotient.py) in every degree.  The spans here serve the questions whose
+answers live in free coordinates (commutative spans, system equivalence,
+certificates, the pivot-complement basis of the multilinear degree-4
+assosymmetric component) and are the tests' reference for the quotient.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 
 from . import lang, linalg, quotient
 from .quotient import DEFAULT_DEGREE_CAP, BudgetExceeded
-from .term import (COMMUTATIVE, PLANAR, FlavorError, Polynomial, QQ,
+from .term import (COMMUTATIVE, PLANAR, FlavorError, Polynomial, QQ, count_monomials,
                    enumerate_monomials, mdeg, mdeg_key, mdeg_leq, mdeg_sub,
                    mdeg_total, splits2, sub_multidegrees)
 
@@ -306,7 +309,6 @@ class SpanCache:
         if mdeg_total(d) > self.degree_cap:
             raise quotient.DegreeCapExceeded(
                 "component %r exceeds degree cap %d" % (d, self.degree_cap))
-        from .term import count_monomials
         if count_monomials(d, self.variety.flavor) > self.max_columns:
             raise BudgetExceeded("component %r exceeds the column budget %d"
                                  % (d, self.max_columns))
@@ -349,27 +351,12 @@ def member_of_span(variety, poly: Polynomial, fld=QQ):
     return linalg.member(basis, vectorize(poly.to_field(fld), index))
 
 
-def quotient_dim(variety, d, fld=QQ, method="auto", degree_cap=DEFAULT_DEGREE_CAP) -> int:
-    """dim of the multidegree-d component of the relatively-free algebra.
-
-    method 'free' uses the monomial-coordinate consequence span, 'quotient'
-    the inductive pair-coordinate construction; 'auto' picks by size.  The two
-    agree on every component (cross-checked in the tests).
-    """
-    d = mdeg(d)
-    if method == "auto":
-        from .term import count_monomials
-        method = "free" if count_monomials(d, variety.flavor) <= 120 else "quotient"
-    if method == "free":
-        from .term import count_monomials
-        basis = consequence_span(variety, d, fld, degree_cap)
-        return count_monomials(d, variety.flavor) - basis.rank
-    if method == "quotient":
-        return quotient.get_quotient(variety, fld, degree_cap).dim(d)
-    raise ValueError("unknown method %r" % (method,))
+def quotient_dim(variety, d, fld=QQ, degree_cap=DEFAULT_DEGREE_CAP) -> int:
+    """dim of the multidegree-d component of the relatively-free algebra,
+    read off the inductive quotient over fld (quotient.get_quotient)."""
+    return quotient.get_quotient(variety, fld, degree_cap).dim(d)
 
 
 def multilinear_dims(variety, upto, fld=QQ, degree_cap=DEFAULT_DEGREE_CAP):
     """Dimensions of the multilinear components in degrees 1..upto."""
-    return [quotient_dim(variety, (1,) * n, fld, "quotient" if n > 3 else "auto", degree_cap)
-            for n in range(1, upto + 1)]
+    return [quotient_dim(variety, (1,) * n, fld, degree_cap) for n in range(1, upto + 1)]

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -173,3 +174,27 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "freealg.cli", "dim", "assym", "--multidegree", "1,1,1"],
         capture_output=True, text=True, env=env)
     assert rc.returncode == 0 and "= 7" in rc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "zero", "t1 t2"],
+    ["dim", "zero", "--multidegree", "2,2,1"],
+])
+def test_degree_one_identity_is_one_line_exit_2(tmp_path, argv):
+    cat = tmp_path / "cat.txt"
+    cat.write_text("name: zero\nflavor: planar\nidentity: t1\n")
+    rc = subprocess.run([sys.executable, "-m", "freealg.cli", "--catalog", str(cat)] + argv,
+                        capture_output=True, text=True, env=cli_env())
+    assert rc.returncode == 2
+    (line,) = rc.stderr.splitlines()
+    assert line.startswith("freealg: error: identity t1 of 'zero' has degree 1")
+
+
+def test_reproduce_tables_script_runs():
+    script = os.path.join(os.path.dirname(SRC), "scripts", "reproduce_tables.py")
+    rc = subprocess.run([sys.executable, script], capture_output=True, text=True, env=cli_env())
+    assert rc.returncode == 0, rc.stderr
+    assert re.findall(r" dim +(\d+) ", rc.stdout) == ["3", "7", "9", "16", "29"]
+    assert "[1, 2, 7, 29, 136]" in rc.stdout
+    assert "[1, 2, 5, 9, 9, 11]" in rc.stdout
+    assert "3/8 x^5" in rc.stdout

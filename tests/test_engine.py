@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from freealg import engine, lang, tideal
-from freealg.term import COMMUTATIVE, PLANAR, QQ, Monomial, Polynomial
+from freealg.term import COMMUTATIVE, PLANAR, QQ, Monomial, Polynomial, field_by_char
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +165,21 @@ def test_quasi_laws_imply_assder():
         cert, res = tideal.member_of_span(
             v, lang.expand("assder(t1,t2,t3,t4)", PLANAR), QQ)
         assert not res
+
+
+@pytest.mark.parametrize("char", [0, 3, 5])
+def test_suite_memberships_agree_with_the_free_oracle(char):
+    # the quasi assder checks and the arman cubic are decided by is_identity;
+    # at char 3, q = 2 and q = 1/2 have q^2 = 1 and both routes fail them
+    comm = tideal.get_variety("commutative_magmatic")
+    questions = [(tideal.quasi_assosymmetric(q), "assder(t1,t2,t3,t4)")
+                 for q in [Fraction(2), Fraction(3), Fraction(1, 2)]]
+    questions.append((tideal.variety_with(comm, engine.ARMAN_SYSTEMS["alternating-sum"]),
+                      engine.ARMAN_CUBIC))
+    fld = field_by_char(char)
+    for v, expr in questions:
+        _, residual = tideal.member_of_span(v, lang.expand(expr, v.flavor), fld)
+        assert engine.is_identity(v, expr, char, "direct").is_identity == (not residual), v.name
 
 
 def test_suites_deg4_arman_quasi_albert_pass():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from free_oracle import free_dim
 from freealg import engine, lang, linalg, quotient, tideal
 from freealg.term import COMMUTATIVE, PLANAR, GF, Monomial, Polynomial, QQ, field_by_char
 
@@ -256,18 +257,19 @@ def test_square_zero_commutative_quotient_matches_free_oracle():
         "square_zero", COMMUTATIVE, (lang.expand("t1 t1", COMMUTATIVE),))
     qm = quotient.ModularQuotient(square_zero, 2)
     for d in [d for n in range(1, 6) for d in _partitions(n, n)] + [(2, 2, 2)]:
-        assert qm.dim(d) == tideal.quotient_dim(square_zero, d, GF(2), method="free"), d
+        assert qm.dim(d) == free_dim(square_zero, d, GF(2)), d
     assert qm.dim((2, 2)) == 2 and qm.dim((2, 2, 2)) == 81
 
 
 @pytest.mark.parametrize("char", [0, 3, 5])
-@pytest.mark.parametrize("name", ["assosymmetric", "dual_assosymmetric", "assder"])
+@pytest.mark.parametrize("name", ["assosymmetric", "dual_assosymmetric", "assder",
+                                  "associative", "magmatic", "commutative_magmatic",
+                                  "jordan", "lie_triple", "quasi_assosymmetric"])
 def test_module_basis_stream_matches_free_oracle(name, char):
-    variety = tideal.get_variety(name)
+    variety = tideal.get_variety(name, q=2)      # q is read by quasi_assosymmetric only
     fld = field_by_char(char)
     for d in UP_TO_DEGREE_4:
-        free = tideal.quotient_dim(variety, d, fld, method="free")
-        assert tideal.quotient_dim(variety, d, fld, method="quotient") == free, d
+        assert tideal.quotient_dim(variety, d, fld) == free_dim(variety, d, fld), d
 
 
 @pytest.mark.parametrize("char", [0, 3, 5])
@@ -289,7 +291,7 @@ def test_module_basis_stream_degree5(char, monkeypatch):
     assert cut.dim(d) == ordered.dim(d)
     assert cut.component(d).rank == ordered.component(d).rank
     if os.environ.get("FREEALG_EXTENDED") == "1":
-        assert cut.dim(d) == tideal.quotient_dim(assym, d, fld, method="free")
+        assert cut.dim(d) == free_dim(assym, d, fld)
 
 
 def test_replay_needs_matching_orbit_bases(monkeypatch):
@@ -307,7 +309,7 @@ def test_replay_needs_matching_orbit_bases(monkeypatch):
     comp = qe.component((2, 1, 1))
     assert comp.mode == "full"
     assert any("orbit" in w for w in qe.warnings)
-    assert comp.dim == tideal.quotient_dim(assym, (2, 1, 1), QQ, method="free")
+    assert comp.dim == free_dim(assym, (2, 1, 1), QQ)
 
 
 # -- struct maps lifted from the GF(p) twins -----------------------------------

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from freealg import lang, linalg, quotient, tideal
+from free_oracle import free_dim
+from freealg import engine, lang, linalg, quotient, series, tideal
 from freealg.term import (COMMUTATIVE, PLANAR, GF, Monomial, Polynomial, QQ,
                           count_monomials, enumerate_monomials, mdeg, mdeg_leq,
                           mdeg_sub, mdeg_total, splits2, sub_multidegrees)
@@ -150,22 +151,36 @@ def test_dimension_invariant_under_variable_renumbering(assym, d):
 @pytest.mark.parametrize("d", [(1, 1, 1), (2, 1), (3,), (4,), (3, 1), (2, 2),
                                (2, 1, 1), (1, 1, 1, 1)])
 def test_free_and_quotient_paths_agree(assym, d):
-    free = tideal.quotient_dim(assym, d, QQ, method="free")
-    quot = tideal.quotient_dim(assym, d, QQ, method="quotient")
-    assert free == quot
+    assert tideal.quotient_dim(assym, d, QQ) == free_dim(assym, d, QQ)
 
 
 def test_free_and_quotient_paths_agree_commutative():
     jordan = tideal.get_variety("jordan")
     for d in [(3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1), (1, 2, 1)]:
-        free = tideal.quotient_dim(jordan, d, QQ, method="free")
-        quot = tideal.quotient_dim(jordan, d, QQ, method="quotient")
-        assert free == quot
+        assert tideal.quotient_dim(jordan, d, QQ) == free_dim(jordan, d, QQ), d
+
+
+def test_dimensions_and_memberships_never_reach_the_free_oracle(monkeypatch, assym):
+    def refuse(self, d):
+        raise AssertionError("free-monomial span requested at %r" % (d,))
+
+    monkeypatch.setattr(tideal.SpanCache, "basis", refuse)
+    dual = tideal.get_variety("dual_assosymmetric")
+    want = {(4,): 3, (3, 1): 7, (2, 2): 9, (2, 1, 1): 16, (1, 1, 1, 1): 29}
+    assert {d: tideal.quotient_dim(assym, d, QQ) for d in want} == want
+    assert tideal.multilinear_dims(assym, 5, QQ) == [1, 2, 7, 29, 136]
+    assert tideal.multilinear_dims(dual, 6, QQ) == [1, 2, 5, 9, 9, 11]
+    resid, _, _ = series.koszul_residual(assym, dual, 5)
+    assert resid == series.TruncatedSeries.from_coeffs([0, 0, 0, 0, Fraction(3, 8)])
+    entries = engine.suite_quasi(0)
+    assert [e["check"] for e in entries if e["verdict"] != "pass"] == []
 
 
 def test_degree_cap_enforced(assym):
     with pytest.raises(quotient.DegreeCapExceeded):
-        tideal.quotient_dim(assym, (9,), QQ, method="free", degree_cap=8)
+        free_dim(assym, (9,), QQ, degree_cap=8)
+    with pytest.raises(quotient.DegreeCapExceeded):
+        tideal.quotient_dim(assym, (9,), QQ, degree_cap=8)
 
 
 def test_column_budget_enforced(assym):
