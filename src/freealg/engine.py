@@ -97,10 +97,6 @@ def is_identity(variety, expr, char=0, mode="direct",
                 residuals[d] = dict(sorted(img.items()))
                 if img:
                     ok = False
-                if getattr(qa, "warnings", None):
-                    for w in qa.warnings:
-                        if w not in warnings:
-                            warnings.append(w)
             else:
                 twins = [quotient.get_quotient(variety, GF(p), degree_cap)
                          for p in quotient.SELECTION_PRIMES]
@@ -268,26 +264,18 @@ def plus_identity_kernel(variety, d, char=0, degree_cap=quotient.DEFAULT_DEGREE_
     qa = quotient.get_quotient(variety, fld, degree_cap)
     images = []
     for m in comm:
-        p = lang.star_expand(Polynomial.unit(m, 1, QQ)).to_field(fld)
-        images.append(qa.poly_image(p))
-    qdim = qa.dim(d)
+        img = qa.poly_image(lang.star_expand(Polynomial.unit(m, 1, QQ)).to_field(fld))
+        if char:
+            img = {int(k): int(img[k]) for k in np.flatnonzero(img)}
+        images.append(img)
     rows = []
-    if char == 0:
-        for k in range(qdim):
-            row = {}
-            for i, img in enumerate(images):
-                x = img.get(k)
-                if x:
-                    row[i] = x
-            rows.append(row)
-    else:
-        for k in range(qdim):
-            row = {}
-            for i, img in enumerate(images):
-                x = int(img[k])
-                if x:
-                    row[i] = x
-            rows.append(row)
+    for k in range(qa.dim(d)):
+        row = {}
+        for i, img in enumerate(images):
+            x = img.get(k)
+            if x:
+                row[i] = x
+        rows.append(row)
     return linalg.kernel(rows, len(comm), fld), comm
 
 

@@ -35,11 +35,11 @@ subclasses give the coordinate type and the elimination:
   honest T-ideal members.  Their struct map is lifted from the two GF(p)
   struct matrices by CRT and rational reconstruction (lift_struct) and
   accepted only when every replayed row maps to zero exactly and the rows
-  have full rank modulo p, which proves it is the map of their span; so
-  zero residuals stay proofs.  Otherwise the rows are reduced by IntRREF,
-  the integer-scaled RREF that small components use.  Row indices name the
-  same rows in two fields only when their orbit bases agree; otherwise, and
-  on any rank mismatch, the component falls back to full generation.
+  have full rank modulo p, which proves it is the map of their span
+  whatever the twins did; so zero residuals stay proofs.  That check is
+  the only gate: a refused lift, a twin of another width and every small
+  component send every relation row through IntRREF, an integer-scaled
+  RREF.
 
 The two GF(p) builds of one component, one per strategy prime (the twins
 of a rational component, and the two-prime verdicts in engine), are built
@@ -1065,26 +1065,21 @@ def _kills(rows, cols):
 class ExactQuotient(InductiveQuotient):
     """Relatively-free algebra over QQ.
 
-    Small components generate and reduce every relation row exactly with
-    IntRREF.  Larger ones take the pivot-row selection from a GF(p) twin
-    (cross-checked against a second prime) and assemble only those rows over
-    QQ; replayed rows are honest T-ideal members.  The struct map is then
-    lifted from the twins' struct matrices by CRT and rational reconstruction
-    and accepted only after the exact check of lift_struct, which proves it
-    is the map of the span of those rows.  When the lift fails the rows are
-    reduced by IntRREF instead, and any rank shortfall there triggers full
-    generation.  Coordinates are sparse dicts whose values are ints when
-    integral and Fractions otherwise; poly_image returns Fractions.
+    A component wider than FULL_COLS_CAP pair columns gets its two GF(p)
+    twins, one per SELECTION_PRIMES prime.  When both have its width, the
+    rows the first twin selected are assembled over QQ (honest T-ideal
+    members) and the struct map is lifted from the twins' struct matrices
+    by CRT and rational reconstruction; the exact check of lift_struct, the
+    only gate, proves it is the map of the span of those rows (mode
+    "replay").  Every other component, and one whose lift is refused, sends
+    every relation row through IntRREF (mode "full").  Coordinates are
+    sparse dicts whose values are ints when integral and Fractions
+    otherwise; poly_image returns Fractions.
     """
 
-    def __init__(self, variety, degree_cap=DEFAULT_DEGREE_CAP,
-                 primes=SELECTION_PRIMES, full_cols_cap=FULL_COLS_CAP):
+    def __init__(self, variety, degree_cap=DEFAULT_DEGREE_CAP):
         super().__init__(variety, QQ, degree_cap)
-        self.full_cols_cap = full_cols_cap
-        self._primes = primes
         self._twins = None
-        self.twins_consistent = True
-        self.warnings: list[str] = []
 
     def poly_image(self, poly: Polynomial):
         d = poly.multidegree()
@@ -1131,80 +1126,37 @@ class ExactQuotient(InductiveQuotient):
     def _coeff(self, fr: Fraction):
         return _q(fr.numerator, fr.denominator)
 
-    def _twin(self, k):
-        if self._twins is None:
-            self._twins = [get_quotient(self.variety, GF(p), self.degree_cap)
-                           for p in self._primes]
-        return self._twins[k]
-
     def _reduce(self, comp):
-        d = comp.d
-        twins = None
-        orbits = self.orbits()
-        if comp.paircols > self.full_cols_cap and self.twins_consistent:
-            if any(self._twin(k).orbits() != orbits for k in range(2)):
-                # row indices differ between the fields: nothing to replay
-                self.twins_consistent = False
-                self.warnings.append("modular twins chose other orbit bases at %r; "
-                                     "full generation" % (d,))
-            else:
-                build_twins(self._twins, d)
-                twins = (self._twin(0).component(d), self._twin(1).component(d))
-                if twins[0].rank != twins[1].rank or not self._twin_dims_match(d):
-                    twins = None
-                    self.warnings.append("modular twins disagree at %r; full generation" % (d,))
-        cols = None
-        if twins is not None:
-            comp.mode = "replay"
-            replay = set(twins[0].selected)
+        if comp.paircols > FULL_COLS_CAP:
+            if self._twins is None:
+                self._twins = [get_quotient(self.variety, GF(p), self.degree_cap)
+                               for p in SELECTION_PRIMES]
+            build_twins(self._twins, comp.d)
+            twins = [t.component(comp.d) for t in self._twins]
+            if all(t.paircols == comp.paircols for t in twins):
+                replay = set(twins[0].selected)
+                cols = lift_struct(self._integral_rows(comp, replay),
+                                   [t.nonpiv for t in twins], [t.S for t in twins],
+                                   [t.p for t in self._twins])
+                if cols is not None:
+                    comp.mode = "replay"
+                    comp.rank = twins[0].rank
+                    return cols
+        basis = IntRREF(comp.paircols)
+        for row in self._integral_rows(comp):
+            basis.insert(row)
+        comp.rank = basis.rank
+        return basis.struct_columns()
 
-            def replayed():
-                for row_index, f_idx, assignment in iter_relation_specs(self.identities, d,
-                                                                        self.dim, orbits):
-                    if row_index in replay:
-                        row = self._relation_row(comp, f_idx, assignment)
-                        if row:
-                            yield _integral(row)
-
-            cols = lift_struct(replayed(), [t.nonpiv for t in twins], [t.S for t in twins],
-                               self._primes)
-            if cols is not None:
-                comp.rank = twins[0].rank
-            else:
-                basis = IntRREF(comp.paircols)
-                for row in replayed():
-                    basis.insert(row)
-                if basis.rank != len(replay):
-                    # unlucky primes: redo with every row
-                    self.warnings.append("replay rank shortfall at %r; full generation" % (d,))
-                    self.twins_consistent = False
-                    twins = None
-        if twins is None:
-            comp.mode = "full"
-            basis = IntRREF(comp.paircols)
-            for row_index, f_idx, assignment in iter_relation_specs(self.identities, d, self.dim,
-                                                                    orbits):
+    def _integral_rows(self, comp, only=None):
+        """The nonzero relation rows of comp, scaled to integers; with only, just
+        the rows whose index it holds."""
+        for row_index, f_idx, assignment in iter_relation_specs(self.identities, comp.d,
+                                                                self.dim, self.orbits()):
+            if only is None or row_index in only:
                 row = self._relation_row(comp, f_idx, assignment)
                 if row:
-                    basis.insert(_integral(row))
-        if cols is None:
-            comp.rank = basis.rank
-            cols = basis.struct_columns()
-        if self._twins is not None and self.twins_consistent:
-            t0 = self._twins[0].comps.get(d)
-            if t0 is not None and t0.dim != comp.paircols - comp.rank:
-                self.twins_consistent = False
-                self.warnings.append("exact/modular dimension mismatch at %r" % (d,))
-        return cols
-
-    def _twin_dims_match(self, d):
-        for e in sub_multidegrees(d):
-            c = self.comps.get(e)
-            if c is None:
-                continue
-            if self._twin(0).component(e).dim != c.dim or self._twin(1).component(e).dim != c.dim:
-                return False
-        return True
+                    yield _integral(row)
 
     def _relation_row(self, comp, f_idx, assignment):
         """The relation row of one spec as a sparse dict of ints and Fractions."""

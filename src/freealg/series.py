@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from .quotient import DEFAULT_DEGREE_CAP
 from .term import QQ
 
 
@@ -118,10 +119,15 @@ def compose(g: TruncatedSeries, h: TruncatedSeries, order=None) -> TruncatedSeri
 
 
 def koszul_residual(variety, dual_variety, order, fld=QQ, degree_cap=None):
-    """compose(series(variety), series(dual)) - x, from computed multilinear dims."""
+    """compose(series(variety), series(dual)) - x, from computed multilinear dims.
+
+    The quotients are built with the cap max(order, degree_cap), degree_cap
+    defaulting to DEFAULT_DEGREE_CAP, so after multilinear_dims at its
+    default cap they are the cached ones.
+    """
     from . import tideal
-    cap = degree_cap if degree_cap is not None else max(order, 1)
-    dims = tideal.multilinear_dims(variety, order, fld, max(cap, order))
-    dual_dims = tideal.multilinear_dims(dual_variety, order, fld, max(cap, order))
+    cap = max(order, DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap)
+    dims = tideal.multilinear_dims(variety, order, fld, cap)
+    dual_dims = tideal.multilinear_dims(dual_variety, order, fld, cap)
     comp = compose(from_dims(dims), from_dims(dual_dims), order)
     return comp - TruncatedSeries.identity(order), dims, dual_dims

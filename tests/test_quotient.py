@@ -171,15 +171,24 @@ def test_char3_wjor_strictly_weaker_than_jor():
     assert not res
 
 
-def test_replay_mode_claims_and_warnings():
+def _full_reference(variety, d, monkeypatch):
+    """An ExactQuotient built through IntRREF alone up to component d; afterwards
+    FULL_COLS_CAP is 20, so the quotient under test lifts its wider components."""
+    monkeypatch.setattr(quotient, "FULL_COLS_CAP", 10 ** 6)
+    full = quotient.ExactQuotient(variety)
+    full.component(d)
+    monkeypatch.setattr(quotient, "FULL_COLS_CAP", 20)
+    return full
+
+
+def test_replay_mode_claims_and_warnings(monkeypatch):
     assym = tideal.get_variety("assosymmetric")
-    qe = quotient.ExactQuotient(assym, full_cols_cap=20)
+    full = _full_reference(assym, (2, 1, 1), monkeypatch)
+    qe = quotient.ExactQuotient(assym)
     comp = qe.component((2, 1, 1))
     assert comp.mode == "replay"
-    assert not qe.warnings
     # replays agree with the full path
-    full = quotient.ExactQuotient(assym, full_cols_cap=10 ** 6)
-    assert full.component((2, 1, 1)).dim == comp.dim
+    assert _structs(qe) == _structs(full)
 
 
 def test_degree_cap():
@@ -279,10 +288,11 @@ def test_module_basis_stream_degree5(char, monkeypatch):
     assym = tideal.get_variety("assosymmetric")
     fld = field_by_char(char)
     d = (1, 1, 1, 1, 1)
+    monkeypatch.setattr(quotient, "FULL_COLS_CAP", 10 ** 6)
 
     def fresh():
         if char == 0:
-            return quotient.ExactQuotient(assym, full_cols_cap=10 ** 6)
+            return quotient.ExactQuotient(assym)
         return quotient.ModularQuotient(assym, char)
 
     ordered = fresh()
@@ -295,21 +305,41 @@ def test_module_basis_stream_degree5(char, monkeypatch):
 
 
 def test_replay_needs_matching_orbit_bases(monkeypatch):
+    # twin k picks other orbit bases: twin 1's struct map still lifts, but twin 0's
+    # selected row indices name other QQ rows, so the lift is refused
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})   # a child sees no patch
     assym = tideal.get_variety("assosymmetric")
-    p0, p1 = quotient.SELECTION_PRIMES
-    twin = quotient.ModularQuotient(assym, p1)
-    # greedy from rsym first: another subset spanning the same module
-    swapped = quotient.orbit_basis(twin.identities[::-1], GF(p1))
-    other = {n: tuple((1 - f_idx, sigma) for f_idx, sigma in basis)
-             for n, basis in swapped.items()}
-    monkeypatch.setattr(twin, "orbits", lambda: other)
-    qe = quotient.ExactQuotient(assym, full_cols_cap=20)
-    assert other != qe.orbits()
-    monkeypatch.setattr(qe, "_twins", [quotient.ModularQuotient(assym, p0), twin])
-    comp = qe.component((2, 1, 1))
+    d = (2, 1, 1)
+    full = _full_reference(assym, d, monkeypatch)
+    for k, mode in ((1, "replay"), (0, "full")):
+        twins = [quotient.ModularQuotient(assym, p) for p in quotient.SELECTION_PRIMES]
+        # greedy from rsym first: another subset spanning the same module
+        swapped = quotient.orbit_basis(twins[k].identities[::-1], twins[k].field)
+        other = {n: tuple((1 - f_idx, sigma) for f_idx, sigma in basis)
+                 for n, basis in swapped.items()}
+        monkeypatch.setattr(twins[k], "orbits", lambda: other)
+        qe = quotient.ExactQuotient(assym)
+        assert other != qe.orbits()
+        monkeypatch.setattr(qe, "_twins", twins)
+        comp = qe.component(d)
+        assert comp.mode == mode, k
+        assert comp.dim == free_dim(assym, d, QQ)
+        assert _structs(qe) == _structs(full)
+
+
+def test_twin_of_another_width_is_generated_in_full(monkeypatch):
+    # associative twins: lower components of other dimensions, so other pair layouts
+    assym = tideal.get_variety("assosymmetric")
+    d = (2, 1, 1)
+    full = _full_reference(assym, d, monkeypatch)
+    assoc = tideal.get_variety("associative")
+    qe = quotient.ExactQuotient(assym)
+    monkeypatch.setattr(qe, "_twins", [quotient.ModularQuotient(assoc, p)
+                                       for p in quotient.SELECTION_PRIMES])
+    comp = qe.component(d)
+    assert [t.component(d).paircols for t in qe._twins] != [comp.paircols] * 2
     assert comp.mode == "full"
-    assert any("orbit" in w for w in qe.warnings)
-    assert comp.dim == free_dim(assym, (2, 1, 1), QQ)
+    assert _structs(qe) == _structs(full)
 
 
 # -- struct maps lifted from the GF(p) twins -----------------------------------
@@ -446,26 +476,36 @@ def _structs(q):
 @pytest.mark.parametrize("name,q", [("assosymmetric", None), ("quasi_assosymmetric", Fraction(3))])
 def test_replay_lifts_struct_without_int_rref(name, q, monkeypatch):
     variety = tideal.get_variety(name, q)
-    full = quotient.ExactQuotient(variety, full_cols_cap=10 ** 6)
-    full.component((2, 1, 1, 1))
+    full = _full_reference(variety, (2, 1, 1, 1), monkeypatch)
     calls = _replay_inserts(monkeypatch)
-    qe = quotient.ExactQuotient(variety, full_cols_cap=20)
+    qe = quotient.ExactQuotient(variety)
     qe.component((2, 1, 1, 1))
     replayed = [d for d, c in qe.comps.items() if c.mode == "replay"]
     assert (2, 1, 1, 1) in replayed
     assert not any(calls.get(d) for d in replayed)
     assert _structs(qe) == _structs(full)
-    assert not qe.warnings
 
 
 def test_replay_falls_back_to_int_rref_above_the_height_bound(monkeypatch):
-    # quasi-assosymmetric q = -1/3 has struct constants like 3819349/3271840 at (2,1,1,1)
+    # quasi-assosymmetric q = -1/3 has struct constants like 3819349/3271840 at (2,1,1,1):
+    # the lift is refused and every relation row goes through IntRREF
     variety = tideal.get_variety("quasi_assosymmetric", Fraction(-1, 3))
-    full = quotient.ExactQuotient(variety, full_cols_cap=10 ** 6)
-    full.component((2, 1, 1, 1))
     calls = _replay_inserts(monkeypatch)
-    qe = quotient.ExactQuotient(variety, full_cols_cap=20)
+    full = _full_reference(variety, (2, 1, 1, 1), monkeypatch)
+    full_calls = dict(calls)
+    calls.clear()
+    accepted, lift = [], quotient.lift_struct
+
+    def recorded(*args):
+        cols = lift(*args)
+        accepted.append(cols is not None)
+        return cols
+
+    monkeypatch.setattr(quotient, "lift_struct", recorded)
+    qe = quotient.ExactQuotient(variety)
     comp = qe.component((2, 1, 1, 1))
-    assert comp.mode == "replay" and calls.get((2, 1, 1, 1)) == comp.rank
+    assert comp.mode == "full" and calls[(2, 1, 1, 1)] == full_calls[(2, 1, 1, 1)]
+    # a component reads "replay" exactly when its lift was accepted
+    assert len(accepted) == sum(c.paircols > 20 for c in qe.comps.values())
+    assert sum(c.mode == "replay" for c in qe.comps.values()) == sum(accepted)
     assert _structs(qe) == _structs(full)
-    assert not qe.warnings

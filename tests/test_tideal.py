@@ -176,6 +176,15 @@ def test_dimensions_and_memberships_never_reach_the_free_oracle(monkeypatch, ass
     assert [e["check"] for e in entries if e["verdict"] != "pass"] == []
 
 
+def test_koszul_residual_reuses_the_default_cap_quotients(assym):
+    dual = tideal.get_variety("dual_assosymmetric")
+    tideal.multilinear_dims(assym, 5, QQ)
+    tideal.multilinear_dims(dual, 5, QQ)
+    held = set(quotient._CACHE)
+    series.koszul_residual(assym, dual, 5)
+    assert set(quotient._CACHE) == held
+
+
 def test_degree_cap_enforced(assym):
     with pytest.raises(quotient.DegreeCapExceeded):
         free_dim(assym, (9,), QQ, degree_cap=8)

@@ -153,8 +153,9 @@ import os, sys
 sys.path.insert(0, {src!r})
 os.sched_getaffinity = lambda pid: {{0, 1}}     # children even on a one-CPU host
 from freealg import quotient, tideal
+quotient.FULL_COLS_CAP = 20
 assym = tideal.get_variety("assosymmetric")
-comp = quotient.ExactQuotient(assym, full_cols_cap=20).component((2, 1, 1))
+comp = quotient.ExactQuotient(assym).component((2, 1, 1))
 print(comp.mode, comp.dim, *sorted(b.proc.pid for b in quotient._BUILDERS.values()), flush=True)
 if len(sys.argv) > 1:
     input()
