@@ -2,10 +2,10 @@
 series, witness-model sampling, and the named check suites.
 
 Reports carry the stable schema {check, claim_ref, verdict, char,
-multidegrees, timing, warnings}; `--format json` emits them verbatim.  The
-exit status is 0 when every sub-check has its expected outcome, 1 when one is
-contradicted, and 2 on bad input or a build or budget error, which is printed
-as one line on stderr.
+multidegrees, timing, warnings}, built by `engine.report_entry`; `--format
+json` emits them verbatim.  The exit status is 0 when every sub-check has its
+expected outcome, 1 when one is contradicted, and 2 on bad input or a build or
+budget error, which is printed as one line on stderr.
 """
 
 from __future__ import annotations
@@ -18,18 +18,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import albert27, engine, lang, series, tideal
-from .quotient import BuildError
-from .term import COMMUTATIVE, PLANAR, field_by_char, mdeg
+from .quotient import DEFAULT_DEGREE_CAP, BuildError
+from .term import COMMUTATIVE, PLANAR, FieldError, field_by_char, mdeg
 
-# Failures caused by the input (expression, variety, prime, size): reported in
-# one line with exit status 2, apart from a contradicted check's status 1.
-USER_ERRORS = (ValueError, BuildError, tideal.UnknownVariety, engine.EngineError)
+# Failures caused by the input (expression, variety, prime, size, unreadable
+# catalog file): reported in one line with exit status 2, apart from a
+# contradicted check's status 1.
+USER_ERRORS = (ValueError, OSError, BuildError, tideal.UnknownVariety, engine.EngineError)
 
 
 @dataclass
 class RunConfig:
     char: int = 0
-    degree_cap: int = 8
+    degree_cap: int = DEFAULT_DEGREE_CAP
     exact_column_cap: int = engine.EXACT_COLUMN_CAP
     fmt: str = "text"
     extended: bool = False
@@ -37,25 +38,24 @@ class RunConfig:
     catalog_path: str | None = None
 
     def __post_init__(self):
-        if self.char < 0 or (self.char not in (0,) and not _is_prime(self.char)):
-            raise ValueError("characteristic must be 0 or a prime")
+        try:
+            field_by_char(self.char)
+        except FieldError:
+            raise ValueError("characteristic must be 0 or a prime") from None
         if self.degree_cap < 1:
             raise ValueError("the degree cap must be positive")
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def _parse_mdeg(text):
     return mdeg(int(x) for x in text.split(","))
+
+
+def _parse_q(text):
+    """A rational --q; argparse reports ValueError as a usage error, not ZeroDivisionError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (text,)) from None
 
 
 def _get_variety(cfg, name, q=None):
@@ -82,15 +82,9 @@ def cmd_dim(cfg, args):
     for d in args.multidegree:
         t0 = time.time()
         dim = tideal.quotient_dim(v, d, fld, degree_cap=cfg.degree_cap)
-        results.append({
-            "check": "dim:%s:%s" % (v.name, ",".join(map(str, d))),
-            "claim_ref": "dimension",
-            "verdict": str(dim),
-            "char": cfg.char,
-            "multidegrees": [list(d)],
-            "timing": time.time() - t0,
-            "warnings": [],
-        })
+        results.append(engine.report_entry("dim:%s:%s" % (v.name, ",".join(map(str, d))),
+                                           "dimension", str(dim), cfg.char, [d],
+                                           time.time() - t0))
     _emit(cfg, results, ["%s dim %s = %s" % (v.name, list(d), r["verdict"])
                          for d, r in zip(args.multidegree, results)])
     return 0
@@ -120,31 +114,15 @@ def cmd_expand(cfg, args):
         if flavor != COMMUTATIVE:
             raise ValueError("--star-expand needs commutative flavor")
         p = lang.star_expand(p)
-    payload = [{
-        "check": "expand:%s" % args.expr,
-        "claim_ref": "expansion",
-        "verdict": str(p),
-        "char": cfg.char,
-        "multidegrees": [list(d) for d in p.components()],
-        "timing": 0.0,
-        "warnings": [],
-    }]
-    _emit(cfg, payload, [str(p)])
+    _emit(cfg, [engine.report_entry("expand:%s" % args.expr, "expansion", str(p), cfg.char,
+                                    p.components())], [str(p)])
     return 0
 
 
 def cmd_sigma_q(cfg, args):
-    p = lang.apply_sigma_q(lang.expand(args.expr, PLANAR), Fraction(args.q))
-    payload = [{
-        "check": "sigma-q:%s" % args.expr,
-        "claim_ref": "q-commutator-image",
-        "verdict": str(p),
-        "char": cfg.char,
-        "multidegrees": [list(d) for d in p.components()],
-        "timing": 0.0,
-        "warnings": [],
-    }]
-    _emit(cfg, payload, [str(p)])
+    p = lang.apply_sigma_q(lang.expand(args.expr, PLANAR), args.q)
+    _emit(cfg, [engine.report_entry("sigma-q:%s" % args.expr, "q-commutator-image", str(p),
+                                    cfg.char, p.components())], [str(p)])
     return 0
 
 
@@ -153,16 +131,10 @@ def cmd_kernel(cfg, args):
     t0 = time.time()
     kb, comm = engine.plus_identity_kernel(v, args.multidegree, cfg.char, cfg.degree_cap)
     polys = engine.kernel_polynomials(kb, comm, field_by_char(cfg.char))
-    payload = [{
-        "check": "kernel:%s:%s" % (v.name, ",".join(map(str, args.multidegree))),
-        "claim_ref": "plus-identity-kernel",
-        "verdict": "dim %d" % kb.rank,
-        "char": cfg.char,
-        "multidegrees": [list(args.multidegree)],
-        "timing": time.time() - t0,
-        "warnings": [],
-        "kernel": [str(p) for p in polys],
-    }]
+    payload = [engine.report_entry(
+        "kernel:%s:%s" % (v.name, ",".join(map(str, args.multidegree))), "plus-identity-kernel",
+        "dim %d" % kb.rank, cfg.char, [args.multidegree], time.time() - t0,
+        kernel=[str(p) for p in polys])]
     lines = ["kernel dimension %d at %s" % (kb.rank, list(args.multidegree))]
     lines += ["  %s" % p for p in payload[0]["kernel"]]
     _emit(cfg, payload, lines)
@@ -174,16 +146,9 @@ def cmd_equiv(cfg, args):
     res = engine.systems_equivalent(args.left, args.right, ambient,
                                     args.multidegree, cfg.char)
     ok = all(res.values())
-    payload = [{
-        "check": "equiv",
-        "claim_ref": "identity-systems-equivalent",
-        "verdict": "pass" if ok else "fail",
-        "char": cfg.char,
-        "multidegrees": [list(d) for d in res],
-        "timing": 0.0,
-        "warnings": [],
-        "per_degree": {",".join(map(str, d)): bool(v) for d, v in res.items()},
-    }]
+    payload = [engine.report_entry(
+        "equiv", "identity-systems-equivalent", "pass" if ok else "fail", cfg.char, res,
+        per_degree={",".join(map(str, d)): bool(v) for d, v in res.items()})]
     lines = ["%s: %s" % (list(d), "equivalent" if v else "different")
              for d, v in res.items()]
     _emit(cfg, payload, lines)
@@ -199,18 +164,10 @@ def cmd_koszul(cfg, args):
         v, dv, order, field_by_char(cfg.char),
         degree_cap=max(cfg.degree_cap, order + (1 if cfg.extended else 0)))
     koszul = resid.is_zero()
-    payload = [{
-        "check": "koszul:order-%d" % order,
-        "claim_ref": "koszul-composition-residual",
-        "verdict": "residual %s" % resid,
-        "char": cfg.char,
-        "multidegrees": [[1] * n for n in range(1, order + 1)],
-        "timing": time.time() - t0,
-        "warnings": [],
-        "dims": dims,
-        "dual_dims": dual_dims,
-        "koszul": koszul,
-    }]
+    payload = [engine.report_entry(
+        "koszul:order-%d" % order, "koszul-composition-residual", "residual %s" % resid,
+        cfg.char, [[1] * n for n in range(1, order + 1)], time.time() - t0,
+        dims=dims, dual_dims=dual_dims, koszul=koszul)]
     lines = [
         "multilinear dims:      %s" % dims,
         "dual multilinear dims: %s" % dual_dims,
@@ -224,16 +181,10 @@ def cmd_koszul(cfg, args):
 def cmd_albert(cfg, args):
     t0 = time.time()
     report = albert27.sample_report(args.expr, args.seed, args.samples, args.bound)
-    payload = [{
-        "check": "albert:%s" % args.expr,
-        "claim_ref": "hermitian-octonion-samples",
-        "verdict": "%d/%d zero" % (report["zero_count"], report["samples"]),
-        "char": 0,
-        "multidegrees": [],
-        "timing": time.time() - t0,
-        "warnings": [],
-        "report": report,
-    }]
+    payload = [engine.report_entry(
+        "albert:%s" % args.expr, "hermitian-octonion-samples",
+        "%d/%d zero" % (report["zero_count"], report["samples"]), 0, [], time.time() - t0,
+        report=report)]
     lines = ["%s: %d/%d samples evaluate to zero (seed %d)"
              % (args.expr, report["zero_count"], report["samples"], report["seed"])]
     if report["witness"] is not None:
@@ -265,7 +216,7 @@ def build_parser():
         prog="freealg",
         description="Exact identity verification in free nonassociative algebras")
     ap.add_argument("--char", type=int, default=0, help="field characteristic (0 or prime)")
-    ap.add_argument("--degree-cap", type=int, default=8)
+    ap.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
     ap.add_argument("--exact-column-cap", type=int, default=engine.EXACT_COLUMN_CAP,
                     help="largest free-coordinate component decided over the rationals")
     ap.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
@@ -279,14 +230,14 @@ def build_parser():
     p = sub.add_parser("dim", help="dimension of a relatively-free component")
     p.add_argument("variety")
     p.add_argument("--multidegree", type=_parse_mdeg, action="append", required=True)
-    p.add_argument("--q", type=Fraction, default=None)
+    p.add_argument("--q", type=_parse_q, default=None)
     p.set_defaults(fn=cmd_dim)
 
     p = sub.add_parser("check", help="identity verdict for an expression")
     p.add_argument("variety")
     p.add_argument("expr")
     p.add_argument("--mode", choices=["direct", "plus"], default="direct")
-    p.add_argument("--q", type=Fraction, default=None)
+    p.add_argument("--q", type=_parse_q, default=None)
     p.add_argument("--expect-nonidentity", action="store_true")
     p.set_defaults(fn=cmd_check)
 
@@ -298,13 +249,13 @@ def build_parser():
 
     p = sub.add_parser("sigma-q", help="apply the q-commutator endomorphism")
     p.add_argument("expr")
-    p.add_argument("--q", type=Fraction, required=True)
+    p.add_argument("--q", type=_parse_q, required=True)
     p.set_defaults(fn=cmd_sigma_q)
 
     p = sub.add_parser("kernel", help="plus-identity kernel at a multidegree")
     p.add_argument("variety")
     p.add_argument("--multidegree", type=_parse_mdeg, required=True)
-    p.add_argument("--q", type=Fraction, default=None)
+    p.add_argument("--q", type=_parse_q, default=None)
     p.set_defaults(fn=cmd_kernel)
 
     p = sub.add_parser("equiv", help="compare consequence spans of identity systems")

@@ -43,15 +43,10 @@ class Verdict:
     warnings: list = dc_field(default_factory=list)
 
     def as_report(self, check, claim_ref):
-        return {
-            "check": check,
-            "claim_ref": claim_ref,
-            "verdict": "identity" if self.is_identity else "not-identity",
-            "char": self.characteristic,
-            "multidegrees": [list(d) for d in self.multidegrees],
-            "timing": self.timing,
-            "warnings": list(self.warnings),
-        }
+        return report_entry(check, claim_ref,
+                            "identity" if self.is_identity else "not-identity",
+                            self.characteristic, self.multidegrees, self.timing,
+                            self.warnings)
 
 
 def _char_warnings(variety, char):
@@ -141,20 +136,12 @@ def _certificate(variety, poly, comps):
         mons, index = tideal.monomial_index(d, variety.flavor)
         rows = [tideal.vectorize(cr.poly, index) for cr in gen]
         basis = linalg.rref(rows, len(mons), QQ, want_provenance=True)
-        coeffs, residual = basis.reduce_vector(tideal.vectorize(part, index),
-                                               want_coeffs=True)
-        if residual:
+        by_gen = basis.express(tideal.vectorize(part, index))
+        if by_gen is None:
             return None
-        by_gen = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                for j, x in basis.provenance[i].items():
-                    by_gen[j] = by_gen.get(j, Fraction(0)) + c * x
         combo = Polynomial.zero(variety.flavor, QQ)
         entries = []
         for j in sorted(by_gen):
-            if by_gen[j] == 0:
-                continue
             combo = combo + gen[j].poly.scale(by_gen[j])
             entries.append({"provenance": gen[j].provenance,
                             "coefficient": str(by_gen[j]),
@@ -234,16 +221,10 @@ def reduce_to_basis(variety, expr, alpha, mode="plus"):
 
 def linalg_solve_rows(rows, v, ncols):
     """Coefficients expressing v in the given (independent) rows, exactly."""
-    basis = linalg.rref(rows, ncols, QQ, want_provenance=True)
-    coeffs, residual = basis.reduce_vector(dict(v), want_coeffs=True)
-    if residual:
+    coords = linalg.rref(rows, ncols, QQ, want_provenance=True).express(v)
+    if coords is None:
         raise EngineError("vector does not lie in the row span")
-    out = [Fraction(0)] * len(rows)
-    for i, c in enumerate(coeffs):
-        if c:
-            for j, x in basis.provenance[i].items():
-                out[j] += c * x
-    return out
+    return [coords.get(j, Fraction(0)) for j in range(len(rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -336,19 +317,23 @@ def _mu_combo(mus, calls):
     return " ".join(bits) if bits else "0"
 
 
-def _entry(check, claim_ref, passed, char=0, mdegs=(), t=0.0, warnings=(), detail=None):
-    e = {
+def report_entry(check, claim_ref, verdict, char=0, mdegs=(), t=0.0, warnings=(), **extra):
+    """One report entry in the stable schema {check, claim_ref, verdict, char,
+    multidegrees, timing, warnings}, followed by the given extra keys."""
+    return {
         "check": check,
         "claim_ref": claim_ref,
-        "verdict": "pass" if passed else "fail",
+        "verdict": verdict,
         "char": char,
         "multidegrees": [list(d) for d in mdegs],
         "timing": t,
         "warnings": list(warnings),
+        **extra,
     }
-    if detail is not None:
-        e["detail"] = detail
-    return e
+
+
+def _pass_fail(ok):
+    return "pass" if ok else "fail"
 
 
 def _timed(fn):
@@ -359,14 +344,14 @@ def _timed(fn):
 
 def _identity_entry(check, claim_ref, variety, expr, char, mode, expect=True):
     v = is_identity(variety, expr, char=char, mode=mode)
-    return _entry(check, claim_ref, v.is_identity == expect, char,
-                  v.multidegrees, v.timing, v.warnings)
+    return report_entry(check, claim_ref, _pass_fail(v.is_identity == expect), char,
+                        v.multidegrees, v.timing, v.warnings)
 
 
 def _exact_zero_entry(check, claim_ref, expr, flavor):
     (p, t) = _timed(lambda: lang.expand(expr, flavor))
-    return _entry(check, claim_ref, p.is_zero(), 0,
-                  [] if p.is_zero() else [p.components().popitem()[0]], t)
+    return report_entry(check, claim_ref, _pass_fail(p.is_zero()), 0,
+                        [] if p.is_zero() else [p.components().popitem()[0]], t)
 
 
 SIGMA_DISPLAY_LSYM = (
@@ -432,9 +417,9 @@ def suite_lemmas(char=0):
         v = is_identity(assym, expr, char=char, mode="plus")
         if not v.is_identity:
             bad.append(perm)
-    out.append(_entry("wjor-full-symmetry", "assym:wjor-symmetric-under-s4",
-                      not bad, char, [(1, 1, 1, 1)], time.time() - t0,
-                      detail={"failing_permutations": bad}))
+    out.append(report_entry("wjor-full-symmetry", "assym:wjor-symmetric-under-s4",
+                            _pass_fail(not bad), char, [(1, 1, 1, 1)], time.time() - t0,
+                            detail={"failing_permutations": bad}))
     out.append(_identity_entry(
         "triple-commutator-element-equals-star-polynomial", "assym:d-element-equals-star-form",
         assym, "D(t1,t2,t3) - shest(t1,t2,t3)", char, "direct"))
@@ -506,15 +491,15 @@ def suite_arman(char=0):
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             bad = [d for d in DEGREE4_TYPES if not spans[a][d].same_span(spans[b][d])]
-            out.append(_entry("equivalent-systems:%s~%s" % (a, b),
-                              "comm:degree-4-systems-equivalent",
-                              not bad, char, DEGREE4_TYPES, 0.0,
-                              detail={"differing_types": [list(d) for d in bad]}))
+            out.append(report_entry("equivalent-systems:%s~%s" % (a, b),
+                                    "comm:degree-4-systems-equivalent",
+                                    _pass_fail(not bad), char, DEGREE4_TYPES, 0.0,
+                                    detail={"differing_types": [list(d) for d in bad]}))
     # one-directional: the alternating sum implies the one-variable cubic relation
     v66 = tideal.variety_with(ambient, ARMAN_SYSTEMS["alternating-sum"], name="comm+66")
     v = is_identity(v66, ARMAN_CUBIC, char, "direct")
-    out.append(_entry("alternating-sum-implies-cubic", "comm:consequence-of-degree-4-system",
-                      v.is_identity, char, [(3, 1)], gen_t))
+    out.append(report_entry("alternating-sum-implies-cubic", "comm:consequence-of-degree-4-system",
+                            _pass_fail(v.is_identity), char, [(3, 1)], gen_t))
     return sorted(out, key=lambda e: e["check"])
 
 
@@ -526,26 +511,27 @@ def suite_deg4(char=0):
     want = {(4,): 3, (3, 1): 7, (2, 2): 9, (2, 1, 1): 16, (1, 1, 1, 1): 29}
     for d, w in want.items():
         (got, t) = _timed(lambda d=d: tideal.quotient_dim(assym, d, field_by_char(char)))
-        out.append(_entry("dimension:%s" % (list(d),), "assym:degree-4-dimension-table",
-                          got == w, char, [d], t, detail={"dim": got, "expected": w}))
+        out.append(report_entry("dimension:%s" % (list(d),), "assym:degree-4-dimension-table",
+                                _pass_fail(got == w), char, [d], t,
+                                detail={"dim": got, "expected": w}))
     for alpha in [(4,), (3, 1), (2, 2), (2, 1, 1)]:
         (ok, t) = _timed(lambda a=alpha: validate_hentzel_basis(a))
-        out.append(_entry("fixed-basis-valid:%s" % (list(alpha),),
-                          "assym:degree-4-basis-pinned", ok, 0, [alpha], t))
+        out.append(report_entry("fixed-basis-valid:%s" % (list(alpha),),
+                                "assym:degree-4-basis-pinned", _pass_fail(ok), 0, [alpha], t))
     # residual coordinates of the plus-evaluated test polynomials
     coords = reduce_to_basis(assym, "g4_1(t1)", (4,))
     expect = _expected_coords({"((t1 t1) t1) t1": -2, "(t1 (t1 t1)) t1": 4,
                                "(t1 t1)(t1 t1)": -2})
     got = {m.to_text(): c for m, c in coords.items() if c}
-    out.append(_entry("residual-coordinates:quartic", "assym:quartic-residual",
-                      got == expect, 0, [(4,)],
-                      detail={"coordinates": {k: str(v) for k, v in got.items()}}))
+    out.append(report_entry("residual-coordinates:quartic", "assym:quartic-residual",
+                            _pass_fail(got == expect), 0, [(4,)],
+                            detail={"coordinates": {k: str(v) for k, v in got.items()}}))
     v31 = reduce_to_basis(assym, "g31_2(t1,t2)", (3, 1))
-    out.append(_entry("residual-coordinates:type-31-second", "assym:type-31-identity",
-                      all(c == 0 for c in v31.values()), 0, [(3, 1)]))
+    out.append(report_entry("residual-coordinates:type-31-second", "assym:type-31-identity",
+                            _pass_fail(all(c == 0 for c in v31.values())), 0, [(3, 1)]))
     v31a = reduce_to_basis(assym, "g31_1(t1,t2)", (3, 1))
-    out.append(_entry("residual-coordinates:type-31-first", "assym:type-31-nonidentity",
-                      any(c != 0 for c in v31a.values()), 0, [(3, 1)]))
+    out.append(report_entry("residual-coordinates:type-31-first", "assym:type-31-nonidentity",
+                            _pass_fail(any(c != 0 for c in v31a.values())), 0, [(3, 1)]))
     base22 = {"(t1 t1)(t2 t2)": 1, "(t2 (t1 t2)) t1": -2, "((t1 t1) t2) t2": -1,
               "((t2 t1) t2) t1": 2}
     for mu1, mu2 in [(1, 0), (1, -1)]:
@@ -554,9 +540,10 @@ def suite_deg4(char=0):
         scale = 6 * (mu1 + mu2)
         wantc = _expected_coords({k: scale * v for k, v in base22.items()})
         gotc = {m.to_text(): c for m, c in coords.items() if c}
-        out.append(_entry("residual-coordinates:type-22:mu=%d,%d" % (mu1, mu2),
-                          "assym:type-22-residual-multiple", gotc == wantc, 0, [(2, 2)],
-                          detail={"coordinates": {k: str(v) for k, v in gotc.items()}}))
+        out.append(report_entry("residual-coordinates:type-22:mu=%d,%d" % (mu1, mu2),
+                                "assym:type-22-residual-multiple", _pass_fail(gotc == wantc),
+                                0, [(2, 2)],
+                                detail={"coordinates": {k: str(v) for k, v in gotc.items()}}))
     base211 = {"(t1 t1)(t2 t3)": 1, "(t3 (t1 t2)) t1": -2, "((t1 t1) t2) t3": -1,
                "((t3 t1) t2) t1": 2}
     for mu in [(1, 0, 0), (1, -1, 0)]:
@@ -566,9 +553,10 @@ def suite_deg4(char=0):
         scale = -6 * sum(mu)
         wantc = _expected_coords({k: scale * v for k, v in base211.items()})
         gotc = {m.to_text(): c for m, c in coords.items() if c}
-        out.append(_entry("residual-coordinates:type-211:mu=%d,%d,%d" % mu,
-                          "assym:type-211-residual-multiple", gotc == wantc, 0, [(2, 1, 1)],
-                          detail={"coordinates": {k: str(v) for k, v in gotc.items()}}))
+        out.append(report_entry("residual-coordinates:type-211:mu=%d,%d,%d" % mu,
+                                "assym:type-211-residual-multiple", _pass_fail(gotc == wantc),
+                                0, [(2, 1, 1)],
+                                detail={"coordinates": {k: str(v) for k, v in gotc.items()}}))
     for name in ["h22(t1,t2)", "h211_1(t1,t2,t3)", "h211_2(t1,t2,t3)", "g31_2(t1,t2)"]:
         out.append(_identity_entry("plus-identity:%s" % name.split("(")[0],
                                    "assym:degree-4-plus-identities",
@@ -586,8 +574,9 @@ def suite_deg4(char=0):
         details[str(list(d))] = {"kernel_dim": kb.rank, "jor1_span_dim": jor1_span.rank,
                                  "equal": same, "contained_in_associative": contained}
         all_ok = all_ok and same and contained
-    out.append(_entry("kernel-classification", "assym:plus-kernels-are-skew-leibniz-span",
-                      all_ok, char, DEGREE4_TYPES, time.time() - t0, detail=details))
+    out.append(report_entry("kernel-classification", "assym:plus-kernels-are-skew-leibniz-span",
+                            _pass_fail(all_ok), char, DEGREE4_TYPES, time.time() - t0,
+                            detail=details))
     return sorted(out, key=lambda e: e["check"])
 
 
@@ -602,13 +591,13 @@ def suite_main1(char=0, heavy=True):
     if heavy:
         out.append(_identity_entry("glennie-plus-identity", "assym:plus-glennie",
                                    assym, "glen(t1,t2,t3)", char, "plus"))
-    out.append(_entry(
-        "independence:commutativity", "independence:degree-argument", True, char,
+    out.append(report_entry(
+        "independence:commutativity", "independence:degree-argument", "pass", char,
         [(1, 1)], 0.0,
         detail="a degree-2 identity cannot be a consequence of identities whose "
                "multihomogeneous components all have degree >= 4"))
-    out.append(_entry(
-        "characteristic-2-collapse", "char2:plus-equals-minus", True, 2, [], 0.0,
+    out.append(report_entry(
+        "characteristic-2-collapse", "char2:plus-equals-minus", "pass", 2, [], 0.0,
         warnings=["note only: no characteristic-2 theorem checks are run"],
         detail="at characteristic 2 the plus and minus algebras coincide, so "
                "every plus-identity follows from commutativity and the Jacobi "
@@ -616,10 +605,10 @@ def suite_main1(char=0, heavy=True):
     rep = albert27.sample_report("glen(t1,t2,t3)", seed=20240809, samples=20)
     rep_j = albert27.sample_report("jor(t1,t2)", seed=20240809, samples=20)
     rep_l = albert27.sample_report("lietriple(t1,t2,t3)", seed=20240809, samples=20)
-    out.append(_entry(
+    out.append(report_entry(
         "independence:glennie-witness", "independence:hermitian-octonion-witness",
-        rep["nonzero_count"] > 0 and rep_j["nonzero_count"] == 0
-        and rep_l["nonzero_count"] == 0,
+        _pass_fail(rep["nonzero_count"] > 0 and rep_j["nonzero_count"] == 0
+                   and rep_l["nonzero_count"] == 0),
         0, [(3, 3, 2)], 0.0,
         detail={"glen_nonzero": rep["nonzero_count"], "jor_zero": rep_j["zero_count"],
                 "lietriple_zero": rep_l["zero_count"]}))
@@ -652,8 +641,9 @@ def suite_char3(heavy=True):
         details[str(list(d))] = {"kernel_dim": kb.rank, "wjor_span_dim": wspan.rank,
                                  "equal": same}
         all_ok = all_ok and same
-    out.append(_entry("kernel-classification:char3", "assym:char3-kernels-are-wjor-span",
-                      all_ok, 3, DEGREE4_TYPES, time.time() - t0, detail=details))
+    out.append(report_entry("kernel-classification:char3", "assym:char3-kernels-are-wjor-span",
+                            _pass_fail(all_ok), 3, DEGREE4_TYPES, time.time() - t0,
+                            detail=details))
     return sorted(out, key=lambda e: e["check"])
 
 
@@ -665,13 +655,13 @@ def suite_quasi(char=0):
             (got, t) = _timed(lambda w=which, qq=q: lang.apply_sigma_q(
                 lang.expand("%s(t1,t2,t3)" % w, PLANAR), -qq))
             ok = got == sigma_display(which, q)
-            out.append(_entry("sigma-image:%s:q=%d" % (which, q),
-                              "quasi:sigma-displays", ok, 0, [(1, 1, 1)], t))
+            out.append(report_entry("sigma-image:%s:q=%d" % (which, q),
+                                    "quasi:sigma-displays", _pass_fail(ok), 0, [(1, 1, 1)], t))
     for q in [Fraction(2), Fraction(3), Fraction(1, 2)]:
         v = is_identity(tideal.quasi_assosymmetric(q), "assder(t1,t2,t3,t4)", char, "direct")
-        out.append(_entry("derivation-form-from-q-laws:q=%s" % q,
-                          "quasi:assder-consequence", v.is_identity, char,
-                          [(1, 1, 1, 1)], v.timing))
+        out.append(report_entry("derivation-form-from-q-laws:q=%s" % q,
+                                "quasi:assder-consequence", _pass_fail(v.is_identity), char,
+                                [(1, 1, 1, 1)], v.timing))
     return sorted(out, key=lambda e: e["check"])
 
 
@@ -682,21 +672,21 @@ def suite_koszul(extended=False, char=0):
     fld = field_by_char(char)
     out = []
     (dims, t1) = _timed(lambda: tideal.multilinear_dims(assym, 5, fld))
-    out.append(_entry("multilinear-dimensions", "assym:multilinear-1-to-5",
-                      dims == [1, 2, 7, 29, 136], char, [(1,) * n for n in range(1, 6)],
-                      t1, detail={"dims": dims}))
+    out.append(report_entry("multilinear-dimensions", "assym:multilinear-1-to-5",
+                            _pass_fail(dims == [1, 2, 7, 29, 136]), char,
+                            [(1,) * n for n in range(1, 6)], t1, detail={"dims": dims}))
     upto = 7 if extended else 6
     (ddims, t2) = _timed(lambda: tideal.multilinear_dims(dual, upto, fld))
     want = [1, 2, 5, 9, 9, 11, 13][:upto]
-    out.append(_entry("dual-multilinear-dimensions", "dual:multilinear-1-to-%d" % upto,
-                      ddims == want, char, [(1,) * n for n in range(1, upto + 1)], t2,
-                      detail={"dims": ddims}))
+    out.append(report_entry("dual-multilinear-dimensions", "dual:multilinear-1-to-%d" % upto,
+                            _pass_fail(ddims == want), char,
+                            [(1,) * n for n in range(1, upto + 1)], t2, detail={"dims": ddims}))
     resid = series.compose(series.from_dims(dims), series.from_dims(ddims[:5]), 5) \
         - series.TruncatedSeries.identity(5)
     expect = series.TruncatedSeries.from_coeffs([0, 0, 0, 0, Fraction(3, 8)])
-    out.append(_entry("composition-residual", "koszul:order-5-obstruction",
-                      resid == expect, char, [], 0.0,
-                      detail={"residual": str(resid), "koszul": resid.is_zero()}))
+    out.append(report_entry("composition-residual", "koszul:order-5-obstruction",
+                            _pass_fail(resid == expect), char, [], 0.0,
+                            detail={"residual": str(resid), "koszul": resid.is_zero()}))
     return sorted(out, key=lambda e: e["check"])
 
 
@@ -718,28 +708,30 @@ def suite_albert(seed=20240809, samples=100):
                   for x, y in (tuple((rnd(), rnd()) for _ in range(25))))
     nonassoc = any(not albert27.associator(e[i], e[j], e[k]).is_zero()
                    for i in range(1, 8) for j in range(1, 8) for k in range(1, 8))
-    out.append(_entry("octonion-structure", "albert:octonion-laws",
-                      ok_unit and ok_sq and ok_alt and ok_norm and nonassoc, 0, []))
+    out.append(report_entry("octonion-structure", "albert:octonion-laws",
+                            _pass_fail(ok_unit and ok_sq and ok_alt and ok_norm and nonassoc)))
     (rj, tj) = _timed(lambda: albert27.sample_report("jor(t1,t2)", seed, samples))
-    out.append(_entry("jordan-identity-evaluates-to-zero", "albert:jordan-zero",
-                      rj["zero_count"] == samples, 0, [(3, 1)], tj,
-                      detail={"zeros": rj["zero_count"]}))
+    out.append(report_entry("jordan-identity-evaluates-to-zero", "albert:jordan-zero",
+                            _pass_fail(rj["zero_count"] == samples), 0, [(3, 1)], tj,
+                            detail={"zeros": rj["zero_count"]}))
     (rl, tl) = _timed(lambda: albert27.sample_report("lietriple(t1,t2,t3)", seed, samples))
-    out.append(_entry("lie-triple-evaluates-to-zero", "albert:lie-triple-zero",
-                      rl["zero_count"] == samples, 0, [(1, 2, 1)], tl,
-                      detail={"zeros": rl["zero_count"]}))
+    out.append(report_entry("lie-triple-evaluates-to-zero", "albert:lie-triple-zero",
+                            _pass_fail(rl["zero_count"] == samples), 0, [(1, 2, 1)], tl,
+                            detail={"zeros": rl["zero_count"]}))
     (rg, tg) = _timed(lambda: albert27.sample_report("glen(t1,t2,t3)", seed, samples))
-    out.append(_entry("glennie-has-nonzero-witness", "albert:glennie-nonzero",
-                      rg["nonzero_count"] > 0 and rg["witness"] is not None, 0,
-                      [(3, 3, 2)], tg, detail={"nonzeros": rg["nonzero_count"],
-                                               "witness_sample": (rg["witness"] or {}).get("sample_index")}))
+    out.append(report_entry("glennie-has-nonzero-witness", "albert:glennie-nonzero",
+                            _pass_fail(rg["nonzero_count"] > 0 and rg["witness"] is not None), 0,
+                            [(3, 3, 2)], tg,
+                            detail={"nonzeros": rg["nonzero_count"],
+                                    "witness_sample": (rg["witness"] or {}).get("sample_index")}))
     # wjor is half the full polarization of jor, so it vanishes on any Jordan
     # algebra in characteristic 0; its failure as a plus-assosymmetric identity
     # is a symbolic fact (see the char3 suite), not a witness-model one.
     (rw, tw) = _timed(lambda: albert27.sample_report("wjor(t1,t2,t3,t4)", seed, samples))
-    out.append(_entry("multilinear-jordan-evaluates-to-zero", "albert:wjor-zero-on-jordan-model",
-                      rw["nonzero_count"] == 0, 0, [(1, 1, 1, 1)], tw,
-                      detail={"zeros": rw["zero_count"]}))
+    out.append(report_entry("multilinear-jordan-evaluates-to-zero",
+                            "albert:wjor-zero-on-jordan-model",
+                            _pass_fail(rw["nonzero_count"] == 0), 0, [(1, 1, 1, 1)], tw,
+                            detail={"zeros": rw["zero_count"]}))
     return sorted(out, key=lambda e: e["check"])
 
 

@@ -77,6 +77,17 @@ class SpanBasis:
                 coeffs[i] = fld.add(coeffs[i], c)
         return coeffs, v
 
+    def express(self, v: dict):
+        """v in the coordinates of the rows given to rref(..., want_provenance=True):
+        {row index: nonzero coefficient}, or None when v is outside the span."""
+        coeffs, residual = self.reduce_vector(v, want_coeffs=True)
+        if residual:
+            return None
+        out = {}
+        for c, prov in zip(coeffs, self.provenance):
+            vec_add_scaled(self.field, out, prov, c)
+        return out
+
     def contains(self, v: dict) -> bool:
         _, res = self.reduce_vector(v)
         return not res

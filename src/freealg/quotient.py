@@ -69,7 +69,8 @@ import numpy as np
 
 from . import linalg
 from .term import (COMMUTATIVE, PLANAR, GF, QQ, Monomial, Polynomial, count_monomials,
-                   mdeg, mdeg_add, mdeg_key, mdeg_total, splits2, sub_multidegrees)
+                   mdeg, mdeg_add, mdeg_key, mdeg_leq, mdeg_sub, mdeg_total, splits2,
+                   sub_multidegrees)
 
 SELECTION_PRIMES = (999983, 999979)
 FULL_COLS_CAP = 420          # exact components at most this wide skip the modular pre-pass
@@ -235,11 +236,11 @@ def _assignments(profile, d, dim_of):
         for e in all_sub:
             if k > 0 and mdeg_key(e) < mdeg_key(acc[-1][1]):
                 continue
-            if not _fits(e, remaining):
+            if not mdeg_leq(e, remaining):
                 continue
             if mdeg_total(e) > rem_total - (rem_slots - 1):
                 continue
-            yield from mdeg_assignments(slot_i + 1, _msub(remaining, e), acc + [(var, e)])
+            yield from mdeg_assignments(slot_i + 1, mdeg_sub(remaining, e), acc + [(var, e)])
 
     for mASS in mdeg_assignments(0, d, []):
         # group by variable, then enumerate basis indices canonically
@@ -272,18 +273,6 @@ def _product_pools(index_pools):
         groups = [[(e, idxs) for idxs in choices] for e, choices in pools]
         per_var_choices.append([tuple(sel) for sel in itertools.product(*groups)])
     return itertools.product(*per_var_choices)
-
-
-def _fits(e, budget):
-    if len(e) > len(budget):
-        return False
-    return all(x <= y for x, y in zip(e, budget + (0,) * len(e)))
-
-
-def _msub(budget, e):
-    n = len(budget)
-    e = e + (0,) * (n - len(e))
-    return tuple(x - y for x, y in zip(budget, e))
 
 
 def _leaf_positions(enc):

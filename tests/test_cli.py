@@ -61,11 +61,28 @@ def test_json_reports_match_goldens(name, argv):
     assert normalize(json.loads(out)) == load_golden(name)
 
 
+SCHEMA = {"check", "claim_ref", "verdict", "char", "multidegrees", "timing", "warnings"}
+
+
 def test_schema_fields_present_everywhere():
-    rc, out = run(["--format", "json", "check", "assym", "lsym(t1,t2,t3)"])
-    for entry in json.loads(out):
-        assert set(entry) >= {"check", "claim_ref", "verdict", "char",
-                              "multidegrees", "timing", "warnings"}
+    # every subcommand, with exactly the extra keys its entries carry
+    for argv, extra in [
+            (["dim", "assym", "--multidegree", "2,1"], set()),
+            (["check", "assym", "lsym(t1,t2,t3)"], set()),
+            (["--certificate", "check", "assym", "lsym(t1,t2,t3)"], {"certificate"}),
+            (["expand", "[t1,t2]"], set()),
+            (["sigma-q", "lsym(t1,t2,t3)", "--q=2"], set()),
+            (["kernel", "assym", "--multidegree", "2,1"], {"kernel"}),
+            (["equiv", "--left", "jor(t1,t2)", "--right", "lietriple(t1,t2,t3)",
+              "--multidegree", "3,1"], {"per_degree"}),
+            (["koszul", "--order", "3"], {"dims", "dual_dims", "koszul"}),
+            (["albert", "jor(t1,t2)", "--samples", "1"], {"report"}),
+            (["suite", "koszul"], {"detail"})]:
+        _, out = run(["--format", "json"] + argv)
+        entries = json.loads(out)
+        assert entries, argv
+        for entry in entries:
+            assert set(entry) == SCHEMA | extra, argv
 
 
 def test_exit_status_contract():
@@ -148,6 +165,9 @@ def test_albert_report_deterministic():
     ["dim", "nosuch", "--multidegree", "1,1"],
     ["expand", "t1 t2", "--star-expand"],
     ["--char", "4", "dim", "assym", "--multidegree", "4"],
+    ["--catalog", os.path.join(GOLDEN, "no-such-catalog.txt"), "dim", "assym",
+     "--multidegree", "2"],
+    ["--catalog", GOLDEN, "dim", "assym", "--multidegree", "2"],
 ])
 def test_bad_input_is_one_line_exit_2(argv):
     rc = subprocess.run([sys.executable, "-m", "freealg.cli"] + argv,
@@ -156,6 +176,20 @@ def test_bad_input_is_one_line_exit_2(argv):
     assert "Traceback" not in rc.stderr
     (line,) = rc.stderr.splitlines()
     assert line.startswith("freealg: error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "quasi_assosymmetric", "--multidegree", "2,1", "--q", "1/0"],
+    ["check", "quasi_assosymmetric", "A(t1,t2,t3)", "--q", "1/0"],
+    ["kernel", "quasi_assosymmetric", "--multidegree", "2,1", "--q", "1/0"],
+    ["sigma-q", "t1 t2", "--q", "1/0"],
+])
+def test_malformed_q_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "argument --q" in err
 
 
 def test_certificate_flag():

@@ -168,3 +168,21 @@ def test_provenance_tracks_row_combinations():
         for j, c in b.provenance[i].items():
             linalg.vec_add_scaled(QQ, recon, rows[j], c)
         assert recon == brow
+
+
+def test_express_in_the_generators():
+    rng = random.Random(5)
+    rows = rand_rows(rng, 6, 8)
+    b = linalg.rref(rows, 8, QQ, want_provenance=True)
+    v = {}
+    for k, r in enumerate(rows):
+        linalg.vec_add_scaled(QQ, v, r, Fraction(k - 2, 3))
+    coords = b.express(v)
+    assert all(coords.values())
+    recon = {}
+    for j, c in coords.items():
+        linalg.vec_add_scaled(QQ, recon, rows[j], c)
+    assert recon == v
+    # six rows span at most six of the eight unit vectors
+    unit = next({c: Fraction(1)} for c in range(8) if not b.contains({c: Fraction(1)}))
+    assert b.express(unit) is None
