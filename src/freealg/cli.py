@@ -11,6 +11,7 @@ budget error, which is printed as one line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -199,9 +200,10 @@ def cmd_suite(cfg, args):
         kw = {"seed": args.seed, "samples": args.samples}
     if args.name in ("main1", "char3"):
         kw["heavy"] = not args.skip_heavy
-    result = engine.theorem_suite(args.name, **kw)
-    if args.out:
-        with open(args.out, "w") as fh:
+    # open --out first: an unwritable path fails before the suite runs
+    with open(args.out, "w") if args.out else contextlib.nullcontext() as fh:
+        result = engine.theorem_suite(args.name, **kw)
+        if fh:
             json.dump(result, fh, indent=2, sort_keys=True)
     lines = []
     for e in result["entries"]:

@@ -35,8 +35,13 @@ subclasses give the coordinate type and the elimination:
   honest T-ideal members.  Their struct map is lifted from the two GF(p)
   struct matrices by CRT and rational reconstruction (lift_struct) and
   accepted only when every replayed row maps to zero exactly and the rows
-  have full rank modulo p, which proves it is the map of their span
-  whatever the twins did; so zero residuals stay proofs.  That check is
+  have full rank, which proves it is the map of their span whatever the
+  twins did; so zero residuals stay proofs.  The rank comes from the first
+  twin's selection when the twin has the rational orbit bases, its prime
+  divides no identity coefficient's denominator, and every lower rational
+  struct map reduces modulo that prime to the twin's: then each replayed
+  row reduces to a unit multiple of a row the twin found independent.
+  Otherwise the rows are re-eliminated modulo that prime.  That check is
   the only gate: a refused lift, a twin of another width and every small
   component send every relation row through IntRREF, an integer-scaled
   RREF.
@@ -78,7 +83,9 @@ DEFAULT_DEGREE_CAP = 8
 MAX_PAIR_COLUMNS = 100_000
 BATCH_ROWS = 256             # relation rows per DenseModRREF.add_batch, clamped below its chunk
 PANEL_ROWS = 32              # rows per Gauss-Jordan panel inside a batch
-RANK_CHECK_ROWS = 32         # rows per block in lift_struct's checks; small blocks keep peak RSS
+RANK_CHECK_ROWS = 32         # rows per block in lift_struct's kill check and, when the first
+                             # twin's selection does not prove the rank, its mod-p rank check;
+                             # small blocks keep peak RSS
 
 
 class BuildError(RuntimeError):
@@ -954,7 +961,7 @@ def rational_reconstruction(u, m, bound):
     return Fraction(r1, s1)
 
 
-def lift_struct(rows, nonpivs, structs, primes):
+def lift_struct(rows, nonpivs, structs, primes, independent=False):
     """Struct columns over QQ of the span of integer rows, lifted from two twins; or None.
 
     structs[t] is the paircols x dim struct matrix of a reduced echelon basis
@@ -968,14 +975,16 @@ def lift_struct(rows, nonpivs, structs, primes):
       2. every residue reconstructs,
       3. rows @ S = 0 exactly (D rows @ S in float64 while the bound allows,
          D the common denominator, else in Python ints), and
-      4. the rows have rank paircols - dim modulo p0.
+      4. the rows have rank paircols - dim: with independent, which says the
+         caller has proven the rows linearly independent, there are exactly
+         that many of them; otherwise they have that rank modulo p0.
     Then span_QQ(rows) has dimension paircols - dim and lies in the kernel of
     S, which has that dimension, so the two are equal.  S is the identity on
     the non-pivot columns and, like the twins, vanishes left of each pivot,
     so it is the struct map of the reduced echelon basis of the span: the
     one IntRREF gives.  By 3, rows[:, nonpiv] = -rows[:, piv] S[piv], so the
-    rank in 4 is that of the square block rows[:, piv].  Returns, per pair
-    column, {struct column: int or Fraction}.
+    rank modulo p0 in 4 is that of the square block rows[:, piv].  Returns,
+    per pair column, {struct column: int or Fraction}.
     """
     (n0, n1), (S0, S1), (p0, p1) = nonpivs, structs, primes
     ncols, dim = S0.shape
@@ -1013,9 +1022,11 @@ def lift_struct(rows, nonpivs, structs, primes):
     if max_z < 2 ** 53:
         Zf = np.zeros((k, dim))
         Zf[nz] = np.array(Z, dtype=float)[inv]
-    rre = DenseModRREF(p0, k)
+    rre = None if independent else DenseModRREF(p0, k)
+    count = 0
     rows = iter(rows)
     while block := list(itertools.islice(rows, RANK_CHECK_ROWS)):
+        count += len(block)
         max_r = max(abs(x) for r in block for x in r.values())
         in_floats = (Zf is not None and (k * max_z + D) * max_r < 2 ** 53
                      and max_r <= 2 ** 53 - p0)
@@ -1025,14 +1036,30 @@ def lift_struct(rows, nonpivs, structs, primes):
         for i, r in enumerate(block):
             M[i, list(r)] = list(r.values()) if in_floats else [x % p0 for x in r.values()]
         A = M[:, piv]
-        if in_floats:
-            if np.any(A @ Zf + D * M[:, n0]):
-                return None
-            mod_p(A, p0, out=A)
-        rre.add_batch(A)
-    if rre.rank != k:
+        if in_floats and np.any(A @ Zf + D * M[:, n0]):
+            return None
+        if rre is not None:
+            rre.add_batch(mod_p(A, p0, out=A))
+    if (count if independent else rre.rank) != k:
         return None
     return cols
+
+
+def _struct_reduces_to(comp, twin, p):
+    """Does a QQ component's struct map reduce mod p, entry by entry, to the
+    GF(p) component twin's S?  False on a denominator divisible by p."""
+    if (comp.paircols, comp.dim) != (twin.paircols, twin.dim):
+        return False
+    if not comp.paircols:
+        return True
+    R = np.zeros(twin.S.shape)
+    for c, col in enumerate(col for split in comp.splits for col in comp.struct[split]):
+        for j, x in col.items():
+            den = x.denominator % p
+            if not den:
+                return False
+            R[c, j] = x.numerator * pow(den, -1, p) % p
+    return np.array_equal(R, twin.S)
 
 
 def _kills(rows, cols):
@@ -1060,7 +1087,9 @@ class ExactQuotient(InductiveQuotient):
     members) and the struct map is lifted from the twins' struct matrices
     by CRT and rational reconstruction; the exact check of lift_struct, the
     only gate, proves it is the map of the span of those rows (mode
-    "replay").  Every other component, and one whose lift is refused, sends
+    "replay").  The rank in that check is taken from the first twin's
+    selection when _selection_proves_rank holds, and re-eliminated mod p
+    otherwise.  Every other component, and one whose lift is refused, sends
     every relation row through IntRREF (mode "full").  Coordinates are
     sparse dicts whose values are ints when integral and Fractions
     otherwise; poly_image returns Fractions.
@@ -1069,6 +1098,7 @@ class ExactQuotient(InductiveQuotient):
     def __init__(self, variety, degree_cap=DEFAULT_DEGREE_CAP):
         super().__init__(variety, QQ, degree_cap)
         self._twins = None
+        self._reduces = {}       # d -> does d's struct map reduce mod p to the first twin's S?
 
     def poly_image(self, poly: Polynomial):
         d = poly.multidegree()
@@ -1126,16 +1156,43 @@ class ExactQuotient(InductiveQuotient):
                 replay = set(twins[0].selected)
                 cols = lift_struct(self._integral_rows(comp, replay),
                                    [t.nonpiv for t in twins], [t.S for t in twins],
-                                   [t.p for t in self._twins])
+                                   [t.p for t in self._twins],
+                                   self._selection_proves_rank(comp.d))
                 if cols is not None:
                     comp.mode = "replay"
                     comp.rank = twins[0].rank
+                    # the fractions are the CRT residues, with denominators below p
+                    self._reduces[comp.d] = True
                     return cols
         basis = IntRREF(comp.paircols)
         for row in self._integral_rows(comp):
             basis.insert(row)
         comp.rank = basis.rank
         return basis.struct_columns()
+
+    def _selection_proves_rank(self, d):
+        """Are the rows the first twin selected at d independent over QQ?
+
+        They are when a row index names the same spec here and in the twin
+        (equal orbit bases), every identity coefficient has a denominator
+        prime to the twin's p, and every struct map below d reduces mod p
+        entry by entry to the twin's S (equal dimensions too, so equal spec
+        streams).  Then each integral QQ relation row at d reduces mod p to
+        a unit multiple of the twin's row for the same spec, and the rows
+        the twin selected are independent mod p, hence over QQ.
+        """
+        twin = self._twins[0]
+        if twin.orbits() != self.orbits():
+            return False
+        if any(c.denominator % twin.p == 0 for f in self.identities for c in f.terms.values()):
+            return False
+
+        def reduces(e):
+            if e not in self._reduces:
+                self._reduces[e] = _struct_reduces_to(self.comps[e], twin.comps[e], twin.p)
+            return self._reduces[e]
+
+        return all(reduces(e) for e in _tower(d, self.flavor) if e != d)
 
     def _integral_rows(self, comp, only=None):
         """The nonzero relation rows of comp, scaled to integers; with only, just

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from freealg import cli
+from freealg import cli, engine
 from freealg.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -142,6 +142,17 @@ def test_suite_report_file(tmp_path):
     data = json.loads(out_path.read_text())
     assert data["passed"] and data["suite"] == "arman"
     assert "[PASS]" in out
+
+
+def test_suite_out_in_a_missing_directory_fails_before_the_run(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(engine, "theorem_suite", never)
+    rc = main(["suite", "arman", "--out", str(tmp_path / "missing" / "x.json")])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("freealg: error: ")
 
 
 def test_albert_report_deterministic():

@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freealg import engine, lang, tideal
-from freealg.term import COMMUTATIVE, PLANAR, QQ, Monomial, Polynomial, field_by_char
+from freealg.term import COMMUTATIVE, PLANAR, QQ, Monomial, Polynomial, field_by_char, mdeg
 
 
 @pytest.fixture(scope="module")
@@ -212,3 +213,33 @@ def test_report_schema_fields():
 def test_unknown_suite_rejected():
     with pytest.raises(engine.EngineError):
         engine.theorem_suite("nope")
+
+
+# Assosymmetric candidates of degree <= 5 in slots {0}, {1}, {2}, each followed
+# by a control that adds one monomial of the same multidegree.
+RENAMING_CANDIDATES = [
+    "lsym({0},{1},{2})", "lsym({0},{1},{2}) + ({0} {1}) {2}",
+    "lsym({0} {1},{2},{0})", "lsym({0} {1},{2},{0}) + (({0} {1}) {2}) {0}",
+    "lsym({0},{1} {2},{2} {0})", "lsym({0},{1} {2},{2} {0}) + (({0} {1}) ({2} {2})) {0}",
+    "lietriple({0},{1},{2})", "lietriple({0},{1},{2}) + (({0} {1}) {1}) {2}",
+    "jor({0},{1})", "jor({0},{1}) + (({0} {0}) {0}) {1}",
+    "wjor({0},{1},{2},{0})", "wjor({0},{1},{2},{0}) + (({0} {1}) {2}) {0}",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(RENAMING_CANDIDATES), st.sampled_from(["direct", "plus"]),
+       st.sampled_from([0, 3]), st.permutations([1, 2, 3]))
+def test_verdicts_are_invariant_under_renaming_variables(template, mode, char, perm):
+    assym = tideal.get_variety("assosymmetric")
+    before = engine.is_identity(assym, template.format("t1", "t2", "t3"), char, mode)
+    after = engine.is_identity(assym, template.format(*("t%d" % i for i in perm)), char, mode)
+    assert after.is_identity == before.is_identity
+    # t_i is renamed t_perm[i-1]: its multiplicity moves to that place
+    renamed = []
+    for d in before.multidegrees:
+        e = [0, 0, 0]
+        for i, m in enumerate(d):
+            e[perm[i] - 1] = m
+        renamed.append(mdeg(e))
+    assert sorted(after.multidegrees) == sorted(renamed)

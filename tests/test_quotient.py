@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from free_oracle import free_dim
 from freealg import engine, lang, linalg, quotient, tideal
-from freealg.term import COMMUTATIVE, PLANAR, GF, Monomial, Polynomial, QQ, field_by_char
+from freealg.term import (COMMUTATIVE, PLANAR, GF, Monomial, Polynomial, QQ, field_by_char,
+                          mdeg_leq)
 
 
 def rand_int_rows(rng, nrows, ncols, density=0.4, bound=6):
@@ -306,11 +307,13 @@ def test_module_basis_stream_degree5(char, monkeypatch):
 
 def test_replay_needs_matching_orbit_bases(monkeypatch):
     # twin k picks other orbit bases: twin 1's struct map still lifts, but twin 0's
-    # selected row indices name other QQ rows, so the lift is refused
+    # selected row indices name other QQ rows, so its selection proves no rank and
+    # the lift is refused
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})   # a child sees no patch
     assym = tideal.get_variety("assosymmetric")
     d = (2, 1, 1)
     full = _full_reference(assym, d, monkeypatch)
+    eliminations = _lift_eliminations(monkeypatch)
     for k, mode in ((1, "replay"), (0, "full")):
         twins = [quotient.ModularQuotient(assym, p) for p in quotient.SELECTION_PRIMES]
         # greedy from rsym first: another subset spanning the same module
@@ -323,6 +326,7 @@ def test_replay_needs_matching_orbit_bases(monkeypatch):
         monkeypatch.setattr(qe, "_twins", twins)
         comp = qe.component(d)
         assert comp.mode == mode, k
+        assert bool(eliminations.pop(d)) == (k == 0)
         assert comp.dim == free_dim(assym, d, QQ)
         assert _structs(qe) == _structs(full)
 
@@ -431,6 +435,31 @@ def test_lift_struct_rejects_rank_deficient_rows():
     assert _lift(rows[:-1] + [rows[0]], 10, twins) is None
 
 
+def test_lift_struct_with_proven_rank_counts_the_rows():
+    # every row below lies in the span, so only the row count can refuse
+    rows = _independent_rows(2)
+    twins = [_twin(rows, 10, p) for p in (P0, P1)]
+
+    def lift(rs):
+        return quotient.lift_struct(rs, [t[0] for t in twins], [t[1] for t in twins],
+                                    (P0, P1), True)
+
+    assert lift(rows) == _int_rref_struct(rows, 10)
+    assert lift(rows[:-1]) is None
+    assert lift(rows + [rows[0]]) is None
+
+
+def test_struct_with_a_denominator_divisible_by_p_does_not_reduce():
+    assym = tideal.get_variety("assosymmetric")
+    comp = quotient.ExactQuotient(assym).component((2, 1))
+    twin = quotient.ModularQuotient(assym, P0).component((2, 1))
+    assert quotient._struct_reduces_to(comp, twin, P0)
+    col = next(col for block in comp.struct.values() for col in block if len(col) > 1)
+    j = next(iter(col))
+    col[j] += Fraction(P0 + 1, P0)        # no residue mod P0
+    assert not quotient._struct_reduces_to(comp, twin, P0)
+
+
 def test_lift_struct_rejects_heights_above_the_bound():
     n, q = 1000003, 999961            # struct constant n/q: both above BOUND
     rows = [{0: q, 1: -n}, {2: 1, 3: 5}]
@@ -448,25 +477,56 @@ def test_lift_struct_checks_in_ints_beyond_the_float_bound():
     assert _lift([{0: 2 ** 53, 1: -2 ** 53}], 2, twins) == [{0: 1}, {0: 1}]
 
 
-def _replay_inserts(monkeypatch):
-    """Count IntRREF.insert calls per ExactQuotient component being built."""
-    calls, building = {}, []
-    build, insert = quotient.ExactQuotient._build, quotient.IntRREF.insert
+def _components_being_built(monkeypatch):
+    """The stack of ExactQuotient components being built, kept current."""
+    building = []
+    build = quotient.ExactQuotient._build
 
-    def counted_build(self, d):
+    def tracked_build(self, d):
         building.append(d)
         try:
             return build(self, d)
         finally:
             building.pop()
 
+    monkeypatch.setattr(quotient.ExactQuotient, "_build", tracked_build)
+    return building
+
+
+def _replay_inserts(monkeypatch):
+    """Count IntRREF.insert calls per ExactQuotient component being built."""
+    calls, building = {}, _components_being_built(monkeypatch)
+    insert = quotient.IntRREF.insert
+
     def counted_insert(self, row):
         calls[building[-1]] = calls.get(building[-1], 0) + 1
         return insert(self, row)
 
-    monkeypatch.setattr(quotient.ExactQuotient, "_build", counted_build)
     monkeypatch.setattr(quotient.IntRREF, "insert", counted_insert)
     return calls
+
+
+def _lift_eliminations(monkeypatch):
+    """{component: DenseModRREFs built inside lift_struct} for each ExactQuotient lift."""
+    counts, lifting, building = {}, [], _components_being_built(monkeypatch)
+    lift, init = quotient.lift_struct, quotient.DenseModRREF.__init__
+
+    def counted_lift(*args):
+        counts[building[-1]] = 0
+        lifting.append(True)
+        try:
+            return lift(*args)
+        finally:
+            lifting.pop()
+
+    def counted_init(self, *args):
+        if lifting:
+            counts[building[-1]] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(quotient, "lift_struct", counted_lift)
+    monkeypatch.setattr(quotient.DenseModRREF, "__init__", counted_init)
+    return counts
 
 
 def _structs(q):
@@ -478,11 +538,39 @@ def test_replay_lifts_struct_without_int_rref(name, q, monkeypatch):
     variety = tideal.get_variety(name, q)
     full = _full_reference(variety, (2, 1, 1, 1), monkeypatch)
     calls = _replay_inserts(monkeypatch)
+    eliminations = _lift_eliminations(monkeypatch)
     qe = quotient.ExactQuotient(variety)
     qe.component((2, 1, 1, 1))
     replayed = [d for d, c in qe.comps.items() if c.mode == "replay"]
     assert (2, 1, 1, 1) in replayed
     assert not any(calls.get(d) for d in replayed)
+    # twin 0's selection proves every rank: lift_struct re-eliminates nothing mod p0
+    assert sorted(eliminations) == sorted(replayed) and not any(eliminations.values())
+    assert _structs(qe) == _structs(full)
+
+
+def test_a_lower_struct_off_the_first_twin_re_eliminates_the_rank(monkeypatch):
+    assym = tideal.get_variety("assosymmetric")
+    d, e = (2, 1, 1, 1), (1, 1, 1)
+    full = _full_reference(assym, d, monkeypatch)
+    twins = [quotient.ModularQuotient(assym, p) for p in quotient.SELECTION_PRIMES]
+    quotient.build_twins(twins, d)
+    for t in twins:
+        t.component(d)
+    # one struct constant of twin 0 at the full component e, changed after its tower was built
+    low = twins[0].component(e)
+    assert low.paircols <= quotient.FULL_COLS_CAP
+    row = np.setdiff1d(np.arange(low.paircols), low.nonpiv)[0]
+    low.S[row, 0] = (low.S[row, 0] + 1) % twins[0].p
+    eliminations = _lift_eliminations(monkeypatch)
+    qe = quotient.ExactQuotient(assym)
+    monkeypatch.setattr(qe, "_twins", twins)
+    qe.component(d)
+    assert qe.comps[d].mode == "replay"
+    # exactly the lifts with e below them re-eliminate their rows mod p0
+    above = {d2 for d2 in eliminations if mdeg_leq(e, d2)}
+    assert d in above and above != set(eliminations)
+    assert {d2 for d2, n in eliminations.items() if n} == above
     assert _structs(qe) == _structs(full)
 
 
