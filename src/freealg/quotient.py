@@ -18,6 +18,13 @@ This keeps the linear algebra tiny compared to free-monomial coordinates
 (e.g. 5k pair columns instead of 240 240 monomials in the heaviest degree-8
 component) at the price of building all lower components first.
 
+Only multidegrees with no zero entry are built.  One with zero entries, such
+as (1,0,1,1), is its zero-free base (1,1,1) under the only order-preserving
+renaming of variables, which keeps the split order, the spec stream and
+every relation row; its component is a view of the base's, sharing its
+dimension, rank, selection, struct matrix and struct blocks, with only the
+split keys renamed (_relabel).  So [1^6] builds 6 components, not 63.
+
 One builder, InductiveQuotient, does everything that does not depend on the
 coordinates: the component recursion, the pair layout and its budget, term
 evaluation, struct lookup and the split of a struct map into blocks.  Its two
@@ -37,24 +44,25 @@ subclasses give the coordinate type and the elimination:
   accepted only when every replayed row maps to zero exactly and the rows
   have full rank, which proves it is the map of their span whatever the
   twins did; so zero residuals stay proofs.  The rank comes from the first
-  twin's selection when the twin has the rational orbit bases, its prime
-  divides no identity coefficient's denominator, and every lower rational
-  struct map reduces modulo that prime to the twin's: then each replayed
-  row reduces to a unit multiple of a row the twin found independent.
-  Otherwise the rows are re-eliminated modulo that prime.  That check is
-  the only gate: a refused lift, a twin of another width and every small
-  component send every relation row through IntRREF, an integer-scaled
-  RREF.
+  twin's selection when the twin has the rational orbit bases and every
+  lower rational struct map reduces modulo its prime to the twin's: then
+  each replayed row reduces to a unit multiple of a row the twin found
+  independent.  Otherwise the rows are re-eliminated modulo that prime.
+  That check is the only gate: a refused lift, a twin of another width,
+  every small component and every component of identities with a strategy
+  prime in a coefficient's denominator send every relation row through
+  IntRREF, an integer-scaled RREF.
 
 The two GF(p) builds of one component, one per strategy prime (the twins
 of a rational component, and the two-prime verdicts in engine), are built
 side by side by build_twins: in two long-lived child processes, one per
 prime, each a fresh interpreter that imports freealg from this package's
 directory and uses max(1, ncpu // 2) BLAS threads.  The parent installs the
-components they return, so every later lookup, image and replay is the same
-as after an in-process build.  With one CPU the twins are built in process,
-one after the other.  Children start on the first such build, never at
-import, and stop in clear_cache, at exit, or when the parent's pipe closes.
+zero-free components they return and makes the relabelings itself, so every
+later lookup, image and replay is the same as after an in-process build.
+With one CPU the twins are built in process, one after the other.  Children
+start on the first such build, never at import, and stop in clear_cache, at
+exit, or when the parent's pipe closes.
 """
 
 from __future__ import annotations
@@ -480,6 +488,41 @@ class _Component:
         self.S = None            # GF(p): paircols x dim struct matrix; struct blocks are views
 
 
+def _zero_free(d):
+    """d without its zero entries."""
+    return tuple(x for x in d if x)
+
+
+def _relabel(base, d):
+    """The component at d as a view of base, the component at _zero_free(d).
+
+    Dropping the zero entries of d is the only order-preserving renaming of
+    its variables onto base's.  It keeps mdeg_key, so it keeps the split
+    order (planar and commutative), the spec stream of iter_relation_specs
+    and every relation row, value by value: the component at d is base
+    under renamed split keys.  Only the keys of splits, offsets, sizes and
+    struct are renamed; dim, paircols, rank, mode, selected, nonpiv, S and
+    the struct blocks are base's own objects.
+    """
+    at = [i for i, x in enumerate(d) if x]
+
+    def rename(e):
+        out = [0] * len(d)
+        for i, x in zip(at, e):
+            out[i] = x
+        return mdeg(out)
+
+    comp = _Component(d)
+    for name in ("dim", "paircols", "rank", "mode", "selected", "nonpiv", "S"):
+        setattr(comp, name, getattr(base, name))
+    keys = {split: (rename(split[0]), rename(split[1])) for split in base.splits}
+    comp.splits = list(keys.values())
+    comp.offsets = {keys[split]: x for split, x in base.offsets.items()}
+    comp.sizes = {keys[split]: x for split, x in base.sizes.items()}
+    comp.struct = {keys[split]: x for split, x in base.struct.items()}
+    return comp
+
+
 class InductiveQuotient:
     """Relatively-free algebra of a variety, built component by component.
 
@@ -516,6 +559,13 @@ class InductiveQuotient:
         return self.component(d).dim
 
     def component(self, d):
+        """The component at multidegree d, built with every component below it.
+
+        Only a d with no zero entry is built (_build).  A d with zero entries,
+        such as (1,0,1), builds its splits and then is its base (1,1), the
+        zero-free multidegree under the only order-preserving renaming of
+        variables: a view that shares the base's data (see _relabel).
+        """
         d = mdeg(d)
         got = self.comps.get(d)
         if got is not None:
@@ -525,7 +575,8 @@ class InductiveQuotient:
         for d1, d2 in component_splits(d, self.flavor):
             self.component(d1)
             self.component(d2)
-        comp = self._build(d)
+        base = _zero_free(d)
+        comp = self._build(d) if base == d else _relabel(self.component(base), d)
         self.comps[d] = comp
         return comp
 
@@ -1082,7 +1133,8 @@ class ExactQuotient(InductiveQuotient):
     """Relatively-free algebra over QQ.
 
     A component wider than FULL_COLS_CAP pair columns gets its two GF(p)
-    twins, one per SELECTION_PRIMES prime.  When both have its width, the
+    twins, one per SELECTION_PRIMES prime, unless a prime divides the
+    denominator of an identity coefficient.  When both have its width, the
     rows the first twin selected are assembled over QQ (honest T-ideal
     members) and the struct map is lifted from the twins' struct matrices
     by CRT and rational reconstruction; the exact check of lift_struct, the
@@ -1099,6 +1151,9 @@ class ExactQuotient(InductiveQuotient):
         super().__init__(variety, QQ, degree_cap)
         self._twins = None
         self._reduces = {}       # d -> does d's struct map reduce mod p to the first twin's S?
+        # a strategy prime that divides a coefficient's denominator has no twin
+        self._twinnable = not any(c.denominator % p == 0 for p in SELECTION_PRIMES
+                                  for f in self.identities for c in f.terms.values())
 
     def poly_image(self, poly: Polynomial):
         d = poly.multidegree()
@@ -1146,7 +1201,7 @@ class ExactQuotient(InductiveQuotient):
         return _q(fr.numerator, fr.denominator)
 
     def _reduce(self, comp):
-        if comp.paircols > FULL_COLS_CAP:
+        if comp.paircols > FULL_COLS_CAP and self._twinnable:
             if self._twins is None:
                 self._twins = [get_quotient(self.variety, GF(p), self.degree_cap)
                                for p in SELECTION_PRIMES]
@@ -1175,16 +1230,16 @@ class ExactQuotient(InductiveQuotient):
 
         They are when a row index names the same spec here and in the twin
         (equal orbit bases), every identity coefficient has a denominator
-        prime to the twin's p, and every struct map below d reduces mod p
-        entry by entry to the twin's S (equal dimensions too, so equal spec
-        streams).  Then each integral QQ relation row at d reduces mod p to
-        a unit multiple of the twin's row for the same spec, and the rows
-        the twin selected are independent mod p, hence over QQ.
+        prime to the twin's p (_reduce builds no twins otherwise), and
+        every zero-free struct map below d reduces mod p entry by entry to
+        the twin's S (equal dimensions too, so equal spec streams; a
+        relabeling shares its base's struct map).  Then each integral QQ
+        relation row at d reduces mod p to a unit multiple of the twin's
+        row for the same spec, and the rows the twin selected are
+        independent mod p, hence over QQ.
         """
         twin = self._twins[0]
         if twin.orbits() != self.orbits():
-            return False
-        if any(c.denominator % twin.p == 0 for f in self.identities for c in f.terms.values()):
             return False
 
         def reduces(e):
@@ -1274,11 +1329,12 @@ def build_twins(quotients, d):
 
     Each quotient that lacks d sends (variety, p, degree cap, d, the
     multidegrees it holds) to the child of its prime, which builds d and its
-    lower components in its own cached ModularQuotient and answers with
-    those of them the quotient lacks, in build order; they are installed as
-    if built here, so every later lookup is unchanged.  Components are
-    bit-identical to an in-process build, since GF(p) elimination is exact
-    in any BLAS summation order.  With one CPU, fewer than two quotients
+    lower components in its own cached ModularQuotient and answers with the
+    zero-free ones the quotient lacks (_tower), in build order; they are
+    installed as if built here, and the quotient's component() makes the
+    zero-padded relabelings from them when asked, so every later lookup is
+    unchanged.  Components are bit-identical to an in-process build, since
+    GF(p) elimination is exact in any BLAS summation order.  With one CPU, fewer than two quotients
     lacking d, or no process to be had, nothing happens and the callers'
     component(d) builds in process as before.  A child's exception is raised
     here with its type and message, after every other child has answered; a
@@ -1424,15 +1480,24 @@ def serve_twin_builds():
             return
 
 
-def _tower(d, flavor, out=None):
-    """d and the components below it, in the order component(d) builds them."""
-    out = {} if out is None else out
-    if d not in out:
-        for d1, d2 in component_splits(d, flavor):
-            _tower(mdeg(d1), flavor, out)
-            _tower(mdeg(d2), flavor, out)
-        out[d] = None
-    return out
+def _tower(d, flavor):
+    """The zero-free components that component(d) builds, in build order: d
+    (or its base) and those below it.  Zero-padded ones are relabelings."""
+    done = {}
+
+    def visit(e):
+        if e in done:
+            return
+        for e1, e2 in component_splits(e, flavor):
+            visit(e1)
+            visit(e2)
+        base = _zero_free(e)
+        if base != e:
+            visit(base)
+        done[e] = None
+
+    visit(mdeg(d))
+    return [e for e in done if all(e)]
 
 
 def _portable(exc):

@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from free_oracle import free_dim
 from freealg import engine, lang, linalg, quotient, tideal
-from freealg.term import (COMMUTATIVE, PLANAR, GF, Monomial, Polynomial, QQ, field_by_char,
-                          mdeg_leq)
+from freealg.term import COMMUTATIVE, PLANAR, GF, Monomial, Polynomial, QQ, field_by_char
 
 
 def rand_int_rows(rng, nrows, ncols, density=0.4, bound=6):
@@ -282,6 +281,73 @@ def test_module_basis_stream_matches_free_oracle(name, char):
         assert tideal.quotient_dim(variety, d, fld) == free_dim(variety, d, fld), d
 
 
+# every multidegree of degree <= 3 in at most 4 variables with a zero entry, and a few
+# of degree 4 (the free-monomial oracle takes about 1 s at (1,1,0,1,1))
+ZERO_PADDED = sorted({d for n in range(2, 5) for d in itertools.product(range(4), repeat=n)
+                      if 0 < sum(d) <= 3 and d[-1] and 0 in d}, key=lambda d: (sum(d), d))
+ZERO_PADDED += [(0, 4), (3, 0, 1), (0, 2, 2), (2, 0, 1, 1)]
+
+
+@pytest.mark.parametrize("char", [0, 3, 5])
+@pytest.mark.parametrize("name", ["assosymmetric", "jordan", "lie_triple", "dual_assosymmetric"])
+def test_zero_padded_dims_match_free_oracle(name, char):
+    # the quotient relabels these from their zero-free bases; the oracle spans
+    # free monomials in the zero-padded variables themselves
+    variety = tideal.get_variety(name)
+    fld = field_by_char(char)
+    for d in ZERO_PADDED:
+        assert tideal.quotient_dim(variety, d, fld) == free_dim(variety, d, fld), d
+
+
+@pytest.mark.parametrize("name,d", [("assosymmetric", (2, 0, 1, 1)),
+                                    ("assosymmetric", (0, 1, 0, 2, 1)),
+                                    ("jordan", (0, 2, 1, 1)), ("lie_triple", (3, 0, 2))])
+@pytest.mark.parametrize("char", [0, quotient.SELECTION_PRIMES[0]])
+def test_a_relabeled_component_is_its_base_under_renamed_keys(name, d, char):
+    variety = tideal.get_variety(name)
+    q = quotient.ExactQuotient(variety) if char == 0 else quotient.ModularQuotient(variety, char)
+    comp, base = q.component(d), q.comps[_base(d)]
+    assert comp is not base and comp.d == d
+    assert comp.splits == quotient.component_splits(d, variety.flavor)
+    for attr in ("dim", "paircols", "rank", "mode", "selected", "nonpiv", "S"):
+        assert getattr(comp, attr) is getattr(base, attr), attr
+    for split, base_split in zip(comp.splits, base.splits):
+        assert comp.struct[split] is base.struct[base_split]
+        assert comp.offsets[split] == base.offsets[base_split]
+        assert comp.sizes[split] == base.sizes[base_split]
+    # the component at d built from its own relation rows, as before relabeling
+    built = q._build(d)
+    assert (built.dim, built.rank, built.selected, built.splits) == \
+        (comp.dim, comp.rank, comp.selected, comp.splits)
+    if char:
+        assert np.array_equal(built.nonpiv, comp.nonpiv) and np.array_equal(built.S, comp.S)
+    else:
+        assert built.struct == comp.struct
+
+
+def test_a_tower_builds_only_its_zero_free_components(monkeypatch):
+    dual = tideal.get_variety("dual_assosymmetric")
+    builds, eliminators = [], []
+    build, init = quotient.ModularQuotient._build, quotient.DenseModRREF.__init__
+
+    def counted_build(self, d):
+        builds.append(d)
+        return build(self, d)
+
+    def counted_init(self, *args):
+        eliminators.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(quotient.ModularQuotient, "_build", counted_build)
+    monkeypatch.setattr(quotient.DenseModRREF, "__init__", counted_init)
+    q = quotient.ModularQuotient(dual, quotient.SELECTION_PRIMES[0])
+    assert q.dim((1,) * 6) == 11                  # the paper's dual dimensions
+    assert len(q.comps) == 2 ** 6 - 1
+    assert builds == [(1,) * n for n in range(1, 7)]
+    # one elimination per zero-free component of degree at least 2, not 57
+    assert len(eliminators) == 5
+
+
 @pytest.mark.parametrize("char", [0, 3, 5])
 def test_module_basis_stream_degree5(char, monkeypatch):
     """(1,1,1,1,1) against the stream of every ordered tuple, and against the
@@ -533,6 +599,17 @@ def _structs(q):
     return {d: (c.dim, c.struct) for d, c in q.comps.items()}
 
 
+def _base(d):
+    """d without its zero entries: the multidegree a zero-padded component relabels."""
+    return tuple(x for x in d if x)
+
+
+def _below_a_relabeling(e, d):
+    """Is some zero-padding of the zero-free e that keeps its order <= d?"""
+    return any(all(x <= d[i] for x, i in zip(e, at))
+               for at in itertools.combinations(range(len(d)), len(e)))
+
+
 @pytest.mark.parametrize("name,q", [("assosymmetric", None), ("quasi_assosymmetric", Fraction(3))])
 def test_replay_lifts_struct_without_int_rref(name, q, monkeypatch):
     variety = tideal.get_variety(name, q)
@@ -541,7 +618,9 @@ def test_replay_lifts_struct_without_int_rref(name, q, monkeypatch):
     eliminations = _lift_eliminations(monkeypatch)
     qe = quotient.ExactQuotient(variety)
     qe.component((2, 1, 1, 1))
-    replayed = [d for d, c in qe.comps.items() if c.mode == "replay"]
+    # only zero-free components are built; a zero-padded one is its base's, mode included
+    assert all(c.mode == qe.comps[_base(d)].mode for d, c in qe.comps.items())
+    replayed = [d for d, c in qe.comps.items() if c.mode == "replay" and d == _base(d)]
     assert (2, 1, 1, 1) in replayed
     assert not any(calls.get(d) for d in replayed)
     # twin 0's selection proves every rank: lift_struct re-eliminates nothing mod p0
@@ -551,7 +630,8 @@ def test_replay_lifts_struct_without_int_rref(name, q, monkeypatch):
 
 def test_a_lower_struct_off_the_first_twin_re_eliminates_the_rank(monkeypatch):
     assym = tideal.get_variety("assosymmetric")
-    d, e = (2, 1, 1, 1), (1, 1, 1)
+    # (2,1) lies below (2,1,1) and (2,1,1,1), but no relabeling of it lies below (1,1,1,1)
+    d, e = (2, 1, 1, 1), (2, 1)
     full = _full_reference(assym, d, monkeypatch)
     twins = [quotient.ModularQuotient(assym, p) for p in quotient.SELECTION_PRIMES]
     quotient.build_twins(twins, d)
@@ -567,8 +647,9 @@ def test_a_lower_struct_off_the_first_twin_re_eliminates_the_rank(monkeypatch):
     monkeypatch.setattr(qe, "_twins", twins)
     qe.component(d)
     assert qe.comps[d].mode == "replay"
-    # exactly the lifts with e below them re-eliminate their rows mod p0
-    above = {d2 for d2 in eliminations if mdeg_leq(e, d2)}
+    # exactly the lifts with e or one of its relabelings below them re-eliminate their
+    # rows mod p0; the relabelings share e's struct map
+    above = {d2 for d2 in eliminations if _below_a_relabeling(e, d2)}
     assert d in above and above != set(eliminations)
     assert {d2 for d2, n in eliminations.items() if n} == above
     assert _structs(qe) == _structs(full)
@@ -593,7 +674,22 @@ def test_replay_falls_back_to_int_rref_above_the_height_bound(monkeypatch):
     qe = quotient.ExactQuotient(variety)
     comp = qe.component((2, 1, 1, 1))
     assert comp.mode == "full" and calls[(2, 1, 1, 1)] == full_calls[(2, 1, 1, 1)]
-    # a component reads "replay" exactly when its lift was accepted
-    assert len(accepted) == sum(c.paircols > 20 for c in qe.comps.values())
-    assert sum(c.mode == "replay" for c in qe.comps.values()) == sum(accepted)
+    # a zero-free component reads "replay" exactly when its lift was accepted; the
+    # zero-padded ones are relabelings and lift nothing
+    built = [c for d, c in qe.comps.items() if d == _base(d)]
+    assert len(accepted) == sum(c.paircols > 20 for c in built)
+    assert sum(c.mode == "replay" for c in built) == sum(accepted)
     assert _structs(qe) == _structs(full)
+
+
+def test_a_strategy_prime_in_a_denominator_skips_the_twins(monkeypatch):
+    # no GF(p0) coordinates for q = 1/p0: every component goes through IntRREF
+    variety = tideal.get_variety("quasi_assosymmetric", Fraction(1, P0))
+    d = (2, 1, 1)
+    requests = []
+    monkeypatch.setattr(quotient, "FULL_COLS_CAP", 20)
+    monkeypatch.setattr(quotient, "build_twins", lambda *args: requests.append(args))
+    qe = quotient.ExactQuotient(variety)
+    comp = qe.component(d)
+    assert comp.paircols > 20 and comp.mode == "full" and not requests
+    assert comp.dim == free_dim(variety, d, QQ)

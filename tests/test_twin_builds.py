@@ -78,19 +78,41 @@ def test_child_builds_equal_in_process_builds(name, targets, monkeypatch):
         assert all(d in q.comps for q in parallel)
         # only the components a quotient lacked came back
         assert all(q.comps[e] is c for q, h in zip(parallel, held) for e, c in h.items())
-    assert not batches                                   # every elimination ran in a child
     for s, q in zip(serial, parallel):
-        assert list(q.comps) == list(s.comps)
+        # the children sent the zero-free components, in build order; the parent
+        # makes the zero-padded relabelings from them when asked
+        assert list(q.comps) == [d for d in s.comps if all(d)]
         for d, comp in s.comps.items():
-            assert _record(q.comps[d]) == _record(comp), d
+            assert _record(q.component(d)) == _record(comp), d
             for split, block in comp.struct.items():
                 assert np.shares_memory(q.comps[d].struct[split], q.comps[d].S)
                 assert np.array_equal(q.comps[d].struct[split], block)
+        assert set(q.comps) == set(s.comps)
+    assert not batches                                   # every elimination ran in a child
     reports = quotient.stop_twin_builders()
     assert sorted(reports) == sorted((P0, P1))
     for report in reports.values():
         assert report["freealg"] == os.path.dirname(os.path.abspath(freealg.__file__))
         assert report["maxrss_mb"] > 0
+
+
+def test_a_zero_padded_target_is_relabeled_from_the_childrens_builds(monkeypatch):
+    assym = tideal.get_variety("assosymmetric")
+    d = (2, 0, 1, 1)
+    _cpus(monkeypatch, 1)
+    serial = _twins(assym)
+    for q in serial:
+        q.component(d)
+    _cpus(monkeypatch, 2)
+    batches = _count_batches(monkeypatch)
+    parallel = _twins(assym)
+    quotient.build_twins(parallel, d)
+    for s, q in zip(serial, parallel):
+        # the children sent the zero-free components, the base (2,1,1) among them
+        assert (2, 1, 1) in q.comps and all(all(e) for e in q.comps)
+        for e, comp in s.comps.items():
+            assert _record(q.component(e)) == _record(comp), e
+    assert not batches                                   # every elimination ran in a child
 
 
 def test_child_error_is_raised_with_its_type_and_message(monkeypatch):
