@@ -60,6 +60,8 @@ def _parse_q(text):
 
 
 def _get_variety(cfg, name, q=None):
+    if q is not None and tideal.ALIASES.get(name, name) != "quasi_assosymmetric":
+        raise ValueError("--q applies only to quasi_assosymmetric, not %r" % name)
     if cfg.catalog_path:
         extra = tideal.load_catalog_file(cfg.catalog_path)
         key = tideal.ALIASES.get(name, name)
@@ -161,9 +163,8 @@ def cmd_koszul(cfg, args):
     dv = tideal.get_variety("dual_assosymmetric")
     order = args.order
     t0 = time.time()
-    resid, dims, dual_dims = series.koszul_residual(
-        v, dv, order, field_by_char(cfg.char),
-        degree_cap=max(cfg.degree_cap, order + (1 if cfg.extended else 0)))
+    resid, dims, dual_dims = series.koszul_residual(v, dv, order, field_by_char(cfg.char),
+                                                    degree_cap=cfg.degree_cap)
     koszul = resid.is_zero()
     payload = [engine.report_entry(
         "koszul:order-%d" % order, "koszul-composition-residual", "residual %s" % resid,

@@ -311,26 +311,6 @@ def tree_substitute(tree, mapping):
     return (kind,) + tuple(tree_substitute(e, mapping) for e in tree[1:])
 
 
-def tree_variables(tree):
-    kind = tree[0]
-    if kind == "var":
-        return {tree[1]}
-    out = set()
-    if kind == "sum":
-        parts = tree[1]
-    elif kind == "scale":
-        parts = (tree[2],)
-    elif kind == "qprod":
-        parts = tree[2:]
-    elif kind == "call":
-        parts = tree[3]
-    else:
-        parts = tree[1:]
-    for e in parts:
-        out |= tree_variables(e)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Expansion to sparse polynomials.
 # ---------------------------------------------------------------------------

@@ -43,15 +43,14 @@ subclasses give the coordinate type and the elimination:
   struct matrices by CRT and rational reconstruction (lift_struct) and
   accepted only when every replayed row maps to zero exactly and the rows
   have full rank, which proves it is the map of their span whatever the
-  twins did; so zero residuals stay proofs.  The rank comes from the first
-  twin's selection when the twin has the rational orbit bases and every
-  lower rational struct map reduces modulo its prime to the twin's: then
-  each replayed row reduces to a unit multiple of a row the twin found
-  independent.  Otherwise the rows are re-eliminated modulo that prime.
-  That check is the only gate: a refused lift, a twin of another width,
-  every small component and every component of identities with a strategy
-  prime in a coefficient's denominator send every relation row through
-  IntRREF, an integer-scaled RREF.
+  twins did; so zero residuals stay proofs.  The first twin's selection is
+  the only proof of that rank: it holds when the twin has the rational
+  orbit bases and every lower rational struct map reduces modulo its prime
+  to the twin's, for then each replayed row reduces to a unit multiple of a
+  row the twin found independent.  A component whose selection proves
+  nothing, a refused lift, every small component and every component of
+  identities with a strategy prime in a coefficient's denominator send
+  every relation row through IntRREF, an integer-scaled RREF.
 
 The two GF(p) builds of one component, one per strategy prime (the twins
 of a rational component, and the two-prime verdicts in engine), are built
@@ -91,9 +90,7 @@ DEFAULT_DEGREE_CAP = 8
 MAX_PAIR_COLUMNS = 100_000
 BATCH_ROWS = 256             # relation rows per DenseModRREF.add_batch, clamped below its chunk
 PANEL_ROWS = 32              # rows per Gauss-Jordan panel inside a batch
-RANK_CHECK_ROWS = 32         # rows per block in lift_struct's kill check and, when the first
-                             # twin's selection does not prove the rank, its mod-p rank check;
-                             # small blocks keep peak RSS
+KILL_CHECK_ROWS = 32         # rows per block of lift_struct's kill check; small ones keep peak RSS
 
 
 class BuildError(RuntimeError):
@@ -1012,35 +1009,34 @@ def rational_reconstruction(u, m, bound):
     return Fraction(r1, s1)
 
 
-def lift_struct(rows, nonpivs, structs, primes, independent=False):
+def lift_struct(rows, nonpivs, structs, primes):
     """Struct columns over QQ of the span of integer rows, lifted from two twins; or None.
 
     structs[t] is the paircols x dim struct matrix of a reduced echelon basis
     over GF(primes[t]) and nonpivs[t] its non-pivot columns; rows is an
-    iterable of sparse integer rows, read in blocks and only once the lift
-    has a candidate.  The twins' pivot rows are combined by CRT modulo
-    m = p0 p1 and each distinct residue is reconstructed as a fraction with
-    numerator and denominator at most sqrt(m / 2) < p0, p1, so a value that
-    is 0 modulo one prime is 0.  The candidate S is accepted only when
-      1. both twins have the same non-pivot columns and zero entries,
+    iterable of sparse integer rows that the caller has proven linearly
+    independent over QQ, read in blocks and only once the lift has a
+    candidate.  The twins' pivot rows are combined by CRT modulo m = p0 p1
+    and each distinct residue is reconstructed as a fraction with numerator
+    and denominator at most sqrt(m / 2) < p0, p1, so a value that is 0
+    modulo one prime is 0.  The candidate S is accepted only when
+      1. both twins have the same shape, non-pivot columns and zero entries,
       2. every residue reconstructs,
       3. rows @ S = 0 exactly (D rows @ S in float64 while the bound allows,
          D the common denominator, else in Python ints), and
-      4. the rows have rank paircols - dim: with independent, which says the
-         caller has proven the rows linearly independent, there are exactly
-         that many of them; otherwise they have that rank modulo p0.
+      4. there are exactly paircols - dim rows, so, being independent, they
+         have that rank.
     Then span_QQ(rows) has dimension paircols - dim and lies in the kernel of
     S, which has that dimension, so the two are equal.  S is the identity on
     the non-pivot columns and, like the twins, vanishes left of each pivot,
     so it is the struct map of the reduced echelon basis of the span: the
-    one IntRREF gives.  By 3, rows[:, nonpiv] = -rows[:, piv] S[piv], so the
-    rank modulo p0 in 4 is that of the square block rows[:, piv].  Returns,
-    per pair column, {struct column: int or Fraction}.
+    one IntRREF gives.  Returns, per pair column, {struct column: int or
+    Fraction}.
     """
     (n0, n1), (S0, S1), (p0, p1) = nonpivs, structs, primes
     ncols, dim = S0.shape
     k = ncols - dim
-    if not np.array_equal(n0, n1):
+    if S0.shape != S1.shape or not np.array_equal(n0, n1):
         return None
     piv = np.setdiff1d(np.arange(ncols), n0)
     P0, P1 = S0[piv], S1[piv]
@@ -1073,27 +1069,21 @@ def lift_struct(rows, nonpivs, structs, primes, independent=False):
     if max_z < 2 ** 53:
         Zf = np.zeros((k, dim))
         Zf[nz] = np.array(Z, dtype=float)[inv]
-    rre = None if independent else DenseModRREF(p0, k)
     count = 0
     rows = iter(rows)
-    while block := list(itertools.islice(rows, RANK_CHECK_ROWS)):
+    while block := list(itertools.islice(rows, KILL_CHECK_ROWS)):
         count += len(block)
         max_r = max(abs(x) for r in block for x in r.values())
-        in_floats = (Zf is not None and (k * max_z + D) * max_r < 2 ** 53
-                     and max_r <= 2 ** 53 - p0)
-        if not in_floats and not _kills(block, cols):
-            return None
+        if Zf is None or (k * max_z + D) * max_r >= 2 ** 53:
+            if not _kills(block, cols):
+                return None
+            continue
         M = np.zeros((len(block), ncols))
         for i, r in enumerate(block):
-            M[i, list(r)] = list(r.values()) if in_floats else [x % p0 for x in r.values()]
-        A = M[:, piv]
-        if in_floats and np.any(A @ Zf + D * M[:, n0]):
+            M[i, list(r)] = list(r.values())
+        if np.any(M[:, piv] @ Zf + D * M[:, n0]):
             return None
-        if rre is not None:
-            rre.add_batch(mod_p(A, p0, out=A))
-    if (count if independent else rre.rank) != k:
-        return None
-    return cols
+    return cols if count == k else None
 
 
 def _struct_reduces_to(comp, twin, p):
@@ -1134,17 +1124,16 @@ class ExactQuotient(InductiveQuotient):
 
     A component wider than FULL_COLS_CAP pair columns gets its two GF(p)
     twins, one per SELECTION_PRIMES prime, unless a prime divides the
-    denominator of an identity coefficient.  When both have its width, the
-    rows the first twin selected are assembled over QQ (honest T-ideal
-    members) and the struct map is lifted from the twins' struct matrices
-    by CRT and rational reconstruction; the exact check of lift_struct, the
-    only gate, proves it is the map of the span of those rows (mode
-    "replay").  The rank in that check is taken from the first twin's
-    selection when _selection_proves_rank holds, and re-eliminated mod p
-    otherwise.  Every other component, and one whose lift is refused, sends
-    every relation row through IntRREF (mode "full").  Coordinates are
-    sparse dicts whose values are ints when integral and Fractions
-    otherwise; poly_image returns Fractions.
+    denominator of an identity coefficient.  When _selection_proves_rank
+    shows that the rows the first twin selected are independent over QQ,
+    those rows are assembled over QQ (honest T-ideal members) and the
+    struct map is lifted from the twins' struct matrices by CRT and
+    rational reconstruction; the exact check of lift_struct proves it is
+    the map of the span of those rows (mode "replay").  Every other
+    component, and one whose lift is refused, sends every relation row
+    through IntRREF (mode "full").  Coordinates are sparse dicts whose
+    values are ints when integral and Fractions otherwise; poly_image
+    returns Fractions.
     """
 
     def __init__(self, variety, degree_cap=DEFAULT_DEGREE_CAP):
@@ -1207,12 +1196,10 @@ class ExactQuotient(InductiveQuotient):
                                for p in SELECTION_PRIMES]
             build_twins(self._twins, comp.d)
             twins = [t.component(comp.d) for t in self._twins]
-            if all(t.paircols == comp.paircols for t in twins):
-                replay = set(twins[0].selected)
-                cols = lift_struct(self._integral_rows(comp, replay),
+            if self._selection_proves_rank(comp.d):
+                cols = lift_struct(self._integral_rows(comp, set(twins[0].selected)),
                                    [t.nonpiv for t in twins], [t.S for t in twins],
-                                   [t.p for t in self._twins],
-                                   self._selection_proves_rank(comp.d))
+                                   [t.p for t in self._twins])
                 if cols is not None:
                     comp.mode = "replay"
                     comp.rank = twins[0].rank

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from freealg import cli, engine
+from freealg import cli, engine, quotient
 from freealg.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -179,6 +179,9 @@ def test_albert_report_deterministic():
     ["--catalog", os.path.join(GOLDEN, "no-such-catalog.txt"), "dim", "assym",
      "--multidegree", "2"],
     ["--catalog", GOLDEN, "dim", "assym", "--multidegree", "2"],
+    ["dim", "assym", "--multidegree", "2,1", "--q", "3"],
+    ["check", "assym", "lsym(t1,t2,t3)", "--q", "1/2"],
+    ["kernel", "assym", "--multidegree", "2,1", "--q", "5"],
 ])
 def test_bad_input_is_one_line_exit_2(argv):
     rc = subprocess.run([sys.executable, "-m", "freealg.cli"] + argv,
@@ -243,3 +246,39 @@ def test_reproduce_tables_script_runs():
     assert "[1, 2, 7, 29, 136]" in rc.stdout
     assert "[1, 2, 5, 9, 9, 11]" in rc.stdout
     assert "3/8 x^5" in rc.stdout
+
+
+COMPARE_RUNNER = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("compare_components", sys.argv[1])
+script = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(script)
+script.CASES = [("assosymmetric", None, 0, (2, 1, 1)), ("assosymmetric", None, 3, (2, 0, 1))]
+sys.argv = [sys.argv[1], "--src", sys.argv[2], "--full-cols-cap", "20"]
+script.main()
+"""
+
+
+def test_compare_components_script_runs():
+    # in a fresh interpreter: the script sets quotient.FULL_COLS_CAP and clears the
+    # caches, which this process shares with the other tests
+    root = os.path.dirname(SRC)
+    script = os.path.join(root, "scripts", "compare_components.py")
+    runs = [subprocess.run([sys.executable, "-c", COMPARE_RUNNER, script, root],
+                           capture_output=True, text=True, env=cli_env()) for _ in range(2)]
+    for rc in runs:
+        assert rc.returncode == 0, rc.stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = [json.loads(line) for line in runs[0].stdout.splitlines()]
+    keys = {"variety", "q", "target", "field", "d", "dim", "rank", "mode", "paircols",
+            "selected", "struct"}
+    assert all(set(line) == keys for line in lines)
+    by_field = {}
+    for line in lines:
+        by_field.setdefault((tuple(line["target"]), line["field"]), []).append(line)
+    p0, p1 = quotient.SELECTION_PRIMES
+    assert set(by_field) == {((2, 1, 1), 0), ((2, 1, 1), p0), ((2, 1, 1), p1), ((2, 0, 1), 3)}
+    # the QQ case reports its twins at the same multidegrees, and the cap of 20 lifts
+    assert len({tuple(tuple(x["d"]) for x in group) for (target, _), group in by_field.items()
+                if target == (2, 1, 1)}) == 1
+    assert any(x["mode"] == "replay" for x in by_field[(2, 1, 1), 0])

@@ -374,12 +374,12 @@ def test_module_basis_stream_degree5(char, monkeypatch):
 def test_replay_needs_matching_orbit_bases(monkeypatch):
     # twin k picks other orbit bases: twin 1's struct map still lifts, but twin 0's
     # selected row indices name other QQ rows, so its selection proves no rank and
-    # the lift is refused
+    # nothing is lifted
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})   # a child sees no patch
     assym = tideal.get_variety("assosymmetric")
     d = (2, 1, 1)
     full = _full_reference(assym, d, monkeypatch)
-    eliminations = _lift_eliminations(monkeypatch)
+    lifts = _lifts(monkeypatch)
     for k, mode in ((1, "replay"), (0, "full")):
         twins = [quotient.ModularQuotient(assym, p) for p in quotient.SELECTION_PRIMES]
         # greedy from rsym first: another subset spanning the same module
@@ -392,13 +392,14 @@ def test_replay_needs_matching_orbit_bases(monkeypatch):
         monkeypatch.setattr(qe, "_twins", twins)
         comp = qe.component(d)
         assert comp.mode == mode, k
-        assert bool(eliminations.pop(d)) == (k == 0)
+        assert lifts.pop(d, 0) == (k == 1)
         assert comp.dim == free_dim(assym, d, QQ)
         assert _structs(qe) == _structs(full)
 
 
 def test_twin_of_another_width_is_generated_in_full(monkeypatch):
-    # associative twins: lower components of other dimensions, so other pair layouts
+    # associative twins: lower components of other dimensions, so other pair layouts,
+    # and other orbit bases: the first twin's selection proves no rank
     assym = tideal.get_variety("assosymmetric")
     d = (2, 1, 1)
     full = _full_reference(assym, d, monkeypatch)
@@ -408,6 +409,7 @@ def test_twin_of_another_width_is_generated_in_full(monkeypatch):
                                        for p in quotient.SELECTION_PRIMES])
     comp = qe.component(d)
     assert [t.component(d).paircols for t in qe._twins] != [comp.paircols] * 2
+    assert not qe._selection_proves_rank(d)
     assert comp.mode == "full"
     assert _structs(qe) == _structs(full)
 
@@ -494,25 +496,44 @@ def test_lift_struct_rejects_a_reconstructible_wrong_value(scale):
     assert _lift(rows, 10, twins) is None
 
 
-def test_lift_struct_rejects_rank_deficient_rows():
-    # every row lies in the span, so rows @ S = 0 holds: only the rank check can refuse
-    rows = _independent_rows(1)
-    twins = [_twin(rows, 10, p) for p in (P0, P1)]
-    assert _lift(rows[:-1] + [rows[0]], 10, twins) is None
+def test_lift_struct_rejects_rank_deficient_rows(monkeypatch):
+    # twin 0 takes its orbit basis in reverse order, so its selected row indices name
+    # other QQ rows: at (1,1,1,1), rank-deficient, yet nonzero, in the span and as many
+    # as the rank, so lift_struct would accept them; the rank proof refuses them first
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})   # a child sees no patch
+    assym = tideal.get_variety("assosymmetric")
+    d = (1, 1, 1, 1)
+    calls = _replay_inserts(monkeypatch)
+    full = _full_reference(assym, d, monkeypatch)
+    full_calls = dict(calls)
+    calls.clear()
+    lift = quotient.lift_struct
+    lifts = _lifts(monkeypatch)
+    twins = [quotient.ModularQuotient(assym, p) for p in quotient.SELECTION_PRIMES]
+    other = {n: basis[::-1] for n, basis in twins[0].orbits().items()}
+    monkeypatch.setattr(twins[0], "orbits", lambda: other)
+    qe = quotient.ExactQuotient(assym)
+    monkeypatch.setattr(qe, "_twins", twins)
+    comp = qe.component(d)
+    assert not qe._selection_proves_rank(d)
+    assert comp.mode == "full" and d not in lifts and calls[d] == full_calls[d]
+    assert _structs(qe) == _structs(full)
+    sel = twins[0].component(d)
+    named = list(qe._integral_rows(comp, set(sel.selected)))
+    rank = linalg.rref([{c: Fraction(x) for c, x in r.items()} for r in named],
+                       comp.paircols, QQ).rank
+    assert len(named) == sel.rank > rank
+    assert lift(named, [t.component(d).nonpiv for t in twins],
+                [t.component(d).S for t in twins], quotient.SELECTION_PRIMES) is not None
 
 
 def test_lift_struct_with_proven_rank_counts_the_rows():
     # every row below lies in the span, so only the row count can refuse
     rows = _independent_rows(2)
     twins = [_twin(rows, 10, p) for p in (P0, P1)]
-
-    def lift(rs):
-        return quotient.lift_struct(rs, [t[0] for t in twins], [t[1] for t in twins],
-                                    (P0, P1), True)
-
-    assert lift(rows) == _int_rref_struct(rows, 10)
-    assert lift(rows[:-1]) is None
-    assert lift(rows + [rows[0]]) is None
+    assert _lift(rows, 10, twins) == _int_rref_struct(rows, 10)
+    assert _lift(rows[:-1], 10, twins) is None
+    assert _lift(rows + [rows[0]], 10, twins) is None
 
 
 def test_struct_with_a_denominator_divisible_by_p_does_not_reduce():
@@ -572,26 +593,16 @@ def _replay_inserts(monkeypatch):
     return calls
 
 
-def _lift_eliminations(monkeypatch):
-    """{component: DenseModRREFs built inside lift_struct} for each ExactQuotient lift."""
-    counts, lifting, building = {}, [], _components_being_built(monkeypatch)
-    lift, init = quotient.lift_struct, quotient.DenseModRREF.__init__
+def _lifts(monkeypatch):
+    """Count lift_struct calls per ExactQuotient component being built."""
+    counts, building = {}, _components_being_built(monkeypatch)
+    lift = quotient.lift_struct
 
     def counted_lift(*args):
-        counts[building[-1]] = 0
-        lifting.append(True)
-        try:
-            return lift(*args)
-        finally:
-            lifting.pop()
-
-    def counted_init(self, *args):
-        if lifting:
-            counts[building[-1]] += 1
-        init(self, *args)
+        counts[building[-1]] = counts.get(building[-1], 0) + 1
+        return lift(*args)
 
     monkeypatch.setattr(quotient, "lift_struct", counted_lift)
-    monkeypatch.setattr(quotient.DenseModRREF, "__init__", counted_init)
     return counts
 
 
@@ -615,7 +626,7 @@ def test_replay_lifts_struct_without_int_rref(name, q, monkeypatch):
     variety = tideal.get_variety(name, q)
     full = _full_reference(variety, (2, 1, 1, 1), monkeypatch)
     calls = _replay_inserts(monkeypatch)
-    eliminations = _lift_eliminations(monkeypatch)
+    lifts = _lifts(monkeypatch)
     qe = quotient.ExactQuotient(variety)
     qe.component((2, 1, 1, 1))
     # only zero-free components are built; a zero-padded one is its base's, mode included
@@ -623,8 +634,8 @@ def test_replay_lifts_struct_without_int_rref(name, q, monkeypatch):
     replayed = [d for d, c in qe.comps.items() if c.mode == "replay" and d == _base(d)]
     assert (2, 1, 1, 1) in replayed
     assert not any(calls.get(d) for d in replayed)
-    # twin 0's selection proves every rank: lift_struct re-eliminates nothing mod p0
-    assert sorted(eliminations) == sorted(replayed) and not any(eliminations.values())
+    # twin 0's selection proves every rank: each replayed component is lifted once
+    assert lifts == {d: 1 for d in replayed}
     assert _structs(qe) == _structs(full)
 
 
@@ -642,16 +653,19 @@ def test_a_lower_struct_off_the_first_twin_re_eliminates_the_rank(monkeypatch):
     assert low.paircols <= quotient.FULL_COLS_CAP
     row = np.setdiff1d(np.arange(low.paircols), low.nonpiv)[0]
     low.S[row, 0] = (low.S[row, 0] + 1) % twins[0].p
-    eliminations = _lift_eliminations(monkeypatch)
+    lifts = _lifts(monkeypatch)
     qe = quotient.ExactQuotient(assym)
     monkeypatch.setattr(qe, "_twins", twins)
     qe.component(d)
-    assert qe.comps[d].mode == "replay"
-    # exactly the lifts with e or one of its relabelings below them re-eliminate their
-    # rows mod p0; the relabelings share e's struct map
-    above = {d2 for d2 in eliminations if _below_a_relabeling(e, d2)}
-    assert d in above and above != set(eliminations)
-    assert {d2 for d2, n in eliminations.items() if n} == above
+    # exactly the twinned components with e or one of its relabelings below them lose
+    # the rank proof and read "full" without a lift; the relabelings share e's struct
+    # map; the others are lifted once and read "replay"
+    twinned = {d2 for d2, c in qe.comps.items()
+               if d2 == _base(d2) and c.paircols > quotient.FULL_COLS_CAP}
+    above = {d2 for d2 in twinned if _below_a_relabeling(e, d2)}
+    assert d in above and above != twinned
+    assert lifts == {d2: 1 for d2 in twinned - above}
+    assert all(qe.comps[d2].mode == ("full" if d2 in above else "replay") for d2 in twinned)
     assert _structs(qe) == _structs(full)
 
 
