@@ -33,6 +33,9 @@ CASES = [
     ("lie_triple", None, 0, (3, 3)),
     ("assosymmetric", None, 999983, (6, 0, 1)),
     ("assosymmetric", None, 3, (2, 0, 1, 1)),
+    ("jordan", None, 999983, (3, 2, 1)),
+    ("lie_triple", None, 999983, (2, 2, 1)),
+    ("assder", None, 5, (2, 1, 1, 1)),
     ("quasi_assosymmetric", Fraction(3), 0, (2, 1, 1, 1)),
     ("quasi_assosymmetric", Fraction(-1, 3), 0, (2, 1, 1, 1)),
 ]

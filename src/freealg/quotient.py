@@ -26,16 +26,23 @@ dimension, rank, selection, struct matrix and struct blocks, with only the
 split keys renamed (_relabel).  So [1^6] builds 6 components, not 63.
 
 One builder, InductiveQuotient, does everything that does not depend on the
-coordinates: the component recursion, the pair layout and its budget, term
-evaluation, struct lookup and the split of a struct map into blocks.  Its two
-subclasses give the coordinate type and the elimination:
+coordinates: the component recursion, the pair layout and its budget, struct
+lookup and the split of a struct map into blocks.  Its two subclasses give
+the coordinate type, the row assembly and the elimination:
 
 * ModularQuotient: GF(p) with dense numpy rows, for primes with
-  2 (p-1)^2 <= 2^53.  The reduced basis is kept as its pivot columns and the
-  rank x non-pivot block N, which is also the struct map (S[piv] = -N);
-  batches are reduced on the non-pivot columns only.  Products and sums of
-  at most mod_chunk(p) of them are exact in float64, so BLAS matmuls are
-  exact integer arithmetic and the reduced basis is canonical.
+  2 (p-1)^2 <= 2^53.  Relation rows are assembled in bulk, a batch of specs
+  at a time: specs of one shape (identity, and per variable the
+  multidegrees and repeated elements of its multiset) are evaluated together,
+  each identity term once per arrangement over arrays of basis indices,
+  gathering struct rows for products of two basis elements and using one
+  matmul for every other product, and the batch's block is reduced mod p
+  once.  The reduced basis is kept as its pivot columns and the rank x
+  non-pivot block N, which is also the struct map (S[piv] = -N); batches
+  are reduced on the non-pivot columns only, and rows that are then zero are
+  dropped before the Gauss-Jordan panels.  Products and sums of at most
+  mod_chunk(p) of them are exact in float64, so BLAS matmuls are exact
+  integer arithmetic and the reduced basis is canonical.
 * ExactQuotient: QQ with sparse rows whose values are ints when integral
   and Fractions otherwise.  Large components assemble only the rows that
   pivoted modulo the first of two independent primes; replayed rows are
@@ -67,6 +74,7 @@ exit, or when the parent's pipe closes.
 from __future__ import annotations
 
 import atexit
+import functools
 import itertools
 import math
 import os
@@ -384,11 +392,13 @@ class DenseModRREF:
         """Insert a batch; returns positions within the batch that pivoted.
 
         The batch is reduced against the basis on the non-pivot columns only
-        (Y = M[:, nonpiv] - M[:, piv] @ N).  Its rows are then eliminated in
-        panels of PANEL_ROWS: a panel is reduced against the batch's earlier
-        new rows W by one matmul, brought to reduced echelon form by
-        Gauss-Jordan steps inside the panel, and its new rows are cleared
-        from W by another matmul (the back-substitution among the new rows).
+        (Y = M[:, nonpiv] - M[:, piv] @ N) and reduced mod p once; the rows
+        that are then zero lie in the span already and are dropped before the
+        panels.  The others are eliminated in panels of PANEL_ROWS: a panel
+        is reduced against the batch's earlier new rows W by one matmul,
+        brought to reduced echelon form by Gauss-Jordan steps inside the
+        panel, and its new rows are cleared from W by another matmul (the
+        back-substitution among the new rows).
         Mod-p reduction is deferred inside a panel: each step changes an
         entry by at most (p-1)^2 and a panel holds fewer than chunk rows, so
         every intermediate value stays an exact float64 integer.  Finally
@@ -403,6 +413,9 @@ class DenseModRREF:
             X = M[:, self.piv]
             if np.any(X):
                 Y -= matmul_mod(X, self.N, p)
+        mod_p(Y, p, out=Y)
+        live = np.flatnonzero(Y.any(axis=1))
+        Y = Y[live]
         new, leads = [], []
         W = np.empty_like(Y)            # rows 0..k-1: the new rows, reduced among themselves
         k = 0
@@ -442,7 +455,7 @@ class DenseModRREF:
             self.N = N
             self.piv = np.concatenate([self.piv, self.nonpiv[leads]])
             self.nonpiv = self.nonpiv[keep]
-        return new
+        return live[new].tolist()
 
 
 def _gauss_jordan_mod(P, p):
@@ -524,13 +537,13 @@ class InductiveQuotient:
     """Relatively-free algebra of a variety, built component by component.
 
     Everything here is independent of the coordinates: the component
-    recursion, the pair layout and its budget, term evaluation, struct-row
-    lookup, orbit bases and the split of a struct map into blocks.  A
-    subclass supplies the coordinate type through _unit (a basis vector),
-    _coeff (a rational as a coordinate), product, poly_image, _relation_row
-    and _accumulate (one evaluated term added into pair coordinates), and
-    _reduce(comp), which eliminates a component's relation rows, sets
-    comp.rank and returns its struct map: one row per pair column.
+    recursion, the pair layout and its budget, monomial images, struct-row
+    lookup, orbit bases, identity terms and the split of a struct map into
+    blocks.  A subclass supplies the coordinate type through _unit (a basis
+    vector), _coeff (a rational as a coordinate), product and poly_image, and
+    _reduce(comp), which assembles and eliminates a component's relation
+    rows, sets comp.rank and returns its struct map: one row per pair
+    column.
     """
 
     def __init__(self, variety, field, degree_cap):
@@ -656,69 +669,35 @@ class InductiveQuotient:
             n1, n2 = comp.sizes[split]
             comp.struct[split] = struct[off:off + block_size(self.flavor, split[0], split[1], n1, n2)]
 
-    def _term_instances(self, f_idx, assignment):
-        """Per term of identity f_idx: (encoding, coefficient, leaf maps), one
-        leaf map {leaf position: (mdeg, basis index)} per way of arranging
-        each variable's multiset of the assignment on its leaves."""
-        var_names = sorted(assignment)
-        combos = list(itertools.product(*(arrangements_of(assignment[v]) for v in var_names)))
-        for enc, coeff, positions in self._identity_terms()[f_idx]:
-            leaf_maps = []
-            for combo in combos:
-                leaf_map = {}
-                for v, arrangement in zip(var_names, combo):
-                    leaf_map.update(zip(positions[v], arrangement))
-                leaf_maps.append(leaf_map)
-            yield enc, coeff, leaf_maps
-
-    def _eval_tree(self, enc, i, leaf_map):
-        """Evaluate the subtree at position i; returns (mdeg, kind, payload, next).
-
-        kind 'b' carries a basis index, kind 'v' a coordinate vector.
-        """
-        if enc[i] != 0:
-            e, idx = leaf_map[i]
-            return e, "b", idx, i + 1
-        d1, k1, p1, j = self._eval_tree(enc, i + 1, leaf_map)
-        d2, k2, p2, nxt = self._eval_tree(enc, j, leaf_map)
-        if k1 == "b" and k2 == "b":
-            vec = self.pair_product(d1, p1, d2, p2)
-        else:
-            v1 = p1 if k1 == "v" else self._unit(d1, p1)
-            v2 = p2 if k2 == "v" else self._unit(d2, p2)
-            vec = self.product(d1, v1, d2, v2)
-        return mdeg_add(d1, d2), "v", vec, nxt
-
-    def _place_term(self, row, comp, enc, leaf_map, coeff):
-        """Add coeff * (the term with its leaves substituted) to row, in pair coordinates."""
-        if enc[0] != 0:
-            raise BuildError("degree-1 relation term cannot live in pair coordinates")
-        d1, k1, p1, j = self._eval_tree(enc, 1, leaf_map)
-        d2, k2, p2, _ = self._eval_tree(enc, j, leaf_map)
-        if self.flavor == COMMUTATIVE and mdeg_key(d1) > mdeg_key(d2):
-            d1, k1, p1, d2, k2, p2 = d2, k2, p2, d1, k1, p1
-        n1, n2 = comp.sizes[(d1, d2)]
-        sym = self.flavor == COMMUTATIVE and d1 == d2
-        self._accumulate(row, comp.offsets[(d1, d2)], n1, n2, sym, k1, p1, k2, p2, coeff)
-
 
 # ---------------------------------------------------------------------------
 # GF(p) coordinates: dense float64 vectors of residues.
 # ---------------------------------------------------------------------------
 
 def _one_hot(n, i):
-    v = np.zeros(n)
-    v[i] = 1.0
-    return v
+    """The unit vector e_i of length n; for an array of indices, one per row."""
+    return (np.arange(n) == np.asarray(i)[..., None]).astype(float)
 
 
-def _sym_block(v1, v2, p):
-    """Upper-triangular coordinates of v1 v2 in a symmetric (commutative d1 = d2) block."""
-    W = mod_p(np.outer(v1, v2), p)
-    n = W.shape[0]
-    block = (W + W.T)[np.triu_indices(n)]
-    block[[tri_index(i, i, n) for i in range(n)]] -= W.diagonal()
-    return mod_p(block, p, out=block)
+def _multiset_shape(ms):
+    """(mdeg, label) per slot of a sorted multiset of (mdeg, basis index) pairs,
+    the labels numbering its distinct elements in order."""
+    out, label = [], -1
+    for k, x in enumerate(ms):
+        if k == 0 or x != ms[k - 1]:
+            label += 1
+        out.append((x[0], label))
+    return tuple(out)
+
+
+@functools.cache
+def _slot_arrangements(labels):
+    """The distinct arrangements of a multiset whose slots carry these equality
+    labels, each as a permutation of the slots: leaf k gets slot perm[k]."""
+    out = {}
+    for perm in itertools.permutations(range(len(labels))):
+        out.setdefault(tuple(labels[k] for k in perm), perm)
+    return tuple(out.values())
 
 
 class ModularQuotient(InductiveQuotient):
@@ -745,14 +724,7 @@ class ModularQuotient(InductiveQuotient):
 
     def product(self, d1, v1, d2, v2):
         """Product Q_{d1} x Q_{d2} -> Q_{d1+d2} on coordinate vectors."""
-        if self.flavor == COMMUTATIVE and mdeg_key(d1) > mdeg_key(d2):
-            d1, v1, d2, v2 = d2, v2, d1, v1
-        S = self.component(mdeg_add(d1, d2)).struct[(d1, d2)]
-        if self.flavor == COMMUTATIVE and d1 == d2:
-            block = _sym_block(v1, v2, self.p)
-        else:
-            block = mod_p(np.outer(v1, v2).reshape(-1), self.p)
-        return matmul_mod(block, S, self.p)
+        return self._products(d1, v1[None], d2, v2[None])[0]
 
     def _install(self, records):
         """Take components built in another process (see build_twins) as if built here."""
@@ -780,71 +752,127 @@ class ModularQuotient(InductiveQuotient):
 
     def _reduce(self, comp):
         rre = DenseModRREF(self.p, comp.paircols)
-        batch, meta = [], []
         selected = []
-
-        def flush():
-            if not batch:
-                return
-            M = np.array(batch)
-            for pos in rre.add_batch(M):
-                selected.append(meta[pos])
-            batch.clear()
-            meta.clear()
-
-        for row_index, f_idx, assignment in iter_relation_specs(self.identities, comp.d, self.dim,
-                                                                self.orbits()):
-            row = self._relation_row(comp, f_idx, assignment)
-            if row is not None:
-                batch.append(row)
-                meta.append(row_index)
-                if len(batch) >= rre.batch:
-                    flush()
-        flush()
-
+        specs = iter_relation_specs(self.identities, comp.d, self.dim, self.orbits())
+        while chunk := list(itertools.islice(specs, rre.batch)):
+            M = self._relation_rows(comp, chunk)
+            live = np.flatnonzero(M.any(axis=1))
+            if live.size:
+                selected += [chunk[live[pos]][0] for pos in rre.add_batch(M[live])]
         comp.rank = rre.rank
-        comp.selected = sorted(selected)
+        comp.selected = selected
         S = np.zeros((comp.paircols, comp.paircols - rre.rank))
         S[rre.nonpiv, np.arange(S.shape[1])] = 1.0
         S[rre.piv] = mod_p(-rre.N, self.p)
         comp.nonpiv, comp.S = rre.nonpiv, S
         return S
 
-    def _relation_row(self, comp, f_idx, assignment):
-        """The relation row of one spec, reduced mod p; None when it is zero."""
-        p = self.p
-        row = np.zeros(comp.paircols)
-        bound = 0
-        for enc, coeff, leaf_maps in self._term_instances(f_idx, assignment):
-            # each placement moves an entry by at most |coeff| (p - 1); reduce
-            # before the accumulated bound could leave the exact float64 range
-            step = abs(coeff) * (p - 1) * len(leaf_maps)
-            bound += step
-            if bound > 2 ** 53 - p:
-                mod_p(row, p, out=row)
-                bound = p + step
-            for leaf_map in leaf_maps:
-                self._place_term(row, comp, enc, leaf_map, coeff)
-        mod_p(row, p, out=row)
-        return row if np.any(row) else None
+    def _relation_rows(self, comp, specs):
+        """The relation rows of specs, reduced mod p, as one (len(specs), paircols) array.
 
-    def _accumulate(self, row, off, n1, n2, sym, k1, p1, k2, p2, coeff):
-        if sym:
-            if k1 == "b" and k2 == "b":
-                row[off + tri_index(min(p1, p2), max(p1, p2), n1)] += coeff
-                return
-            v1 = p1 if k1 == "v" else _one_hot(n1, p1)
-            v2 = p2 if k2 == "v" else _one_hot(n2, p2)
-            row[off:off + tri_size(n1)] += coeff * _sym_block(v1, v2, self.p)
-        elif k1 == "b" and k2 == "b":
-            row[off + p1 * n2 + p2] += coeff
-        elif k1 == "b":
-            base = off + p1 * n2
-            row[base:base + n2] += coeff * p2
-        elif k2 == "b":
-            row[off + p2: off + n1 * n2: n2] += coeff * p1
-        else:
-            row[off:off + n1 * n2] += coeff * mod_p(np.outer(p1, p2).reshape(-1), self.p)
+        Specs of one shape (the identity and, per variable, the multidegrees
+        and equality labels of its multiset; see _multiset_shape) share the
+        distinct arrangements of each multiset as permutations of its slots,
+        and the multidegree of every node of every substituted term.  So each
+        term is evaluated once per shape and arrangement, over arrays of basis
+        indices (_products), and its root product is added into the rows of
+        the shape's specs.  A placement moves an entry by at most
+        |coeff| (p - 1) <= 2^53 - 2p; the rows are reduced mod p before the
+        accumulated bound could leave the exact float64 range, and once at
+        the end.
+        """
+        p = self.p
+        M = np.zeros((len(specs), comp.paircols))
+        shapes = {}
+        for at, (_, f_idx, assignment) in enumerate(specs):
+            key = (f_idx,) + tuple((v, _multiset_shape(assignment[v])) for v in sorted(assignment))
+            shapes.setdefault(key, []).append(at)
+        for (f_idx, *variables), at in shapes.items():
+            rows = np.array(at)
+            slots = [(v, [e for e, _ in shape], np.array([[i for _, i in specs[a][2][v]] for a in at]))
+                     for v, shape in variables]
+            combos = list(itertools.product(*(_slot_arrangements(tuple(label for _, label in shape))
+                                              for _, shape in variables)))
+            bound = 0
+            for enc, coeff, positions in self._identity_terms()[f_idx]:
+                step = abs(coeff) * (p - 1)
+                for combo in combos:
+                    bound += step
+                    if bound > 2 ** 53 - p:
+                        M[rows] = mod_p(M[rows], p)
+                        bound = p + step
+                    leaves = {}
+                    for (v, es, idx), perm in zip(slots, combo):
+                        for pos, k in zip(positions[v], perm):
+                            leaves[pos] = (es[k], idx[:, k])
+                    d1, x1, j = self._evaluate(enc, 1, leaves)
+                    d2, x2, _ = self._evaluate(enc, j, leaves)
+                    split, cols, vals = self._pair_coords(d1, x1, d2, x2)
+                    off = comp.offsets[split]
+                    if cols is None:
+                        M[rows, off:off + vals.shape[1]] += coeff * vals
+                    else:
+                        M[rows[:, None], off + cols] += coeff * vals
+        return mod_p(M, p, out=M)
+
+    def _evaluate(self, enc, i, leaves):
+        """The subtree of enc at position i over a group of substitutions:
+        (mdeg, value, next position), a leaf's value being its array of
+        basis indices and any other's a (group, dim) array of residues."""
+        if enc[i]:
+            e, x = leaves[i]
+            return e, x, i + 1
+        d1, x1, j = self._evaluate(enc, i + 1, leaves)
+        d2, x2, nxt = self._evaluate(enc, j, leaves)
+        return mdeg_add(d1, d2), self._products(d1, x1, d2, x2), nxt
+
+    def _products(self, d1, x1, d2, x2):
+        """The products x1[g] x2[g] in Q_{d1+d2} as a (group, dim) array: rows
+        of a struct block for two basis elements, else one matmul_mod."""
+        split, cols, vals = self._pair_coords(d1, x1, d2, x2)
+        S = self.component(mdeg_add(d1, d2)).struct[split]
+        if x1.ndim == x2.ndim == 1:
+            return S[cols[:, 0]]
+        if cols is not None:
+            block = np.zeros((cols.shape[0], S.shape[0]))
+            block[np.arange(cols.shape[0])[:, None], cols] = vals
+            vals = block
+        return matmul_mod(vals, S, self.p)
+
+    def _pair_coords(self, d1, x1, d2, x2):
+        """The products x1[g] x2[g] in pair coordinates: (split, cols, vals).
+
+        An x is an array of basis indices or a (group, dim) array of
+        residues.  Row g of the products is vals[g] at the columns cols[g] of
+        split's block, or, when cols is None, vals[g] is the whole block row.
+        A commutative split is taken in key order, and its symmetric block
+        (d1 = d2) holds the upper triangle of v1 v2 + v2 v1, less the
+        diagonal once.
+        """
+        if self.flavor == COMMUTATIVE and mdeg_key(d1) > mdeg_key(d2):
+            d1, x1, d2, x2 = d2, x2, d1, x1
+        n1, n2 = self.comps[d1].dim, self.comps[d2].dim
+        basis1, basis2 = x1.ndim == 1, x2.ndim == 1
+        if self.flavor == COMMUTATIVE and d1 == d2:
+            if basis1 and basis2:
+                idx = tri_index(np.minimum(x1, x2), np.maximum(x1, x2), n1)
+                return (d1, d2), idx[:, None], 1.0
+            v1 = _one_hot(n1, x1) if basis1 else x1
+            v2 = _one_hot(n2, x2) if basis2 else x2
+            W = mod_p(v1[:, :, None] * v2[:, None, :], self.p)
+            i, j = np.triu_indices(n1)
+            off = i != j
+            block = W[:, i, j]
+            block[:, off] += W[:, j[off], i[off]]
+            return (d1, d2), None, mod_p(block, self.p, out=block)
+        if basis1 and basis2:
+            return (d1, d2), (x1 * n2 + x2)[:, None], 1.0
+        if basis1:
+            return (d1, d2), x1[:, None] * n2 + np.arange(n2), x2
+        if basis2:
+            return (d1, d2), np.arange(n1) * n2 + x2[:, None], x1
+        W = mod_p(x1[:, :, None] * x2[:, None, :], self.p)
+        return (d1, d2), None, W.reshape(W.shape[0], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -1245,6 +1273,51 @@ class ExactQuotient(InductiveQuotient):
                 row = self._relation_row(comp, f_idx, assignment)
                 if row:
                     yield _integral(row)
+
+    def _term_instances(self, f_idx, assignment):
+        """Per term of identity f_idx: (encoding, coefficient, leaf maps), one
+        leaf map {leaf position: (mdeg, basis index)} per way of arranging
+        each variable's multiset of the assignment on its leaves."""
+        var_names = sorted(assignment)
+        combos = list(itertools.product(*(arrangements_of(assignment[v]) for v in var_names)))
+        for enc, coeff, positions in self._identity_terms()[f_idx]:
+            leaf_maps = []
+            for combo in combos:
+                leaf_map = {}
+                for v, arrangement in zip(var_names, combo):
+                    leaf_map.update(zip(positions[v], arrangement))
+                leaf_maps.append(leaf_map)
+            yield enc, coeff, leaf_maps
+
+    def _eval_tree(self, enc, i, leaf_map):
+        """Evaluate the subtree at position i; returns (mdeg, kind, payload, next).
+
+        kind 'b' carries a basis index, kind 'v' a coordinate vector.
+        """
+        if enc[i] != 0:
+            e, idx = leaf_map[i]
+            return e, "b", idx, i + 1
+        d1, k1, p1, j = self._eval_tree(enc, i + 1, leaf_map)
+        d2, k2, p2, nxt = self._eval_tree(enc, j, leaf_map)
+        if k1 == "b" and k2 == "b":
+            vec = self.pair_product(d1, p1, d2, p2)
+        else:
+            v1 = p1 if k1 == "v" else self._unit(d1, p1)
+            v2 = p2 if k2 == "v" else self._unit(d2, p2)
+            vec = self.product(d1, v1, d2, v2)
+        return mdeg_add(d1, d2), "v", vec, nxt
+
+    def _place_term(self, row, comp, enc, leaf_map, coeff):
+        """Add coeff * (the term with its leaves substituted) to row, in pair coordinates."""
+        if enc[0] != 0:
+            raise BuildError("degree-1 relation term cannot live in pair coordinates")
+        d1, k1, p1, j = self._eval_tree(enc, 1, leaf_map)
+        d2, k2, p2, _ = self._eval_tree(enc, j, leaf_map)
+        if self.flavor == COMMUTATIVE and mdeg_key(d1) > mdeg_key(d2):
+            d1, k1, p1, d2, k2, p2 = d2, k2, p2, d1, k1, p1
+        n1, n2 = comp.sizes[(d1, d2)]
+        sym = self.flavor == COMMUTATIVE and d1 == d2
+        self._accumulate(row, comp.offsets[(d1, d2)], n1, n2, sym, k1, p1, k2, p2, coeff)
 
     def _relation_row(self, comp, f_idx, assignment):
         """The relation row of one spec as a sparse dict of ints and Fractions."""

@@ -57,6 +57,36 @@ def test_dense_mod_rref_matches_sparse(monkeypatch):
                     assert got == {c: int(v) for c, v in oracle.rows[i].items()}
 
 
+def test_dense_mod_rref_drops_rows_in_the_span(monkeypatch):
+    rng = np.random.default_rng(13)
+    p, ncols = 999983, 9
+    a, b, c, e = rng.integers(0, p, (4, ncols)).astype(float)
+    zero = np.zeros(ncols)
+    batches = [
+        [zero, a, b, a, (3 * a + 5 * b) % p, zero],               # first batch at rank 0
+        [(2 * b) % p, c, zero, c, (a + c) % p, (7 * a + b + c) % p],
+        [zero, (4 * c) % p],                                       # nothing new
+        [e, (p - 1) * e % p, (a + e) % p, zero, e],
+    ]
+    stream = [row for batch in batches for row in batch]
+    running = linalg.SpanBasis(GF(p), ncols)
+    independent = [i for i, row in enumerate(stream)
+                   if linalg.insert_row(running, {k: int(x) for k, x in enumerate(row) if x})]
+    assert independent == [1, 2, 7, 14]
+    for panel in (quotient.PANEL_ROWS, 2):
+        monkeypatch.setattr(quotient, "PANEL_ROWS", panel)
+        rre = quotient.DenseModRREF(p, ncols)
+        selected, start = [], 0
+        for batch in batches:
+            selected += [start + i for i in rre.add_batch(np.array(batch))]
+            start += len(batch)
+        assert selected == independent
+        only = quotient.DenseModRREF(p, ncols)
+        assert only.add_batch(np.array([stream[i] for i in independent])) == [0, 1, 2, 3]
+        assert np.array_equal(rre.rows, only.rows)
+        assert np.array_equal(rre.pivcols, only.pivcols)
+
+
 def test_mod_p_matches_np_mod():
     # floor(a / p) in floating point errs both ways near multiples of p
     rng = np.random.default_rng(5)
