@@ -31,6 +31,7 @@ CASES = [
     ("jordan", None, 0, (2, 2, 2)),
     ("jordan", None, 0, (0, 2, 1, 1)),
     ("lie_triple", None, 0, (3, 3)),
+    ("lie_triple", None, 0, (2, 2, 2)),
     ("assosymmetric", None, 999983, (6, 0, 1)),
     ("assosymmetric", None, 3, (2, 0, 1, 1)),
     ("jordan", None, 999983, (3, 2, 1)),

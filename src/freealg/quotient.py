@@ -26,9 +26,12 @@ dimension, rank, selection, struct matrix and struct blocks, with only the
 split keys renamed (_relabel).  So [1^6] builds 6 components, not 63.
 
 One builder, InductiveQuotient, does everything that does not depend on the
-coordinates: the component recursion, the pair layout and its budget, struct
-lookup and the split of a struct map into blocks.  Its two subclasses give
-the coordinate type, the row assembly and the elimination:
+coordinates: the component recursion, the pair layout and its budget, the
+split of a struct map into blocks, and the evaluation of a substituted
+identity term (_evaluate), whose leaves carry basis indices and whose
+interior nodes are the subclass's _products.  Each subclass writes its pair
+layout once, in _pair_coords, and gives the coordinate type, the products,
+the row assembly and the elimination:
 
 * ModularQuotient: GF(p) with dense numpy rows, for primes with
   2 (p-1)^2 <= 2^53.  Relation rows are assembled in bulk, a batch of specs
@@ -44,13 +47,16 @@ the coordinate type, the row assembly and the elimination:
   mod_chunk(p) of them are exact in float64, so BLAS matmuls are exact
   integer arithmetic and the reduced basis is canonical.
 * ExactQuotient: QQ with sparse rows whose values are ints when integral
-  and Fractions otherwise.  Large components assemble only the rows that
-  pivoted modulo the first of two independent primes; replayed rows are
-  honest T-ideal members.  Their struct map is lifted from the two GF(p)
-  struct matrices by CRT and rational reconstruction (lift_struct) and
-  accepted only when every replayed row maps to zero exactly and the rows
-  have full rank, which proves it is the map of their span whatever the
-  twins did; so zero residuals stay proofs.  The first twin's selection is
+  and Fractions otherwise.  A relation row is one spec at a time, each term
+  on each distinct arrangement of each variable's multiset; a product of
+  two basis elements is a cached struct row, any other product its pair
+  coordinates through the struct map.  Large components assemble only the
+  rows that pivoted modulo the first of two independent primes; replayed
+  rows are honest T-ideal members.  Their struct map is lifted from the two
+  GF(p) struct matrices by CRT and rational reconstruction (lift_struct)
+  and accepted only when every replayed row maps to zero exactly and the
+  rows have full rank, which proves it is the map of their span whatever
+  the twins did; so zero residuals stay proofs.  The first twin's selection is
   the only proof of that rank: it holds when the twin has the rational
   orbit bases and every lower rational struct map reduces modulo its prime
   to the twin's, for then each replayed row reduces to a unit multiple of a
@@ -304,9 +310,25 @@ def _leaf_positions(enc):
     return out
 
 
-def arrangements_of(multiset):
-    """Distinct orderings of a multiset of (mdeg, index) pairs."""
-    return sorted(set(itertools.permutations(multiset)))
+def _multiset_shape(ms):
+    """(mdeg, label) per slot of a sorted multiset of (mdeg, basis index) pairs,
+    the labels numbering its distinct elements in order."""
+    out, label = [], -1
+    for k, x in enumerate(ms):
+        if k == 0 or x != ms[k - 1]:
+            label += 1
+        out.append((x[0], label))
+    return tuple(out)
+
+
+@functools.cache
+def _slot_arrangements(labels):
+    """The distinct arrangements of a multiset whose slots carry these equality
+    labels, each as a permutation of the slots: leaf k gets slot perm[k]."""
+    out = {}
+    for perm in itertools.permutations(range(len(labels))):
+        out.setdefault(tuple(labels[k] for k in perm), perm)
+    return tuple(out.values())
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +559,12 @@ class InductiveQuotient:
     """Relatively-free algebra of a variety, built component by component.
 
     Everything here is independent of the coordinates: the component
-    recursion, the pair layout and its budget, monomial images, struct-row
-    lookup, orbit bases, identity terms and the split of a struct map into
-    blocks.  A subclass supplies the coordinate type through _unit (a basis
-    vector), _coeff (a rational as a coordinate), product and poly_image, and
+    recursion, the pair layout and its budget, monomial images, orbit bases,
+    identity terms, the evaluation of substituted terms (_evaluate) and the
+    split of a struct map into blocks.  A subclass supplies the coordinate
+    type through _unit (a basis vector), _coeff (a rational as a
+    coefficient), _products (the value of an interior node of _evaluate,
+    whose leaves carry basis indices), product and poly_image, and
     _reduce(comp), which assembles and eliminates a component's relation
     rows, sets comp.rank and returns its struct map: one row per pair
     column.
@@ -558,7 +582,6 @@ class InductiveQuotient:
                                  "defining identities of degree at least 2"
                                  % (f, variety.name, mdeg_total(f.multidegree())))
         self.comps: dict[tuple, _Component] = {}
-        self.pair_cache: dict[tuple, object] = {}
         self.mono_cache: dict[Monomial, object] = {}
         self._orbits = None
         self._terms = None
@@ -605,23 +628,6 @@ class InductiveQuotient:
         self.mono_cache[m] = vec
         return vec
 
-    def pair_product(self, d1, i, d2, j):
-        """Product of two basis elements: a cached row of the struct map."""
-        if self.flavor == COMMUTATIVE and (mdeg_key(d1), i) > (mdeg_key(d2), j):
-            d1, i, d2, j = d2, j, d1, i
-        key = (d1, i, d2, j)
-        got = self.pair_cache.get(key)
-        if got is not None:
-            return got
-        comp = self.component(mdeg_add(d1, d2))
-        if self.flavor == COMMUTATIVE and d1 == d2:
-            idx = tri_index(min(i, j), max(i, j), self.comps[d1].dim)
-        else:
-            idx = i * self.comps[d2].dim + j
-        vec = comp.struct[(d1, d2)][idx]
-        self.pair_cache[key] = vec
-        return vec
-
     # -- internals ------------------------------------------------------------
 
     def orbits(self):
@@ -638,6 +644,19 @@ class InductiveQuotient:
                             for m, c in f.terms_sorted() if self._coeff(c)]
                            for f in self.identities]
         return self._terms
+
+    def _evaluate(self, enc, i, leaves):
+        """The subtree of enc at position i with its leaves substituted:
+        (mdeg, value, next position).  leaves maps a leaf position to
+        (mdeg, basis indices): an int, or for GF(p) an array over a group of
+        substitutions; every other node's value is its subclass's
+        _products."""
+        if enc[i]:
+            e, x = leaves[i]
+            return e, x, i + 1
+        d1, x1, j = self._evaluate(enc, i + 1, leaves)
+        d2, x2, nxt = self._evaluate(enc, j, leaves)
+        return mdeg_add(d1, d2), self._products(d1, x1, d2, x2), nxt
 
     def _build(self, d):
         comp = _Component(d)
@@ -677,27 +696,6 @@ class InductiveQuotient:
 def _one_hot(n, i):
     """The unit vector e_i of length n; for an array of indices, one per row."""
     return (np.arange(n) == np.asarray(i)[..., None]).astype(float)
-
-
-def _multiset_shape(ms):
-    """(mdeg, label) per slot of a sorted multiset of (mdeg, basis index) pairs,
-    the labels numbering its distinct elements in order."""
-    out, label = [], -1
-    for k, x in enumerate(ms):
-        if k == 0 or x != ms[k - 1]:
-            label += 1
-        out.append((x[0], label))
-    return tuple(out)
-
-
-@functools.cache
-def _slot_arrangements(labels):
-    """The distinct arrangements of a multiset whose slots carry these equality
-    labels, each as a permutation of the slots: leaf k gets slot perm[k]."""
-    out = {}
-    for perm in itertools.permutations(range(len(labels))):
-        out.setdefault(tuple(labels[k] for k in perm), perm)
-    return tuple(out.values())
 
 
 class ModularQuotient(InductiveQuotient):
@@ -814,17 +812,6 @@ class ModularQuotient(InductiveQuotient):
                     else:
                         M[rows[:, None], off + cols] += coeff * vals
         return mod_p(M, p, out=M)
-
-    def _evaluate(self, enc, i, leaves):
-        """The subtree of enc at position i over a group of substitutions:
-        (mdeg, value, next position), a leaf's value being its array of
-        basis indices and any other's a (group, dim) array of residues."""
-        if enc[i]:
-            e, x = leaves[i]
-            return e, x, i + 1
-        d1, x1, j = self._evaluate(enc, i + 1, leaves)
-        d2, x2, nxt = self._evaluate(enc, j, leaves)
-        return mdeg_add(d1, d2), self._products(d1, x1, d2, x2), nxt
 
     def _products(self, d1, x1, d2, x2):
         """The products x1[g] x2[g] in Q_{d1+d2} as a (group, dim) array: rows
@@ -1161,11 +1148,13 @@ class ExactQuotient(InductiveQuotient):
     component, and one whose lift is refused, sends every relation row
     through IntRREF (mode "full").  Coordinates are sparse dicts whose
     values are ints when integral and Fractions otherwise; poly_image
-    returns Fractions.
+    returns Fractions.  Relation rows and products both add into pair
+    coordinates through _pair_coords.
     """
 
     def __init__(self, variety, degree_cap=DEFAULT_DEGREE_CAP):
         super().__init__(variety, QQ, degree_cap)
+        self.pair_cache: dict[tuple, dict] = {}     # (d1, i, d2, j) -> struct row of the pair
         self._twins = None
         self._reduces = {}       # d -> does d's struct map reduce mod p to the first twin's S?
         # a strategy prime that divides a coefficient's denominator has no twin
@@ -1189,27 +1178,64 @@ class ExactQuotient(InductiveQuotient):
         return {k: Fraction(v) for k, v in out.items()}
 
     def product(self, d1, v1, d2, v2):
-        if self.flavor == COMMUTATIVE and mdeg_key(d1) > mdeg_key(d2):
-            d1, v1, d2, v2 = d2, v2, d1, v1
-        S = self.component(mdeg_add(d1, d2)).struct[(d1, d2)]
-        n1 = self.comps[d1].dim
+        """Product Q_{d1} x Q_{d2} -> Q_{d1+d2}: the pair coordinates of v1 v2
+        through the struct map.  A v is a sparse vector or a basis index."""
+        comp = self.component(mdeg_add(d1, d2))
+        pairs = {}
+        S = comp.struct[self._pair_coords(d1, v1, d2, v2, pairs)]
         out = {}
-        sym = self.flavor == COMMUTATIVE and d1 == d2
-        for i, a in v1.items():
-            for j, b in v2.items():
-                if sym:
-                    idx = tri_index(min(i, j), max(i, j), n1)
+        for c, a in pairs.items():
+            for k, x in S[c].items():
+                v = out.get(k, 0) + a * x
+                if v:
+                    out[k] = v
                 else:
-                    idx = i * self.comps[d2].dim + j
-                ab = a * b
-                col = S[idx]
-                for k, x in col.items():
-                    v = out.get(k, 0) + ab * x
-                    if v:
-                        out[k] = v
-                    else:
-                        out.pop(k, None)
+                    out.pop(k, None)
         return _ints(out)
+
+    def _products(self, d1, x1, d2, x2):
+        """x1 x2 in Q_{d1+d2}: for two basis indices a cached row of the struct
+        map, else product."""
+        if x1.__class__ is int and x2.__class__ is int:
+            key = (d1, x1, d2, x2)
+            got = self.pair_cache.get(key)
+            if got is None:
+                pairs = {}
+                split = self._pair_coords(d1, x1, d2, x2, pairs)
+                [col] = pairs
+                got = self.pair_cache[key] = self.component(mdeg_add(d1, d2)).struct[split][col]
+            return got
+        return self.product(d1, x1, d2, x2)
+
+    def _pair_coords(self, d1, x1, d2, x2, out, coeff=1, offsets=None):
+        """Add coeff x1 x2, in pair coordinates, into the sparse vector out;
+        returns the split.
+
+        An x is a basis index or a sparse vector.  A commutative split is
+        taken in key order.  The pair (i, j) is column i n2 + j of the
+        split's block, or in the symmetric block of a commutative split
+        (d1 = d2) column tri_index(min(i, j), max(i, j), n1), which so holds
+        the upper triangle of x1 x2 + x2 x1, less the diagonal once.  With
+        offsets, the block starts at column offsets[split] of out.
+        """
+        if self.flavor == COMMUTATIVE and mdeg_key(d1) > mdeg_key(d2):
+            d1, x1, d2, x2 = d2, x2, d1, x1
+        split = (d1, d2)
+        off = offsets[split] if offsets else 0
+        n1, n2 = self.comps[d1].dim, self.comps[d2].dim
+        sym = self.flavor == COMMUTATIVE and d1 == d2
+        v1 = {x1: 1} if x1.__class__ is int else x1
+        v2 = {x2: 1} if x2.__class__ is int else x2
+        for i, a in v1.items():
+            ca = coeff * a
+            for j, b in v2.items():
+                col = off + (tri_index(min(i, j), max(i, j), n1) if sym else i * n2 + j)
+                v = out.get(col, 0) + ca * b
+                if v:
+                    out[col] = v
+                else:
+                    out.pop(col, None)
+        return split
 
     def _unit(self, d, i):
         return {i: 1}
@@ -1274,75 +1300,27 @@ class ExactQuotient(InductiveQuotient):
                 if row:
                     yield _integral(row)
 
-    def _term_instances(self, f_idx, assignment):
-        """Per term of identity f_idx: (encoding, coefficient, leaf maps), one
-        leaf map {leaf position: (mdeg, basis index)} per way of arranging
-        each variable's multiset of the assignment on its leaves."""
-        var_names = sorted(assignment)
-        combos = list(itertools.product(*(arrangements_of(assignment[v]) for v in var_names)))
-        for enc, coeff, positions in self._identity_terms()[f_idx]:
-            leaf_maps = []
-            for combo in combos:
-                leaf_map = {}
-                for v, arrangement in zip(var_names, combo):
-                    leaf_map.update(zip(positions[v], arrangement))
-                leaf_maps.append(leaf_map)
-            yield enc, coeff, leaf_maps
-
-    def _eval_tree(self, enc, i, leaf_map):
-        """Evaluate the subtree at position i; returns (mdeg, kind, payload, next).
-
-        kind 'b' carries a basis index, kind 'v' a coordinate vector.
-        """
-        if enc[i] != 0:
-            e, idx = leaf_map[i]
-            return e, "b", idx, i + 1
-        d1, k1, p1, j = self._eval_tree(enc, i + 1, leaf_map)
-        d2, k2, p2, nxt = self._eval_tree(enc, j, leaf_map)
-        if k1 == "b" and k2 == "b":
-            vec = self.pair_product(d1, p1, d2, p2)
-        else:
-            v1 = p1 if k1 == "v" else self._unit(d1, p1)
-            v2 = p2 if k2 == "v" else self._unit(d2, p2)
-            vec = self.product(d1, v1, d2, v2)
-        return mdeg_add(d1, d2), "v", vec, nxt
-
-    def _place_term(self, row, comp, enc, leaf_map, coeff):
-        """Add coeff * (the term with its leaves substituted) to row, in pair coordinates."""
-        if enc[0] != 0:
-            raise BuildError("degree-1 relation term cannot live in pair coordinates")
-        d1, k1, p1, j = self._eval_tree(enc, 1, leaf_map)
-        d2, k2, p2, _ = self._eval_tree(enc, j, leaf_map)
-        if self.flavor == COMMUTATIVE and mdeg_key(d1) > mdeg_key(d2):
-            d1, k1, p1, d2, k2, p2 = d2, k2, p2, d1, k1, p1
-        n1, n2 = comp.sizes[(d1, d2)]
-        sym = self.flavor == COMMUTATIVE and d1 == d2
-        self._accumulate(row, comp.offsets[(d1, d2)], n1, n2, sym, k1, p1, k2, p2, coeff)
-
     def _relation_row(self, comp, f_idx, assignment):
-        """The relation row of one spec as a sparse dict of ints and Fractions."""
+        """The relation row of one spec as a sparse dict of ints and Fractions:
+        each term of the identity on each distinct arrangement of each
+        variable's multiset, its two root subtrees added into the pair
+        coordinates of their split."""
+        variables = sorted(assignment)
+        combos = list(itertools.product(*(
+            _slot_arrangements(tuple(label for _, label in _multiset_shape(assignment[v])))
+            for v in variables)))
         row = {}
-        for enc, coeff, leaf_maps in self._term_instances(f_idx, assignment):
-            for leaf_map in leaf_maps:
-                self._place_term(row, comp, enc, leaf_map, coeff)
+        for enc, coeff, positions in self._identity_terms()[f_idx]:
+            for combo in combos:
+                leaves = {}
+                for v, perm in zip(variables, combo):
+                    ms = assignment[v]
+                    for pos, k in zip(positions[v], perm):
+                        leaves[pos] = ms[k]
+                d1, x1, j = self._evaluate(enc, 1, leaves)
+                d2, x2, _ = self._evaluate(enc, j, leaves)
+                self._pair_coords(d1, x1, d2, x2, row, coeff, comp.offsets)
         return row
-
-    def _accumulate(self, row, off, n1, n2, sym, k1, p1, k2, p2, coeff):
-        v1 = p1 if k1 == "v" else {p1: 1}
-        v2 = p2 if k2 == "v" else {p2: 1}
-        for i, a in v1.items():
-            ca = coeff * a
-            for j, b in v2.items():
-                if sym:
-                    idx = tri_index(min(i, j), max(i, j), n1)
-                else:
-                    idx = i * n2 + j
-                col = off + idx
-                v = row.get(col, 0) + ca * b
-                if v:
-                    row[col] = v
-                else:
-                    row.pop(col, None)
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,14 @@ def relation_row(q, comp, f_idx, assignment):
     return quotient.mod_p(row, p, out=row)
 
 
+def _arrangements(multiset):
+    """Distinct orderings of a multiset of (mdeg, index) pairs."""
+    return sorted(set(itertools.permutations(multiset)))
+
+
 def _term_instances(q, f_idx, assignment):
     var_names = sorted(assignment)
-    combos = list(itertools.product(*(quotient.arrangements_of(assignment[v])
-                                      for v in var_names)))
+    combos = list(itertools.product(*(_arrangements(assignment[v]) for v in var_names)))
     for enc, coeff, positions in q._identity_terms()[f_idx]:
         leaf_maps = []
         for combo in combos:
