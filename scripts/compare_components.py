@@ -59,8 +59,8 @@ def _block_bytes(block, np):
 
 def _line(case, field, d, comp, np):
     name, q, _, target = case
-    struct = [part for split in comp.splits
-              for part in (repr(split), _block_bytes(comp.struct[split], np))]
+    struct = [part for split, block in comp.struct.items()
+              for part in (repr(split), _block_bytes(block, np))]
     return json.dumps({"variety": name, "q": None if q is None else str(q),
                        "target": list(target), "field": field, "d": list(d),
                        "dim": comp.dim, "rank": comp.rank, "mode": comp.mode,

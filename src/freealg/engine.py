@@ -1,14 +1,15 @@
 """Theorem-level API: identity verdicts, fixed degree-4 coordinates, plus-algebra
 identity kernels, identity-system equivalence, and named check suites.
 
-Field strategy for verdicts: components whose free-monomial coordinate space
-has at most `exact_column_cap` columns (default 20 000) are decided exactly
-over QQ; larger ones run modulo two independent primes with a cross-check and
-the verdict carries a 'modular' warning.  The two primes' quotients are built
-side by side in two child processes, or one after the other in process on a
-single CPU (quotient.build_twins).  Zero images over QQ are exact
-membership proofs even when the span was assembled from modular-selected rows
-(the rows are honest consequence members either way).
+is_identity decides each component in one loop: it passes when every image
+(sparse in both fields) is empty.  At char p the field is GF(p); at char 0 a
+component with at most `exact_column_cap` free-monomial columns (default
+20 000) is decided exactly over QQ, a larger one modulo two independent
+primes whose images must agree, with a 'modular' warning.  The two primes'
+quotients are built side by side in two child processes, or one after the
+other in process on a single CPU (quotient.build_twins).  Zero images over
+QQ are exact membership proofs even when the span was assembled from
+modular-selected rows (the rows are honest consequence members either way).
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-import numpy as np
-
 from . import albert27, lang, linalg, quotient, series, tideal
-from .term import (COMMUTATIVE, PLANAR, GF, QQ, Monomial, Polynomial,
+from .term import (COMMUTATIVE, PLANAR, GF, QQ, Polynomial,
                    count_monomials, enumerate_monomials, field_by_char, mdeg)
 
 EXACT_COLUMN_CAP = 20000
@@ -37,7 +36,6 @@ class Verdict:
     is_identity: bool
     characteristic: int
     multidegrees: list
-    residuals: dict                  # mdeg -> {index: Fraction} or per-prime summary
     certificate: object = None
     timing: float = 0.0
     warnings: list = dc_field(default_factory=list)
@@ -78,47 +76,29 @@ def is_identity(variety, expr, char=0, mode="direct",
     warnings = _char_warnings(variety, char)
     poly = candidate_polynomial(expr, variety, mode)
     comps = poly.components()
-    residuals = {}
     ok = True
     certificate = None
     if not comps:
         warnings.append("candidate expands to the zero polynomial")
     for d, part in comps.items():
-        if char == 0:
-            columns = count_monomials(d, variety.flavor)
-            if columns <= exact_column_cap:
-                qa = quotient.get_quotient(variety, QQ, degree_cap)
-                img = qa.poly_image(part)
-                residuals[d] = dict(sorted(img.items()))
-                if img:
-                    ok = False
-            else:
-                twins = [quotient.get_quotient(variety, GF(p), degree_cap)
-                         for p in quotient.SELECTION_PRIMES]
-                quotient.build_twins(twins, d)
-                supports = []
-                for qa in twins:
-                    img = qa.poly_image(part.to_field(qa.field))
-                    supports.append(int(np.count_nonzero(img)))
-                if supports[0] != supports[1] and (supports[0] == 0) != (supports[1] == 0):
-                    raise EngineError("strategy primes disagree at %r" % (d,))
-                residuals[d] = {"modular_nonzero_coords": supports}
-                warnings.append("component %s decided by the two-prime modular strategy"
-                                % (list(d),))
-                if supports[0] or supports[1]:
-                    ok = False
+        if char:
+            fields = [GF(char)]
+        elif count_monomials(d, variety.flavor) <= exact_column_cap:
+            fields = [QQ]
         else:
-            fld = GF(char)
-            qa = quotient.get_quotient(variety, fld, degree_cap)
-            img = qa.poly_image(part.to_field(fld))
-            nz = np.nonzero(img)[0]
-            residuals[d] = {int(i): int(img[i]) for i in nz}
-            if nz.size:
-                ok = False
+            fields = [GF(p) for p in quotient.SELECTION_PRIMES]
+        quotients = [quotient.get_quotient(variety, fld, degree_cap) for fld in fields]
+        if len(quotients) > 1:
+            quotient.build_twins(quotients, d)
+            warnings.append("component %s decided by the two-prime modular strategy"
+                            % (list(d),))
+        zero = [not qa.poly_image(part) for qa in quotients]
+        if len(set(zero)) > 1:
+            raise EngineError("strategy primes disagree at %r" % (d,))
+        ok = ok and zero[0]
     if want_certificate and ok and char == 0:
         certificate = _certificate(variety, poly, comps)
-    return Verdict(ok, char, list(comps), residuals, certificate,
-                   time.time() - t0, warnings)
+    return Verdict(ok, char, list(comps), certificate, time.time() - t0, warnings)
 
 
 def _certificate(variety, poly, comps):
@@ -170,6 +150,12 @@ HENTZEL_BASIS_TEXT = {
 }
 
 
+def _monomial(text):
+    """The planar monomial that a DSL text of one unit term denotes."""
+    (m,) = lang.expand(text, PLANAR).terms
+    return m
+
+
 def hentzel_basis(alpha):
     """Fixed monomial basis of the degree-4 assosymmetric component of type alpha.
 
@@ -178,7 +164,7 @@ def hentzel_basis(alpha):
     """
     alpha = mdeg(alpha)
     if alpha in HENTZEL_BASIS_TEXT:
-        return [Monomial.from_text(t, PLANAR) for t in HENTZEL_BASIS_TEXT[alpha]]
+        return [_monomial(t) for t in HENTZEL_BASIS_TEXT[alpha]]
     if alpha == (1, 1, 1, 1):
         variety = tideal.get_variety("assosymmetric")
         mons, _ = tideal.monomial_index(alpha, PLANAR)
@@ -243,20 +229,10 @@ def plus_identity_kernel(variety, d, char=0, degree_cap=quotient.DEFAULT_DEGREE_
     fld = field_by_char(char)
     comm = enumerate_monomials(d, COMMUTATIVE)
     qa = quotient.get_quotient(variety, fld, degree_cap)
-    images = []
-    for m in comm:
-        img = qa.poly_image(lang.star_expand(Polynomial.unit(m, 1, QQ)).to_field(fld))
-        if char:
-            img = {int(k): int(img[k]) for k in np.flatnonzero(img)}
-        images.append(img)
-    rows = []
-    for k in range(qa.dim(d)):
-        row = {}
-        for i, img in enumerate(images):
-            x = img.get(k)
-            if x:
-                row[i] = x
-        rows.append(row)
+    rows = [{} for _ in range(qa.dim(d))]
+    for i, m in enumerate(comm):
+        for k, x in qa.poly_image(lang.star_expand(Polynomial.unit(m, 1, QQ))).items():
+            rows[k][i] = x
     return linalg.kernel(rows, len(comm), fld), comm
 
 
@@ -300,7 +276,7 @@ def _expected_coords(text_to_value):
     out = {}
     for text, v in text_to_value.items():
         if v:
-            out[Monomial.from_text(text, PLANAR).to_text()] = Fraction(v)
+            out[_monomial(text).to_text()] = Fraction(v)
     return out
 
 

@@ -507,7 +507,11 @@ def _gauss_jordan_mod(P, p):
 # ---------------------------------------------------------------------------
 
 class _Component:
-    __slots__ = ("d", "dim", "splits", "offsets", "sizes", "paircols",
+    """A component.  Its split layout is the ordered offsets, {split: first
+    pair column of its block}; a block ends where the next begins, the last
+    at paircols.  struct holds the struct map's blocks in the same order."""
+
+    __slots__ = ("d", "dim", "offsets", "paircols",
                  "struct", "selected", "rank", "mode", "nonpiv", "S")
 
     def __init__(self, d):
@@ -532,9 +536,9 @@ def _relabel(base, d):
     its variables onto base's.  It keeps mdeg_key, so it keeps the split
     order (planar and commutative), the spec stream of iter_relation_specs
     and every relation row, value by value: the component at d is base
-    under renamed split keys.  Only the keys of splits, offsets, sizes and
-    struct are renamed; dim, paircols, rank, mode, selected, nonpiv, S and
-    the struct blocks are base's own objects.
+    under renamed split keys.  Only the keys of offsets and struct are
+    renamed; dim, paircols, rank, mode, selected, nonpiv, S and the struct
+    blocks are base's own objects.
     """
     at = [i for i, x in enumerate(d) if x]
 
@@ -547,10 +551,8 @@ def _relabel(base, d):
     comp = _Component(d)
     for name in ("dim", "paircols", "rank", "mode", "selected", "nonpiv", "S"):
         setattr(comp, name, getattr(base, name))
-    keys = {split: (rename(split[0]), rename(split[1])) for split in base.splits}
-    comp.splits = list(keys.values())
+    keys = {split: (rename(split[0]), rename(split[1])) for split in base.offsets}
     comp.offsets = {keys[split]: x for split, x in base.offsets.items()}
-    comp.sizes = {keys[split]: x for split, x in base.sizes.items()}
     comp.struct = {keys[split]: x for split, x in base.struct.items()}
     return comp
 
@@ -564,7 +566,8 @@ class InductiveQuotient:
     split of a struct map into blocks.  A subclass supplies the coordinate
     type through _unit (a basis vector), _coeff (a rational as a
     coefficient), _products (the value of an interior node of _evaluate,
-    whose leaves carry basis indices), product and poly_image, and
+    whose leaves carry basis indices), product, poly_image (a sparse
+    {coordinate: nonzero value} in both fields), and
     _reduce(comp), which assembles and eliminates a component's relation
     rows, sets comp.rank and returns its struct map: one row per pair
     column.
@@ -660,33 +663,28 @@ class InductiveQuotient:
 
     def _build(self, d):
         comp = _Component(d)
+        comp.offsets, comp.paircols = {}, 0
         if mdeg_total(d) == 1:
             comp.dim = 1
-            comp.splits, comp.offsets, comp.sizes, comp.paircols = [], {}, {}, 0
             return comp
-        splits = component_splits(d, self.flavor)
-        offsets, sizes = {}, {}
-        off = 0
-        for d1, d2 in splits:
+        for d1, d2 in component_splits(d, self.flavor):
             n1, n2 = self.comps[d1].dim, self.comps[d2].dim
-            sizes[(d1, d2)] = (n1, n2)
-            offsets[(d1, d2)] = off
-            off += block_size(self.flavor, d1, d2, n1, n2)
-        comp.splits, comp.offsets, comp.sizes, comp.paircols = splits, offsets, sizes, off
-        if off > MAX_PAIR_COLUMNS:
+            comp.offsets[(d1, d2)] = comp.paircols
+            comp.paircols += block_size(self.flavor, d1, d2, n1, n2)
+        if comp.paircols > MAX_PAIR_COLUMNS:
             raise BudgetExceeded("component %r needs %d pair columns, over the budget %d"
-                                 % (d, off, MAX_PAIR_COLUMNS))
+                                 % (d, comp.paircols, MAX_PAIR_COLUMNS))
         struct = self._reduce(comp)
         comp.dim = comp.paircols - comp.rank
-        self._split_struct(comp, struct)
+        _split_struct(comp, struct)
         return comp
 
-    def _split_struct(self, comp, struct):
-        """One struct block per split: a slice (for numpy, a view) of the struct map."""
-        for split in comp.splits:
-            off = comp.offsets[split]
-            n1, n2 = comp.sizes[split]
-            comp.struct[split] = struct[off:off + block_size(self.flavor, split[0], split[1], n1, n2)]
+
+def _split_struct(comp, struct):
+    """One struct block per split: a slice (for numpy, a view) of the struct
+    map from the split's offset to the next one's, or to paircols."""
+    ends = list(comp.offsets.values())[1:] + [comp.paircols]
+    comp.struct = {split: struct[off:end] for (split, off), end in zip(comp.offsets.items(), ends)}
 
 
 # ---------------------------------------------------------------------------
@@ -707,18 +705,18 @@ class ModularQuotient(InductiveQuotient):
         self._coeff_cache: dict[Fraction, int] = {}
 
     def poly_image(self, poly: Polynomial):
-        """Image of a multihomogeneous polynomial in its component's coordinates."""
+        """Image of a multihomogeneous polynomial in its component's coordinates,
+        {coordinate: nonzero residue}; FieldError on a denominator p divides."""
         d = poly.multidegree()
         if d is None:
             raise BuildError("polynomial is not multihomogeneous")
-        comp = self.component(d)
-        out = np.zeros(comp.dim)
-        for m, c in poly.terms.items():
-            cm = self._coeff(poly.field.to_fraction(c))
+        terms = [(m, self._coeff(poly.field.to_fraction(c))) for m, c in poly.terms.items()]
+        out = np.zeros(self.component(d).dim)       # a bad coefficient fails before the build
+        for m, cm in terms:
             if cm:
                 out += cm * self.monomial_image(m)
                 out %= self.p
-        return out
+        return {int(k): int(out[k]) for k in np.flatnonzero(out)}
 
     def product(self, d1, v1, d2, v2):
         """Product Q_{d1} x Q_{d2} -> Q_{d1+d2} on coordinate vectors."""
@@ -731,7 +729,7 @@ class ModularQuotient(InductiveQuotient):
             for name, value in zip(_WIRE, values):
                 setattr(comp, name, value)
             if comp.S is not None:
-                self._split_struct(comp, comp.S)
+                _split_struct(comp, comp.S)
             self.comps[d] = comp
 
     def _unit(self, d, i):
@@ -908,19 +906,18 @@ def _content_normalize(row):
 class IntRREF:
     """Incremental reduced echelon basis over QQ with integer-scaled rows.
 
-    Each stored row is an integer vector of content 1 whose support meets the
-    pivot set only in its own pivot; the rational RREF row is row / pivot
-    value.  Cross-multiplied merges avoid Fraction arithmetic entirely; a
-    guard renormalizes a row whenever its entries grow past 2^96.
+    rows maps each pivot column to its row: an integer vector of content 1
+    whose support meets the pivot set only in its own pivot, where it is
+    positive; the rational RREF row is row / pivot value.  Cross-multiplied
+    merges avoid Fraction arithmetic entirely; a guard renormalizes a row
+    whenever its entries grow past 2^96.
     """
 
     _GUARD = 1 << 96
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.rows = []
-        self.pivots = []
-        self.pos = {}
+        self.rows = {}
 
     @property
     def rank(self):
@@ -948,13 +945,13 @@ class IntRREF:
         is fixed up front and merges only ever touch non-pivot columns.
         """
         guard = self._GUARD
-        for col in sorted(c for c in row if c in self.pos):
+        rows = self.rows
+        for col in sorted(c for c in row if c in rows):
             rc = row.get(col)
             if not rc:
                 row.pop(col, None)
                 continue
-            i = self.pos[col]
-            pivrow = self.rows[i]
+            pivrow = rows[col]
             row = self._merge(pivrow[col], row, rc, pivrow)
             row.pop(col, None)
             if any(v > guard or -v > guard for v in row.values()):
@@ -968,35 +965,29 @@ class IntRREF:
                 row[c] = -row[c]
         # restore reducedness: clear the new pivot column from existing rows
         pv = row[lead]
-        for i, other in enumerate(self.rows):
+        for piv, other in rows.items():
             oc = other.get(lead)
             if oc is None:
                 continue
             merged = self._merge(pv, other, oc, row)
             _content_normalize(merged)
-            if merged[self.pivots[i]] < 0:
+            if merged[piv] < 0:
                 for c2 in merged:
                     merged[c2] = -merged[c2]
-            self.rows[i] = merged
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < lead:
-            at += 1
-        self.pivots.insert(at, lead)
-        self.rows.insert(at, row)
-        self.pos = {c: i for i, c in enumerate(self.pivots)}
+            rows[piv] = merged
+        rows[lead] = row
         return True
 
     def struct_columns(self):
         """Per column, its image {non-pivot index: int or Fraction} under the
         projection along the span onto the non-pivot columns."""
-        colmap = {c: k for k, c in enumerate(c for c in range(self.ncols) if c not in self.pos)}
+        colmap = {c: k for k, c in enumerate(c for c in range(self.ncols) if c not in self.rows)}
         cols = []
         for c in range(self.ncols):
-            i = self.pos.get(c)
-            if i is None:
+            r = self.rows.get(c)
+            if r is None:
                 cols.append({colmap[c]: 1})
             else:
-                r = self.rows[i]
                 pv = r[c]
                 cols.append({colmap[c2]: _q(-x, pv) for c2, x in r.items() if c2 != c})
         return cols
@@ -1109,7 +1100,7 @@ def _struct_reduces_to(comp, twin, p):
     if not comp.paircols:
         return True
     R = np.zeros(twin.S.shape)
-    for c, col in enumerate(col for split in comp.splits for col in comp.struct[split]):
+    for c, col in enumerate(col for block in comp.struct.values() for col in block):
         for j, x in col.items():
             den = x.denominator % p
             if not den:
@@ -1162,6 +1153,7 @@ class ExactQuotient(InductiveQuotient):
                                   for f in self.identities for c in f.terms.values())
 
     def poly_image(self, poly: Polynomial):
+        """Image of a multihomogeneous polynomial, {coordinate: nonzero Fraction}."""
         d = poly.multidegree()
         if d is None:
             raise BuildError("polynomial is not multihomogeneous")
@@ -1353,8 +1345,7 @@ def clear_cache():
 # ---------------------------------------------------------------------------
 
 # What a child sends of each component; the struct blocks are rebuilt as views of S.
-_WIRE = ("dim", "splits", "offsets", "sizes", "paircols", "selected", "rank", "mode",
-         "nonpiv", "S")
+_WIRE = ("dim", "offsets", "paircols", "selected", "rank", "mode", "nonpiv", "S")
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # A fresh interpreter that imports freealg from the parent's directory, never __main__.
 _CHILD_CODE = ("import sys; sys.path.insert(0, sys.argv[1]); "
@@ -1381,7 +1372,10 @@ def build_twins(quotients, d):
     """
     d = mdeg(d)
     lacking = [q for q in quotients if d not in q.comps]
-    ncpu = len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity"):
+        ncpu = len(os.sched_getaffinity(0))
+    else:                         # no affinity API, as on macOS
+        ncpu = os.cpu_count() or 1
     if ncpu < 2 or len(lacking) < 2:
         return
     try:

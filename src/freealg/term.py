@@ -50,9 +50,6 @@ class FieldQ:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -94,9 +91,6 @@ class FieldFp:
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p
@@ -318,33 +312,6 @@ class Monomial:
             return "t%d" % self.enc[0]
         l, r = self.children()
         return "(%s %s)" % (l.to_text(), r.to_text())
-
-    @staticmethod
-    def from_text(s, flavor=PLANAR):
-        toks = s.replace("(", " ( ").replace(")", " ) ").split()
-        m, rest = Monomial._parse_tokens(toks, 0, flavor)
-        while rest < len(toks) and toks[rest] != ")":
-            # tolerate outer parentheses being omitted: fold juxtaposition left
-            m2, rest = Monomial._parse_tokens(toks, rest, flavor)
-            m = Monomial.pair(m, m2)
-        if rest != len(toks):
-            raise ValueError("trailing garbage in %r" % (s,))
-        return m
-
-    @staticmethod
-    def _parse_tokens(toks, i, flavor):
-        if i >= len(toks):
-            raise ValueError("truncated monomial text")
-        if toks[i] == "(":
-            left, j = Monomial._parse_tokens(toks, i + 1, flavor)
-            right, k = Monomial._parse_tokens(toks, j, flavor)
-            if k >= len(toks) or toks[k] != ")":
-                raise ValueError("missing ')'")
-            return Monomial.pair(left, right), k + 1
-        tok = toks[i]
-        if not (tok.startswith("t") and tok[1:].isdigit()):
-            raise ValueError("bad leaf token %r" % (tok,))
-        return Monomial.leaf(int(tok[1:]), flavor), i + 1
 
     def __repr__(self):
         return "Monomial(%s, %s)" % (self.flavor[0], self.to_text())

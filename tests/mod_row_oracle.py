@@ -107,7 +107,7 @@ def _place_term(q, row, comp, enc, leaf_map, coeff):
     d2, k2, p2, _ = _eval_tree(q, enc, j, leaf_map)
     if q.flavor == COMMUTATIVE and mdeg_key(d1) > mdeg_key(d2):
         d1, k1, p1, d2, k2, p2 = d2, k2, p2, d1, k1, p1
-    n1, n2 = comp.sizes[(d1, d2)]
+    n1, n2 = q.comps[d1].dim, q.comps[d2].dim
     off = comp.offsets[(d1, d2)]
     if q.flavor == COMMUTATIVE and d1 == d2:
         if k1 == "b" and k2 == "b":

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freealg import engine, lang, tideal
+from freealg import engine, lang, quotient, tideal
 from freealg.term import COMMUTATIVE, PLANAR, QQ, Monomial, Polynomial, field_by_char, mdeg
 
 
@@ -49,6 +49,22 @@ def test_lie_triple_plus_identity(assym):
     for char in (0, 5):
         v = engine.is_identity(assym, "lietriple(t1,t2,t3)", char, "plus")
         assert v.is_identity and v.multidegrees == [(1, 2, 1)]
+
+
+def test_strategy_primes_that_disagree_raise(assym, monkeypatch):
+    # exact_column_cap=0 sends every char-0 component to the two primes
+    v = engine.is_identity(assym, "lietriple(t1,t2,t3)", 0, "plus", exact_column_cap=0)
+    assert v.is_identity
+    assert v.warnings == ["component [1, 2, 1] decided by the two-prime modular strategy"]
+    image = quotient.ModularQuotient.poly_image
+
+    def skewed(self, poly):
+        img = image(self, poly)
+        return {0: 1} if self.p == quotient.SELECTION_PRIMES[1] else img
+
+    monkeypatch.setattr(quotient.ModularQuotient, "poly_image", skewed)
+    with pytest.raises(engine.EngineError, match=r"strategy primes disagree at \(1, 2, 1\)"):
+        engine.is_identity(assym, "lietriple(t1,t2,t3)", 0, "plus", exact_column_cap=0)
 
 
 def test_verdict_monotone_in_the_variety(assym):

@@ -147,7 +147,7 @@ def test_polarize_rejects_inhomogeneous():
 
 def test_blended_instance_is_plain_substitution_when_multilinear():
     f = expand("lsym(t1,t2,t3)", PLANAR)
-    a = Monomial.from_text("(t1 t2)")
+    (a,) = expand("t1 t2", PLANAR).terms
     inst = blended_instance(f, {1: (a,), 2: (Monomial.leaf(3),), 3: (Monomial.leaf(1),)})
     want = expand("lsym((t1 t2), t3, t1)", PLANAR)
     assert inst == want

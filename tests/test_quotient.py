@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from free_oracle import free_dim
 from freealg import engine, lang, linalg, quotient, tideal
-from freealg.term import COMMUTATIVE, PLANAR, GF, Monomial, Polynomial, QQ, field_by_char
+from freealg.term import (COMMUTATIVE, PLANAR, GF, FieldError, Monomial, Polynomial, QQ,
+                          field_by_char)
 
 
 def rand_int_rows(rng, nrows, ncols, density=0.4, bound=6):
@@ -121,11 +122,11 @@ def test_int_rref_matches_fraction_rref():
             ir.insert(dict(r))
         oracle = linalg.rref([{c: Fraction(v) for c, v in r.items()} for r in rows],
                              9, QQ)
-        assert ir.rank == oracle.rank and ir.pivots == oracle.pivots
-        for i, row in enumerate(ir.rows):
-            pv = row[ir.pivots[i]]
-            frac = {c: Fraction(v, pv) for c, v in row.items()}
-            assert frac == oracle.rows[i]
+        rows = sorted(ir.rows.items())
+        assert ir.rank == oracle.rank and [piv for piv, _ in rows] == oracle.pivots
+        for (piv, row), want in zip(rows, oracle.rows):
+            frac = {c: Fraction(v, row[piv]) for c, v in row.items()}
+            assert frac == want
 
 
 def test_relation_spec_enumeration_is_deterministic_and_blended():
@@ -149,8 +150,8 @@ def test_relation_spec_enumeration_is_deterministic_and_blended():
 def test_monomial_images_are_multiplicative():
     assym = tideal.get_variety("assosymmetric")
     qe = quotient.get_quotient(assym, QQ)
-    a = Monomial.from_text("(t1 t2)")
-    b = Monomial.from_text("(t1 (t3 t1))")
+    (a,) = lang.expand("t1 t2", PLANAR).terms
+    (b,) = lang.expand("t1 (t3 t1)", PLANAR).terms
     ab = Monomial.pair(a, b)
     img = qe.monomial_image(ab)
     prod = qe.product(a.multidegree(), qe.monomial_image(a),
@@ -166,13 +167,19 @@ def test_modular_and_exact_images_agree():
     poly = lang.expand("J(t1,t2,t3) - [[t1,t3],t2]", PLANAR)
     img_e = qe.poly_image(poly)
     img_m = qm.poly_image(poly.to_field(GF(p)))
-    assert not img_e and not np.any(img_m)
+    assert img_e == {} and img_m == {}
     poly = lang.expand("wjor(t1,t2,t3,t4)", PLANAR)
     img_e = qe.poly_image(poly)
     img_m = qm.poly_image(poly.to_field(GF(p)))
-    dim = qe.dim((1, 1, 1, 1))
-    dense = [int((img_e.get(k, Fraction(0)) % p)) for k in range(dim)]
-    assert dense == [int(x) for x in img_m]
+    want = {k: GF(p).from_fraction(x) for k, x in img_e.items()}
+    assert img_m == {k: x for k, x in want.items() if x}
+
+
+def test_a_coefficient_p_divides_fails_before_the_build():
+    qm = quotient.ModularQuotient(tideal.get_variety("assosymmetric"), 3)
+    with pytest.raises(FieldError, match="not invertible mod 3"):
+        qm.poly_image(lang.expand("1/3 lsym(t1,t2,t3) t4", PLANAR))
+    assert not qm.comps
 
 
 def test_free_commutative_quotient_counts_trees():
@@ -285,7 +292,8 @@ def test_commutative_modular_quotient_matches_exact(name):
         poly = lang.expand(text, COMMUTATIVE)
         img_e = qe.poly_image(poly)
         img_m = qm.poly_image(poly.to_field(fld))
-        assert [fld.from_fraction(img_e.get(k, 0)) for k in range(len(img_m))] == img_m.tolist()
+        want = {k: fld.from_fraction(x) for k, x in img_e.items()}
+        assert img_m == {k: x for k, x in want.items() if x}
 
 
 def test_square_zero_commutative_quotient_matches_free_oracle():
@@ -338,17 +346,16 @@ def test_a_relabeled_component_is_its_base_under_renamed_keys(name, d, char):
     q = quotient.ExactQuotient(variety) if char == 0 else quotient.ModularQuotient(variety, char)
     comp, base = q.component(d), q.comps[_base(d)]
     assert comp is not base and comp.d == d
-    assert comp.splits == quotient.component_splits(d, variety.flavor)
+    assert list(comp.offsets) == quotient.component_splits(d, variety.flavor)
     for attr in ("dim", "paircols", "rank", "mode", "selected", "nonpiv", "S"):
         assert getattr(comp, attr) is getattr(base, attr), attr
-    for split, base_split in zip(comp.splits, base.splits):
+    assert list(comp.offsets.values()) == list(base.offsets.values())
+    for split, base_split in zip(comp.offsets, base.offsets):
         assert comp.struct[split] is base.struct[base_split]
-        assert comp.offsets[split] == base.offsets[base_split]
-        assert comp.sizes[split] == base.sizes[base_split]
     # the component at d built from its own relation rows, as before relabeling
     built = q._build(d)
-    assert (built.dim, built.rank, built.selected, built.splits) == \
-        (comp.dim, comp.rank, comp.selected, comp.splits)
+    assert (built.dim, built.rank, built.selected, built.offsets) == \
+        (comp.dim, comp.rank, comp.selected, comp.offsets)
     if char:
         assert np.array_equal(built.nonpiv, comp.nonpiv) and np.array_equal(built.S, comp.S)
     else:

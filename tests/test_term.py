@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freealg.lang import expand
 from freealg.term import (COMMUTATIVE, PLANAR, FlavorError, GF, Monomial,
                           Polynomial, QQ, count_monomials, enumerate_monomials,
                           mdeg, mdeg_add)
@@ -66,7 +67,7 @@ def test_multidegree_examples():
     a, b = leaves(1, 2)
     assert Monomial.pair(Monomial.pair(a, a), b).multidegree() == (2, 1)
     assert Monomial.leaf(3).multidegree() == (0, 0, 1)
-    m = Monomial.from_text("(((t1 t2) t1)(t3 t1))")
+    (m,) = expand("((t1 t2) t1)(t3 t1)", PLANAR).terms
     assert m.multidegree() == (3, 1, 1)
 
 
@@ -76,7 +77,7 @@ def test_multidegree_examples():
 @given(monomials(depth=3, nvars=4))
 def test_encoding_round_trip(m):
     assert Monomial.from_enc(PLANAR, m.enc) == m
-    assert Monomial.from_text(m.to_text()) == m
+    assert expand(m.to_text(), PLANAR) == Polynomial.unit(m)
 
 
 @settings(max_examples=150)

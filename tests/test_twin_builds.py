@@ -115,6 +115,27 @@ def test_a_zero_padded_target_is_relabeled_from_the_childrens_builds(monkeypatch
     assert not batches                                   # every elimination ran in a child
 
 
+def test_twins_count_cpus_without_an_affinity_api(monkeypatch):
+    # as on macOS: os.cpu_count alone decides, an unknown count meaning one
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assym = tideal.get_variety("assosymmetric")
+    d = (2, 1, 1)
+    batches = _count_batches(monkeypatch)
+    for n in (None, 1):
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+        serial = _twins(assym)
+        quotient.build_twins(serial, d)
+        assert not any(d in q.comps for q in serial)     # one CPU: left to component(d)
+        assert [q.dim(d) for q in serial] == [16, 16]
+    assert batches
+    batches.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parallel = _twins(assym)
+    quotient.build_twins(parallel, d)
+    assert [q.comps[d].dim for q in parallel] == [16, 16]
+    assert not batches                                   # every elimination ran in a child
+
+
 def test_child_error_is_raised_with_its_type_and_message(monkeypatch):
     assym = tideal.get_variety("assosymmetric")
     _cpus(monkeypatch, 1)
