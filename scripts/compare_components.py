@@ -34,6 +34,7 @@ CASES = [
     ("lie_triple", None, 0, (2, 2, 2)),
     ("assosymmetric", None, 999983, (6, 0, 1)),
     ("assosymmetric", None, 3, (2, 0, 1, 1)),
+    ("assosymmetric", None, 3, (5, 1, 1)),       # 538 pair columns: many full panels
     ("jordan", None, 999983, (3, 2, 1)),
     ("lie_triple", None, 999983, (2, 2, 1)),
     ("assder", None, 5, (2, 1, 1, 1)),

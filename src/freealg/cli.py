@@ -45,6 +45,8 @@ class RunConfig:
             raise ValueError("characteristic must be 0 or a prime") from None
         if self.degree_cap < 1:
             raise ValueError("the degree cap must be positive")
+        if self.exact_column_cap < 0:
+            raise ValueError("the exact column cap must not be negative")
 
 
 def _parse_mdeg(text):

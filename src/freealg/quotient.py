@@ -103,7 +103,7 @@ FULL_COLS_CAP = 420          # exact components at most this wide skip the modul
 DEFAULT_DEGREE_CAP = 8
 MAX_PAIR_COLUMNS = 100_000
 BATCH_ROWS = 256             # relation rows per DenseModRREF.add_batch, clamped below its chunk
-PANEL_ROWS = 32              # rows per Gauss-Jordan panel inside a batch
+PANEL_ROWS = 16              # rows per int64 panel; entries stay below p + PANEL_ROWS (p-1)^2
 KILL_CHECK_ROWS = 32         # rows per block of lift_struct's kill check; small ones keep peak RSS
 
 
@@ -417,15 +417,13 @@ class DenseModRREF:
         (Y = M[:, nonpiv] - M[:, piv] @ N) and reduced mod p once; the rows
         that are then zero lie in the span already and are dropped before the
         panels.  The others are eliminated in panels of PANEL_ROWS: a panel
-        is reduced against the batch's earlier new rows W by one matmul,
-        brought to reduced echelon form by Gauss-Jordan steps inside the
-        panel, and its new rows are cleared from W by another matmul (the
-        back-substitution among the new rows).
-        Mod-p reduction is deferred inside a panel: each step changes an
-        entry by at most (p-1)^2 and a panel holds fewer than chunk rows, so
-        every intermediate value stays an exact float64 integer.  Finally
-        the new pivot columns are cleared from N in one matmul and dropped
-        from the non-pivot set.
+        is reduced against the batch's earlier new rows W by one matmul
+        (exact, as a batch has fewer than chunk rows), brought to reduced
+        echelon form in int64 residues and written back reduced by
+        _gauss_jordan_mod, and its new rows are cleared from W by another
+        matmul (the back-substitution among the new rows).  Finally the new
+        pivot columns are cleared from N in one matmul and dropped from the
+        non-pivot set.
         """
         p = self.p
         if M.shape[0] >= self.chunk:
@@ -444,7 +442,7 @@ class DenseModRREF:
         for start in range(0, Y.shape[0], PANEL_ROWS):
             P = Y[start:start + PANEL_ROWS]
             if k:
-                X = mod_p(P[:, leads], p)
+                X = P[:, leads]
                 if np.any(X):
                     P -= X @ W[:k]
             found = _gauss_jordan_mod(P, p)
@@ -452,7 +450,7 @@ class DenseModRREF:
                 continue
             rows = [i for i, _ in found]
             cols = [c for _, c in found]
-            mod_p(P[rows], p, out=W[k:k + len(rows)])
+            W[k:k + len(rows)] = P[rows]
             if k:
                 X = W[:k, cols]
                 if np.any(X):
@@ -481,24 +479,29 @@ class DenseModRREF:
 
 
 def _gauss_jordan_mod(P, p):
-    """Reduced echelon form of the rows of P over GF(p), in place, with
-    deferred reduction; returns [(row, lead column)] of the rows that pivoted."""
+    """Reduced echelon form over GF(p) of the rows of P (float64 integers
+    below 2^53 in size), in place; returns [(row, lead column)] of the rows
+    that pivoted.  Steps run in int64 residues, one reduction per row; the
+    entries stay below p + PANEL_ROWS (p-1)^2, which may pass 2^53, so P is
+    written back reduced."""
+    A = P.astype(np.int64)
+    A %= p
     found = []
-    for i in range(P.shape[0]):
-        row = mod_p(P[i], p)
-        nz = np.flatnonzero(row)
+    for i in range(A.shape[0]):
+        row = A[i]
+        row %= p
+        nz = row.nonzero()[0]
         if nz.size == 0:
             continue
         lead = int(nz[0])
-        row = mod_p(row * pow(int(row[lead]), p - 2, p), p)
-        row[lead] = 1.0
-        P[i] = row
-        col = mod_p(P[:, lead], p)
-        col[i] = 0.0
-        touched = np.flatnonzero(col)
-        if touched.size:
-            P[touched] -= np.outer(col[touched], row)
+        row *= pow(int(row[lead]), p - 2, p)
+        row %= p
+        col = A[:, lead] % p
+        col[i] = 0
+        A -= np.outer(col, row)
         found.append((i, lead))
+    A %= p
+    P[:] = A
     return found
 
 

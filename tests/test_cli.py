@@ -172,6 +172,7 @@ def test_albert_report_deterministic():
     ["albert", "glen(t1,t2,t3)", "--samples", "0"],
     ["albert", "glen(t1,t2,t3)", "--bound", "0"],
     ["albert", "glen(t1,t2,t3)", "--bound", "-1"],
+    ["--exact-column-cap", "-1", "check", "assym", "lsym(t1,t2,t3)"],
     ["albert", "t1+"],
     ["dim", "nosuch", "--multidegree", "1,1"],
     ["expand", "t1 t2", "--star-expand"],

@@ -58,6 +58,66 @@ def test_dense_mod_rref_matches_sparse(monkeypatch):
                     assert got == {c: int(v) for c, v in oracle.rows[i].items()}
 
 
+def _oracle(R, p):
+    """linalg's RREF of the integer rows R over GF(p), and the rows that a
+    running basis takes, in order."""
+    rows = [{c: int(v) % p for c, v in enumerate(r) if v % p} for r in R]
+    running = linalg.SpanBasis(GF(p), R.shape[1])
+    taken = [i for i, r in enumerate(rows) if linalg.insert_row(running, dict(r))]
+    return linalg.rref(rows, R.shape[1], GF(p)), taken
+
+
+def _dense(oracle, ncols):
+    return np.array([[int(r.get(c, 0)) for c in range(ncols)] for r in oracle.rows])
+
+
+@pytest.mark.parametrize("p", [3, 999983, 33554467])
+def test_dense_mod_rref_matches_the_oracle_in_full_panels(p, monkeypatch):
+    # batches of two or more full panels, so later panels are reduced against
+    # earlier ones; a batch at 33554467 holds at most 6 rows, hence panels of 3
+    panel = min(quotient.PANEL_ROWS, quotient.DenseModRREF(p, 1).batch // 2)
+    monkeypatch.setattr(quotient, "PANEL_ROWS", panel)
+    rng = np.random.default_rng(p)
+    nrows, ncols, rank = 4 * panel + 5, 2 * panel + 9, panel + 8
+    C = rng.integers(0, p, (nrows, rank)) * (rng.random((nrows, rank)) < 0.4)
+    R = C @ rng.integers(0, p, (rank, ncols)) % p
+    oracle, taken = _oracle(R, p)
+    for size in {2 * panel, 2 * panel + 3, nrows}:
+        rre = quotient.DenseModRREF(p, ncols)
+        if size > rre.batch:
+            continue
+        selected = []
+        for k in range(0, nrows, size):
+            selected += [k + i for i in rre.add_batch(R[k:k + size].astype(float))]
+        assert selected == taken
+        assert rre.pivcols.tolist() == oracle.pivots
+        assert np.array_equal(rre.rows, _dense(oracle, ncols))
+
+
+@pytest.mark.parametrize("p", [3, 33554467])
+def test_gauss_jordan_mod_reduces_an_unreduced_panel(p):
+    # as add_batch passes a panel after P -= X @ W[:k] with k < chunk: entries
+    # of either sign, some above p.  Residues -1 above a unit diagonal make
+    # every step subtract about (p-1)^2, so at 33554467 the panel passes 2^53.
+    rng = np.random.default_rng(11)
+    n, ncols = quotient.PANEL_ROWS, quotient.PANEL_ROWS + 6
+    R = np.eye(n, ncols, dtype=np.int64) + np.triu(np.full((n, ncols), p - 1), 1)
+    R[4] = (2 * R[1] + R[2]) % p
+    R[7] = 0
+    top = (quotient.mod_chunk(p) - 1) * (p - 1) ** 2 // p
+    m = rng.integers(-1, top, (n, ncols))
+    m[::2] = rng.integers(-1, 2, (n - n // 2, ncols))
+    P = (R - p * m).astype(float)
+    assert P.min() < 0 and P.max() >= p
+    oracle, taken = _oracle(R, p)
+    found = quotient._gauss_jordan_mod(P, p)
+    assert [i for i, _ in found] == taken
+    assert sorted(c for _, c in found) == oracle.pivots
+    order = [i for i, _ in sorted(found, key=lambda f: f[1])]
+    assert np.array_equal(P[order], _dense(oracle, ncols))
+    assert not P[[i for i in range(n) if i not in taken]].any()
+
+
 def test_dense_mod_rref_drops_rows_in_the_span(monkeypatch):
     rng = np.random.default_rng(13)
     p, ncols = 999983, 9
