@@ -27,7 +27,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .term import COMMUTATIVE, Polynomial
+from .term import COMMUTATIVE, Polynomial, map_monomials
 from . import lang
 
 OCT_DIM = 8
@@ -258,25 +258,12 @@ def albert_star(a: AlbertElement, b: AlbertElement) -> AlbertElement:
 
 def _evaluate_flat(poly, coords):
     """Value of a commutative polynomial at flat coordinate lists {var: coords}."""
-    cache = {}
-
-    def ev(m):
-        got = cache.get(m)
-        if got is None:
-            if m.is_leaf():
-                got = coords[m.enc[0]]
-            else:
-                l, r = m.children()
-                got = _star(ev(l), ev(r))
-            cache[m] = got
-        return got
-
     acc = [0] * 27
-    for m, c in poly.terms.items():
+    for c, value in map_monomials(poly, lambda m: coords[m.enc[0]], _star):
         fr = poly.field.to_fraction(c)
         if fr.denominator == 1:       # int arithmetic is far cheaper than Fraction
             fr = fr.numerator
-        acc = [x + fr * y for x, y in zip(acc, ev(m))]
+        acc = [x + fr * y for x, y in zip(acc, value)]
     return acc
 
 
@@ -286,7 +273,8 @@ def evaluate(expr, assignment: dict) -> AlbertElement:
     The expression is expanded in commutative flavor (the product standing for
     the algebra's symmetrized product) and each monomial is evaluated on flat
     coordinates with the star table, sharing common subtrees.  Lie brackets
-    are rejected by the commutative expansion.
+    expand to zero with a warning, which is their value in a commutative
+    algebra.
     """
     if isinstance(expr, (str, tuple)):
         poly = lang.expand(expr, COMMUTATIVE)

@@ -50,7 +50,14 @@ class RunConfig:
 
 
 def _parse_mdeg(text):
-    return mdeg(int(x) for x in text.split(","))
+    """A --multidegree value; bad text is reported like any other bad input, in one line."""
+    try:
+        d = mdeg(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError("multidegree %r is not a list of counts" % (text,)) from None
+    if not d:
+        raise ValueError("multidegree %r has no positive entry" % (text,))
+    return d
 
 
 def _parse_q(text):
@@ -83,15 +90,16 @@ def _emit(cfg, payload, text_lines):
 def cmd_dim(cfg, args):
     v = _get_variety(cfg, args.variety, args.q)
     fld = field_by_char(cfg.char)
+    ds = [_parse_mdeg(t) for t in args.multidegree]
     results = []
-    for d in args.multidegree:
+    for d in ds:
         t0 = time.time()
         dim = tideal.quotient_dim(v, d, fld, degree_cap=cfg.degree_cap)
         results.append(engine.report_entry("dim:%s:%s" % (v.name, ",".join(map(str, d))),
                                            "dimension", str(dim), cfg.char, [d],
                                            time.time() - t0))
     _emit(cfg, results, ["%s dim %s = %s" % (v.name, list(d), r["verdict"])
-                         for d, r in zip(args.multidegree, results)])
+                         for d, r in zip(ds, results)])
     return 0
 
 
@@ -133,14 +141,15 @@ def cmd_sigma_q(cfg, args):
 
 def cmd_kernel(cfg, args):
     v = _get_variety(cfg, args.variety, args.q)
+    d = _parse_mdeg(args.multidegree)
     t0 = time.time()
-    kb, comm = engine.plus_identity_kernel(v, args.multidegree, cfg.char, cfg.degree_cap)
+    kb, comm = engine.plus_identity_kernel(v, d, cfg.char, cfg.degree_cap)
     polys = engine.kernel_polynomials(kb, comm, field_by_char(cfg.char))
     payload = [engine.report_entry(
-        "kernel:%s:%s" % (v.name, ",".join(map(str, args.multidegree))), "plus-identity-kernel",
-        "dim %d" % kb.rank, cfg.char, [args.multidegree], time.time() - t0,
+        "kernel:%s:%s" % (v.name, ",".join(map(str, d))), "plus-identity-kernel",
+        "dim %d" % kb.rank, cfg.char, [d], time.time() - t0,
         kernel=[str(p) for p in polys])]
-    lines = ["kernel dimension %d at %s" % (kb.rank, list(args.multidegree))]
+    lines = ["kernel dimension %d at %s" % (kb.rank, list(d))]
     lines += ["  %s" % p for p in payload[0]["kernel"]]
     _emit(cfg, payload, lines)
     return 0
@@ -149,7 +158,7 @@ def cmd_kernel(cfg, args):
 def cmd_equiv(cfg, args):
     ambient = _get_variety(cfg, args.ambient)
     res = engine.systems_equivalent(args.left, args.right, ambient,
-                                    args.multidegree, cfg.char)
+                                    [_parse_mdeg(t) for t in args.multidegree], cfg.char)
     ok = all(res.values())
     payload = [engine.report_entry(
         "equiv", "identity-systems-equivalent", "pass" if ok else "fail", cfg.char, res,
@@ -234,7 +243,7 @@ def build_parser():
 
     p = sub.add_parser("dim", help="dimension of a relatively-free component")
     p.add_argument("variety")
-    p.add_argument("--multidegree", type=_parse_mdeg, action="append", required=True)
+    p.add_argument("--multidegree", action="append", required=True)
     p.add_argument("--q", type=_parse_q, default=None)
     p.set_defaults(fn=cmd_dim)
 
@@ -259,7 +268,7 @@ def build_parser():
 
     p = sub.add_parser("kernel", help="plus-identity kernel at a multidegree")
     p.add_argument("variety")
-    p.add_argument("--multidegree", type=_parse_mdeg, required=True)
+    p.add_argument("--multidegree", required=True)
     p.add_argument("--q", type=_parse_q, default=None)
     p.set_defaults(fn=cmd_kernel)
 
@@ -267,7 +276,7 @@ def build_parser():
     p.add_argument("--left", action="append", required=True)
     p.add_argument("--right", action="append", required=True)
     p.add_argument("--ambient", default="commutative_magmatic")
-    p.add_argument("--multidegree", type=_parse_mdeg, action="append", required=True)
+    p.add_argument("--multidegree", action="append", required=True)
     p.set_defaults(fn=cmd_equiv)
 
     p = sub.add_parser("koszul", help="operadic composition residual")

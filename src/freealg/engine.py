@@ -20,8 +20,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import albert27, lang, linalg, quotient, series, tideal
-from .term import (COMMUTATIVE, PLANAR, GF, QQ, Polynomial,
-                   count_monomials, enumerate_monomials, field_by_char, mdeg)
+from .term import (COMMUTATIVE, PLANAR, GF, QQ, Polynomial, count_monomials,
+                   enumerate_monomials, field_by_char, linear_combination, mdeg)
 
 EXACT_COLUMN_CAP = 20000
 CERTIFICATE_CAP = 2000
@@ -119,13 +119,10 @@ def _certificate(variety, poly, comps):
         by_gen = basis.express(tideal.vectorize(part, index))
         if by_gen is None:
             return None
-        combo = Polynomial.zero(variety.flavor, QQ)
-        entries = []
-        for j in sorted(by_gen):
-            combo = combo + gen[j].poly.scale(by_gen[j])
-            entries.append({"provenance": gen[j].provenance,
-                            "coefficient": str(by_gen[j]),
-                            "row": str(gen[j].poly)})
+        entries = [{"provenance": gen[j].provenance, "coefficient": str(by_gen[j]),
+                    "row": str(gen[j].poly)} for j in sorted(by_gen)]
+        combo = linear_combination(variety.flavor, QQ,
+                                   [(by_gen[j], gen[j].poly) for j in sorted(by_gen)])
         if combo != part:
             raise EngineError("certificate re-multiplication failed at %r" % (d,))
         cert[d] = entries

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
-from .term import (COMMUTATIVE, PLANAR, FlavorError, Monomial, Polynomial, QQ,
-                   poly_substitute)
+from .term import (COMMUTATIVE, PLANAR, FlavorError, Monomial, Polynomial, QQ, leaf_positions,
+                   linear_combination, map_monomials, poly_substitute)
 
 
 class ParseError(ValueError):
@@ -137,8 +139,10 @@ class _Parser:
         num = t[1]
         if self.peek()[0] == "/":
             self.next()
-            den = self.expect("num")[1]
-            return Fraction(num, den)
+            den = self.expect("num")
+            if den[1] == 0:
+                raise ParseError("zero denominator", den[2])
+            return Fraction(num, den[1])
         return Fraction(num)
 
     def parse_term(self, sign):
@@ -327,10 +331,8 @@ def _expand(e, flavor, field):
     if kind == "var":
         return Polynomial.variable(e[1], flavor, field)
     if kind == "sum":
-        acc = Polynomial.zero(flavor, field)
-        for part in e[1]:
-            acc = acc + _expand(part, flavor, field)
-        return acc
+        return linear_combination(flavor, field, [(field.one, _expand(part, flavor, field))
+                                                  for part in e[1]])
     if kind == "scale":
         return _expand(e[2], flavor, field).scale(e[1])
     if kind == "prod":
@@ -391,24 +393,8 @@ def star_expand(p: Polynomial) -> Polynomial:
     if p.flavor != COMMUTATIVE:
         raise FlavorError("star_expand takes a commutative polynomial")
     f = p.field
-    cache = {}
-
-    def img(m: Monomial) -> Polynomial:
-        got = cache.get(m)
-        if got is not None:
-            return got
-        if m.is_leaf():
-            res = Polynomial.variable(m.enc[0], PLANAR, f)
-        else:
-            l, r = m.children()
-            res = img(l).star(img(r))
-        cache[m] = res
-        return res
-
-    acc = Polynomial.zero(PLANAR, f)
-    for m, c in p.terms.items():
-        acc = acc + img(m).scale(f.to_fraction(c))
-    return acc
+    images = map_monomials(p, lambda m: Polynomial.variable(m.enc[0], PLANAR, f), Polynomial.star)
+    return linear_combination(PLANAR, f, images)
 
 
 def apply_sigma_q(p, q) -> Polynomial:
@@ -417,47 +403,11 @@ def apply_sigma_q(p, q) -> Polynomial:
         p = expand(p, PLANAR)
     if p.flavor != PLANAR:
         raise FlavorError("sigma_q acts on planar polynomials")
-    q = Fraction(q)
     f = p.field
-    qf = f.from_fraction(q)
-    cache = {}
-
-    def img(m: Monomial) -> Polynomial:
-        got = cache.get(m)
-        if got is not None:
-            return got
-        if m.is_leaf():
-            res = Polynomial.unit(m, 1, f)
-        else:
-            l, r = m.children()
-            a, b = img(l), img(r)
-            res = a * b + (b * a).scale(f.to_fraction(qf))
-        cache[m] = res
-        return res
-
-    acc = Polynomial.zero(PLANAR, f)
-    for m, c in p.terms.items():
-        acc = acc + img(m).scale(f.to_fraction(c))
-    return acc
-
-
-def _leaf_positions(enc, var):
-    return [i for i, x in enumerate(enc) if x == var]
-
-
-def _graft(enc, replacements):
-    """Replace leaves at given enc positions by monomial encodings.
-
-    replacements: {position: enc tuple}.  Returns the new encoding.
-    """
-    out = []
-    for i, x in enumerate(enc):
-        rep = replacements.get(i)
-        if rep is not None:
-            out.extend(rep)
-        else:
-            out.append(x)
-    return tuple(out)
+    qf = f.from_fraction(Fraction(q))
+    images = map_monomials(p, lambda m: Polynomial.unit(m, 1, f),
+                           lambda a, b: a * b + (b * a).scale(qf))
+    return linear_combination(PLANAR, f, images)
 
 
 def polarize(p: Polynomial, var: int, replacements) -> Polynomial:
@@ -465,20 +415,12 @@ def polarize(p: Polynomial, var: int, replacements) -> Polynomial:
 
     Every term must contain `var` exactly len(replacements) times; the result
     sums over all bijective assignments of the occurrences to the replacement
-    variables.
+    variables.  That is the blended instance on the replacement leaves, each
+    distinct arrangement counted once per permutation of equal replacements.
     """
-    k = len(replacements)
-    f = p.field
-    out = Polynomial.zero(p.flavor, f)
-    for m, c in p.terms.items():
-        pos = _leaf_positions(m.enc, var)
-        if len(pos) != k:
-            raise ValueError("term %s is not homogeneous of degree %d in t%d"
-                             % (m.to_text(), k, var))
-        for perm in itertools.permutations(replacements):
-            enc = _graft(m.enc, {pos[i]: (perm[i],) for i in range(k)})
-            out = out + Polynomial.unit(Monomial.from_enc(p.flavor, enc), 1, f).scale(f.to_fraction(c))
-    return out
+    repeats = prod(factorial(n) for n in Counter(replacements).values())
+    leaves = tuple(Monomial.leaf(r, p.flavor) for r in replacements)
+    return blended_instance(p, {var: leaves}).scale(repeats)
 
 
 def blended_instance(p: Polynomial, assignment: dict) -> Polynomial:
@@ -491,22 +433,23 @@ def blended_instance(p: Polynomial, assignment: dict) -> Polynomial:
     introduces spurious factorials; over GF(p) this matters).
     """
     f = p.field
-    out = Polynomial.zero(p.flavor, f)
-    for m, c in p.terms.items():
-        pos = {v: _leaf_positions(m.enc, v) for v in assignment}
-        for v, ms in assignment.items():
-            if len(pos[v]) != len(ms):
+    items = sorted(assignment.items())
+    arrangements = [sorted(set(itertools.permutations(tuple(x.enc for x in ms))))
+                    for _, ms in items]
+
+    def instance(m):
+        pos = leaf_positions(m.enc)
+        slots = [pos.get(v, ()) for v, _ in items]
+        for (v, ms), positions in zip(items, slots):
+            if len(positions) != len(ms):
                 raise ValueError("term %s has %d occurrences of t%d, multiset has %d"
-                                 % (m.to_text(), len(pos[v]), v, len(ms)))
-        per_var = []
-        for v, ms in sorted(assignment.items()):
-            arrangements = sorted(set(itertools.permutations(tuple(x.enc for x in ms))))
-            per_var.append((pos[v], arrangements))
-        for combo in itertools.product(*(arrs for _, arrs in per_var)):
-            rep = {}
-            for (positions, _), arrangement in zip(per_var, combo):
-                for i, sub_enc in enumerate(arrangement):
-                    rep[positions[i]] = sub_enc
-            enc = _graft(m.enc, rep)
-            out = out + Polynomial.unit(Monomial.from_enc(p.flavor, enc), 1, f).scale(f.to_fraction(c))
-    return out
+                                 % (m.to_text(), len(positions), v, len(ms)))
+        terms = {}
+        for combo in itertools.product(*arrangements):
+            rep = {i: sub for positions, arr in zip(slots, combo) for i, sub in zip(positions, arr)}
+            enc = tuple(x for i, y in enumerate(m.enc) for x in rep.get(i, (y,)))
+            mono = Monomial.from_enc(p.flavor, enc)
+            terms[mono] = f.add(terms.get(mono, f.zero), f.one)
+        return Polynomial(p.flavor, terms, f)
+
+    return linear_combination(p.flavor, f, [(c, instance(m)) for m, c in p.terms.items()])

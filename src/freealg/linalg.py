@@ -27,8 +27,9 @@ def vec_add_scaled(fld, dst: dict, src: dict, c):
     """dst += c * src in place."""
     if fld.is_zero(c):
         return dst
+    one = c == fld.one
     for col, x in src.items():
-        v = fld.add(dst.get(col, fld.zero), fld.mul(c, x))
+        v = fld.add(dst.get(col, fld.zero), x if one else fld.mul(c, x))
         if fld.is_zero(v):
             dst.pop(col, None)
         else:
@@ -57,25 +58,35 @@ class SpanBasis:
         """Return (coeffs, residual): v minus its projection onto the row span.
 
         coeffs[i] is the coefficient of basis row i; residual has no support on
-        pivot columns.  Both are canonical given the basis.  Because the rows
+        pivot columns.  Both are canonical given the basis.
+        """
+        fld = self.field
+        v = dict(v)
+        hits = self._clear_pivots(v)
+        if not want_coeffs:
+            return None, v
+        coeffs = [fld.zero] * len(self.rows)
+        for i, c in hits:
+            coeffs[i] = fld.add(coeffs[i], c)
+        return coeffs, v
+
+    def _clear_pivots(self, v: dict):
+        """Subtract from v, in place, c times each basis row whose pivot v holds
+        with coefficient c; return the (row index, c) pairs.  Because the rows
         are in reduced echelon form, subtracting a pivot row only introduces
         non-pivot columns, so the pivot hit set is computed once.
         """
         fld = self.field
-        v = dict(v)
-        coeffs = [fld.zero] * len(self.rows) if want_coeffs else None
         pos = {c: i for i, c in enumerate(self.pivots)}
+        hits = []
         for col in sorted(c for c in v if c in pos):
             c = v.get(col)
-            if c is None or fld.is_zero(c):
-                v.pop(col, None)
-                continue
-            i = pos[col]
-            vec_add_scaled(fld, v, self.rows[i], fld.neg(c))
+            if c is not None and not fld.is_zero(c):
+                i = pos[col]
+                vec_add_scaled(fld, v, self.rows[i], fld.neg(c))
+                hits.append((i, c))
             v.pop(col, None)
-            if want_coeffs:
-                coeffs[i] = fld.add(coeffs[i], c)
-        return coeffs, v
+        return hits
 
     def express(self, v: dict):
         """v in the coordinates of the rows given to rref(..., want_provenance=True):
@@ -103,25 +114,16 @@ def rref(rows, ncols, fld, want_provenance=False) -> SpanBasis:
     order = sorted(range(len(rows)), key=lambda i: vec_sort_key(rows[i]))
     for i in order:
         prov = {i: fld.one} if want_provenance else None
-        _insert(basis, dict(rows[i]), prov)
+        insert_row(basis, dict(rows[i]), prov)
     return basis
 
 
-def _insert(basis: SpanBasis, v: dict, prov=None):
+def insert_row(basis: SpanBasis, v: dict, prov=None):
     """Reduce v against the basis; if nonzero, add it, keeping full RREF."""
     fld = basis.field
-    pos = {c: i for i, c in enumerate(basis.pivots)}
-    for col in sorted(c for c in v if c in pos):
-        c = v.get(col)
-        if c is None or fld.is_zero(c):
-            v.pop(col, None)
-            continue
-        i = pos[col]
-        c = fld.neg(c)
-        vec_add_scaled(fld, v, basis.rows[i], c)
-        v.pop(col, None)
+    for i, c in basis._clear_pivots(v):
         if prov is not None and basis.provenance is not None:
-            vec_add_scaled(fld, prov, basis.provenance[i], c)
+            vec_add_scaled(fld, prov, basis.provenance[i], fld.neg(c))
     if not v:
         return False
     piv = min(v)
@@ -147,9 +149,6 @@ def _insert(basis: SpanBasis, v: dict, prov=None):
     return True
 
 
-insert_row = _insert
-
-
 def member(basis: SpanBasis, v: dict):
     """Express v in the basis rows.
 
@@ -173,5 +172,5 @@ def kernel(rows, ncols, fld) -> SpanBasis:
             x = b.rows[i].get(j)
             if x is not None:
                 v[c] = fld.neg(x)
-        _insert(out, v)
+        insert_row(out, v)
     return out

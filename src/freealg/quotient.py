@@ -95,8 +95,8 @@ import numpy as np
 
 from . import linalg
 from .term import (COMMUTATIVE, PLANAR, GF, QQ, Monomial, Polynomial, count_monomials,
-                   mdeg, mdeg_add, mdeg_key, mdeg_leq, mdeg_sub, mdeg_total, splits2,
-                   sub_multidegrees)
+                   leaf_positions, mdeg, mdeg_add, mdeg_key, mdeg_leq, mdeg_sub, mdeg_total,
+                   splits2, sub_multidegrees)
 
 SELECTION_PRIMES = (999983, 999979)
 FULL_COLS_CAP = 420          # exact components at most this wide skip the modular pre-pass
@@ -299,15 +299,6 @@ def _product_pools(index_pools):
         groups = [[(e, idxs) for idxs in choices] for e, choices in pools]
         per_var_choices.append([tuple(sel) for sel in itertools.product(*groups)])
     return itertools.product(*per_var_choices)
-
-
-def _leaf_positions(enc):
-    """{variable: positions of its leaves} in a monomial encoding."""
-    out = {}
-    for i, x in enumerate(enc):
-        if x:
-            out.setdefault(x, []).append(i)
-    return out
 
 
 def _multiset_shape(ms):
@@ -646,7 +637,7 @@ class InductiveQuotient:
         """Per identity, its nonzero terms as (encoding, coefficient,
         {variable: leaf positions})."""
         if self._terms is None:
-            self._terms = [[(m.enc, self._coeff(c), _leaf_positions(m.enc))
+            self._terms = [[(m.enc, self._coeff(c), leaf_positions(m.enc))
                             for m, c in f.terms_sorted() if self._coeff(c)]
                            for f in self.identities]
         return self._terms

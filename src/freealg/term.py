@@ -17,6 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from .linalg import vec_add_scaled
+
 PLANAR = "planar"
 COMMUTATIVE = "commutative"
 FLAVORS = (PLANAR, COMMUTATIVE)
@@ -540,6 +542,45 @@ def format_polynomial(p: Polynomial) -> str:
     return s
 
 
+def leaf_positions(enc) -> dict:
+    """{variable: positions of its leaves} in a monomial encoding."""
+    out = {}
+    for i, x in enumerate(enc):
+        if x:
+            out.setdefault(x, []).append(i)
+    return out
+
+
+def map_monomials(p: Polynomial, leaf, node) -> list:
+    """(coefficient, image) for each term of p, images built bottom-up.
+
+    A leaf maps to leaf(m), a product to node(image(left), image(right)); each
+    distinct subtree is mapped once.
+    """
+    cache = {}
+
+    def image(m):
+        got = cache.get(m)
+        if got is None:
+            if m.is_leaf():
+                got = leaf(m)
+            else:
+                l, r = m.children()
+                got = node(image(l), image(r))
+            cache[m] = got
+        return got
+
+    return [(c, image(m)) for m, c in p.terms.items()]
+
+
+def linear_combination(flavor, field, pairs) -> Polynomial:
+    """Sum of c * P over (field scalar, Polynomial) pairs, accumulated in one dict."""
+    out = {}
+    for c, poly in pairs:
+        vec_add_scaled(field, out, poly.terms, c)
+    return Polynomial(flavor, out, field)
+
+
 def poly_substitute(p: Polynomial, mapping: dict) -> Polynomial:
     """Substitute polynomials for variables (T-substitution), expanding products.
 
@@ -547,26 +588,13 @@ def poly_substitute(p: Polynomial, mapping: dict) -> Polynomial:
     not in the mapping stay themselves.
     """
     f = p.field
-    cache = {}
 
-    def image(m: Monomial) -> Polynomial:
-        got = cache.get(m)
-        if got is not None:
-            return got
-        if m.is_leaf():
-            k = m.enc[0]
-            res = mapping.get(k)
-            if res is None:
-                res = Polynomial.unit(m, 1, f)
-            elif res.flavor != p.flavor or res.field is not f:
-                raise FlavorError("substitution image flavor/field mismatch")
-        else:
-            l, r = m.children()
-            res = image(l) * image(r)
-        cache[m] = res
+    def leaf(m):
+        res = mapping.get(m.enc[0])
+        if res is None:
+            return Polynomial.unit(m, 1, f)
+        if res.flavor != p.flavor or res.field is not f:
+            raise FlavorError("substitution image flavor/field mismatch")
         return res
 
-    acc = Polynomial.zero(p.flavor, f)
-    for m, c in p.terms.items():
-        acc = acc + image(m).scale(f.to_fraction(c))
-    return acc
+    return linear_combination(p.flavor, f, map_monomials(p, leaf, Polynomial.__mul__))

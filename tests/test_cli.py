@@ -183,6 +183,11 @@ def test_albert_report_deterministic():
     ["dim", "assym", "--multidegree", "2,1", "--q", "3"],
     ["check", "assym", "lsym(t1,t2,t3)", "--q", "1/2"],
     ["kernel", "assym", "--multidegree", "2,1", "--q", "5"],
+    ["expand", "1/0 t1"],
+    ["expand", "q{q=1/0}(t1,t2)"],
+    ["check", "assym", "lsym_q{q=1/0}(t1,t2,t3)"],
+    ["dim", "assym", "--multidegree", "0"],
+    ["dim", "assym", "--multidegree", "2,x"],
 ])
 def test_bad_input_is_one_line_exit_2(argv):
     rc = subprocess.run([sys.executable, "-m", "freealg.cli"] + argv,

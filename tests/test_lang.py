@@ -1,5 +1,6 @@
 """DSL parsing, macro expansion, star expansion, sigma_q and polarization."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,9 @@ def test_parse_errors():
         expand("nosuchmacro(t1)", PLANAR)
     with pytest.raises(MacroError):
         expand("lsym(t1,t2)", PLANAR)
+    for text in ("1/0 t1", "q{q=1/0}(t1,t2)", "lsym_q{q=-1/0}(t1,t2,t3)"):
+        with pytest.raises(ParseError, match="zero denominator"):
+            expand(text, PLANAR)
 
 
 def test_expand_bracket():
@@ -111,6 +115,19 @@ def test_expand_is_linear():
     assert lhs == rhs
 
 
+def _polarize_oracle(p, var, replacements):
+    """Brute force: the sum over all permutations of the replacements, repeats included."""
+    acc = Polynomial.zero(p.flavor, QQ)
+    for perm in itertools.permutations(replacements):
+        for m, c in p.terms.items():
+            pos = [i for i, x in enumerate(m.enc) if x == var]
+            enc = list(m.enc)
+            for slot, v in zip(pos, perm):
+                enc[slot] = v
+            acc = acc + Polynomial.unit(Monomial.from_enc(p.flavor, tuple(enc)), c)
+    return acc
+
+
 def test_polarize_examples():
     p = polarize(expand("t1 t1", PLANAR), 1, [2, 3])
     assert p == expand("t2 t3 + t3 t2", PLANAR)
@@ -118,16 +135,17 @@ def test_polarize_examples():
     pol = polarize(jor, 1, [1, 3, 4])
     assert pol.multidegree() == (1, 1, 1, 1)
     # brute-force assignment oracle: sum over all 3! relabelings of the three slots
-    import itertools
-    acc = Polynomial.zero(COMMUTATIVE, QQ)
-    for perm in itertools.permutations([1, 3, 4]):
-        for m, c in jor.terms.items():
-            pos = [i for i, x in enumerate(m.enc) if x == 1]
-            enc = list(m.enc)
-            for slot, var in zip(pos, perm):
-                enc[slot] = var
-            acc = acc + Polynomial.unit(Monomial.from_enc(COMMUTATIVE, tuple(enc)), c)
-    assert pol == acc
+    assert pol == _polarize_oracle(jor, 1, [1, 3, 4])
+
+
+@pytest.mark.parametrize("flavor", [PLANAR, COMMUTATIVE])
+def test_polarize_counts_repeated_replacements(flavor):
+    # t2 replaces two of the three occurrences: each arrangement counts 2! times
+    p = expand("(t1 t1) t1 + 2 t1 (t1 t1)", flavor)
+    pol = polarize(p, 1, [2, 2, 3])
+    assert pol == _polarize_oracle(p, 1, [2, 2, 3])
+    assert pol == blended_instance(p, {1: (Monomial.leaf(2, flavor),) * 2
+                                          + (Monomial.leaf(3, flavor),)}).scale(2)
 
 
 def test_polarization_recovers_split_associator_identity():
