@@ -9,9 +9,18 @@ this one is pinned for determinism.
 An element is 27 flat coordinates (AlbertElement.coords(): the diagonal, then
 x12, x13, x23).  On them a*b + b*a is a fixed bilinear map: a table of 531
 integer structure constants, each +-1 or 2, derived from the octonion table on
-first use.  Evaluation multiplies flat coordinate lists through that table and
-wraps the result in an AlbertElement once.  Coordinates are Python ints or
-Fractions throughout, so every zero/nonzero verdict is exact.
+first use and kept as index arrays J, K, C with row starts.  Evaluation takes a
+block of samples at once: each variable is a (block, 27) array, and each
+distinct subtree's product is one gather, multiply and np.add.reduceat over
+the table.
+
+Every verdict is exact.  With L = 34, the largest l1 norm of a table row, a
+leaf is bounded by the coordinate bound B and a product by L*B(a)*B(b); when
+every coefficient is an integer and sum |c_m|*B(m) < 2^63, every gather,
+product, partial sum and accumulated value fits in int64, and the block runs
+in int64.  Otherwise the same code runs on object arrays of Python ints and
+Fractions.  The check comes before the arithmetic: int64 overflow would wrap
+silently.
 
 The model serves as the numeric oracle: the Jordan and Lie-triple identities
 evaluate to zero on every sample, while the degree-8 Glennie polynomial has
@@ -26,6 +35,8 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .term import COMMUTATIVE, Polynomial, map_monomials
 from . import lang
@@ -246,35 +257,80 @@ def star_table():
     return tuple(map(tuple, rows))
 
 
-def _star(a, b):
-    """a*b + b*a on flat coordinate lists."""
-    return [sum(c * a[j] * b[k] for j, k, c in row) for row in star_table()]
+@functools.cache
+def _star_kernel():
+    """star_table() as flat index arrays (J, K, C), the row starts, and L.
+
+    L is the largest l1 norm of a row: |(a*b + b*a)[i]| <= L * max|a| * max|b|.
+    """
+    rows = star_table()
+    j, k, c = (np.array(col, dtype=np.int64) for col in zip(*(t for row in rows for t in row)))
+    starts = np.cumsum([0] + [len(row) for row in rows[:-1]])
+    for arr in (j, k, c, starts):     # shared by every caller through the cache
+        arr.flags.writeable = False
+    return j, k, c, starts, max(sum(abs(t[2]) for t in row) for row in rows)
+
+
+def _star_block(a, b):
+    """a*b + b*a for each row of two (block, 27) arrays of the same dtype."""
+    j, k, c, starts, _ = _star_kernel()
+    prod = a[:, j]
+    prod *= b[:, k]
+    prod *= c
+    return np.add.reduceat(prod, starts, axis=1)
+
+
+def _fits_int64(poly, coeffs, bound):
+    """Whether int64 evaluation of poly is exact when every |coordinate| <= bound.
+
+    bound is None when a coordinate is not an integer.  A leaf is bounded by
+    max(bound, 1) and a product by L * B(a) * B(b), so a subtree's bound is at
+    most that of each monomial containing it, and with nonzero integer
+    coefficients sum |c_m| * B(m) bounds every entry the evaluation forms.
+    """
+    if bound is None or not all(isinstance(c, int) for c in coeffs):
+        return False
+    *_, ell = _star_kernel()
+    leaf = max(bound, 1)
+    sizes = map_monomials(poly, lambda m: leaf, lambda x, y: ell * x * y)
+    return sum(abs(c) * size for c, (_, size) in zip(coeffs, sizes)) < 2 ** 63
+
+
+def _evaluate_block(poly, leaves, bound, n):
+    """Values of a commutative polynomial on n samples, as an (n, 27) array.
+
+    leaves[var] holds the n samples' coordinate lists of that variable, each
+    coordinate at most bound in absolute value (bound None: not all integers).
+    The dtype is int64 when _fits_int64 proves it exact, object otherwise.
+    """
+    coeffs = []
+    for c in poly.terms.values():
+        fr = poly.field.to_fraction(c)
+        coeffs.append(fr.numerator if fr.denominator == 1 else fr)
+    dtype = np.int64 if _fits_int64(poly, coeffs, bound) else object
+    arrays = {var: np.array(co, dtype=dtype) for var, co in leaves.items()}
+    acc = np.zeros((n, 27), dtype=dtype)
+    # every image is built before the loop, so scaling one in place is safe
+    for c, (_, value) in zip(coeffs, map_monomials(poly, lambda m: arrays[m.enc[0]],
+                                                   _star_block)):
+        value *= c
+        acc += value
+    return acc
 
 
 def albert_star(a: AlbertElement, b: AlbertElement) -> AlbertElement:
     """a*b + b*a, through the structure-constant table."""
-    return AlbertElement.from_coords(_star(a.coords(), b.coords()))
-
-
-def _evaluate_flat(poly, coords):
-    """Value of a commutative polynomial at flat coordinate lists {var: coords}."""
-    acc = [0] * 27
-    for c, value in map_monomials(poly, lambda m: coords[m.enc[0]], _star):
-        fr = poly.field.to_fraction(c)
-        if fr.denominator == 1:       # int arithmetic is far cheaper than Fraction
-            fr = fr.numerator
-        acc = [x + fr * y for x, y in zip(acc, value)]
-    return acc
+    return evaluate("t1 t2", {1: a, 2: b})
 
 
 def evaluate(expr, assignment: dict) -> AlbertElement:
     """Exact evaluation of a commutative/star expression on Albert elements.
 
     The expression is expanded in commutative flavor (the product standing for
-    the algebra's symmetrized product) and each monomial is evaluated on flat
-    coordinates with the star table, sharing common subtrees.  Lie brackets
-    expand to zero with a warning, which is their value in a commutative
-    algebra.
+    the algebra's symmetrized product) and evaluated as a block of one sample
+    (see _evaluate_block), each distinct subtree once; the coordinate bound is
+    the largest |coordinate| of the assignment.  Lie brackets expand to zero
+    with a warning, which is their value in a commutative algebra.
     """
     if isinstance(expr, (str, tuple)):
         poly = lang.expand(expr, COMMUTATIVE)
@@ -284,8 +340,10 @@ def evaluate(expr, assignment: dict) -> AlbertElement:
         poly = expr
     else:
         raise TypeError("expr must be DSL text, an expression tree, or a Polynomial")
-    return AlbertElement.from_coords(
-        _evaluate_flat(poly, {k: e.coords() for k, e in assignment.items()}))
+    leaves = {k: [e.coords()] for k, e in assignment.items()}
+    flat = [x for co in leaves.values() for x in co[0]]
+    bound = max(map(abs, flat), default=0) if all(isinstance(x, int) for x in flat) else None
+    return AlbertElement.from_coords(_evaluate_block(poly, leaves, bound, 1)[0].tolist())
 
 
 def random_element(rng: random.Random, bound=3) -> AlbertElement:
@@ -296,11 +354,38 @@ def random_element(rng: random.Random, bound=3) -> AlbertElement:
                          tuple(Octonion(tuple(r() for _ in range(OCT_DIM))) for _ in range(3)))
 
 
+# Samples evaluated together.  All memoized subtree images of a block are alive
+# at once (99 for commutative glen), so a larger block costs memory, not time.
+BLOCK = 32
+
+
+def _sample_blocks(poly, seed, samples, bound):
+    """(draws, values) for each block of the seeded sample stream.
+
+    draws[s] lists the coordinates of variables 1..nvars at the block's s-th
+    sample, drawn sample by sample, variable by variable, from one generator;
+    values is the (len(draws), 27) array of poly at those samples.
+    """
+    md = poly.multidegree()
+    if md is None:
+        nvars = max((v for m in poly.terms for v in m.enc if v), default=0)
+    else:
+        nvars = len(md)
+    rng = random.Random(seed)
+    for start in range(0, samples, BLOCK):
+        n = min(BLOCK, samples - start)
+        draws = [[random_element(rng, bound).coords() for _ in range(nvars)] for _ in range(n)]
+        leaves = {k: [d[k - 1] for d in draws] for k in range(1, nvars + 1)}
+        yield draws, _evaluate_block(poly, leaves, bound, n)
+
+
 def sample_report(expr, seed, samples, bound=3):
     """Evaluate expr on seeded random element tuples; record the first nonzero witness.
 
-    The sample stream is drawn sequentially from one seeded generator, so the
-    report is a function of (expr, seed, samples, bound) alone.
+    The sample stream is drawn sequentially from one seeded generator and
+    evaluated BLOCK samples at a time, exactly (int64 where the coordinate
+    bound proves it safe), so the report is a function of (expr, seed,
+    samples, bound) alone.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -311,29 +396,24 @@ def sample_report(expr, seed, samples, bound=3):
     else:
         tree = expr
     poly = lang.expand(tree, COMMUTATIVE)
-    md = poly.multidegree()
-    if md is None:
-        nvars = max((v for m in poly.terms for v in m.enc if v), default=0)
-    else:
-        nvars = len(md)
 
     def ser(coords):
         return [str(Fraction(x)) for x in coords]
 
-    rng = random.Random(seed)
     zero_count = 0
     witness = None
-    for idx in range(samples):
-        args = {k: random_element(rng, bound).coords() for k in range(1, nvars + 1)}
-        val = _evaluate_flat(poly, args)
-        if not any(val):
-            zero_count += 1
-        elif witness is None:
+    start = 0
+    for draws, values in _sample_blocks(poly, seed, samples, bound):
+        nonzero = (values != 0).any(axis=1)
+        zero_count += len(draws) - int(np.count_nonzero(nonzero))
+        if witness is None and nonzero.any():
+            s = int(np.argmax(nonzero))
             witness = {
-                "sample_index": idx,
-                "arguments": {("t%d" % k): ser(co) for k, co in sorted(args.items())},
-                "value": ser(val),
+                "sample_index": start + s,
+                "arguments": {("t%d" % k): ser(co) for k, co in enumerate(draws[s], 1)},
+                "value": ser(values[s].tolist()),
             }
+        start += len(draws)
     return {
         "seed": seed,
         "samples": samples,

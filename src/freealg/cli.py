@@ -225,8 +225,18 @@ def cmd_suite(cfg, args):
     return 0 if result["passed"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are one line, like every other bad input.
+
+    add_subparsers gives the subcommands the same class.
+    """
+
+    def error(self, message):
+        self.exit(2, "freealg: error: %s\n" % message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="freealg",
         description="Exact identity verification in free nonassociative algebras")
     ap.add_argument("--char", type=int, default=0, help="field characteristic (0 or prime)")

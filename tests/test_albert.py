@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -123,18 +124,9 @@ def test_glennie_has_a_witness():
     assert data["witness"]["sample_index"] == w["sample_index"]
 
 
-def test_glennie_witness_matches_entrywise_oracle():
-    rep = sample_report("glen(t1,t2,t3)", seed=5, samples=3)
-    w = rep["witness"]
-    args = {int(name[1:]): [Fraction(x) for x in co] for name, co in w["arguments"].items()}
-    # the arguments are the seeded stream's draws at the witness index
-    rng = random.Random(5)
-    for _ in range(w["sample_index"] + 1):
-        drawn = [random_element(rng) for _ in range(3)]
-    assert [args[k] for k in (1, 2, 3)] == [e.coords() for e in drawn]
-    # the value is glen evaluated monomial by monomial on full octonion matrices
-    mats = {k: e.matrix() for k, e in zip((1, 2, 3), drawn)}
-    poly = lang.expand("glen(t1,t2,t3)", COMMUTATIVE)
+def entrywise_value(poly, elements):
+    """Oracle: poly's 27 coordinates, monomial by monomial on full octonion matrices."""
+    mats = {k: e.matrix() for k, e in elements.items()}
     cache = {}
 
     def ev(m):
@@ -158,7 +150,86 @@ def test_glennie_witness_matches_entrywise_oracle():
         assert total[j][i] == total[i][j].conjugate()
         want.extend(total[i][j].co)
     assert all(total[i][i].co[1:] == (0,) * 7 for i in range(3))
+    return want
+
+
+def test_glennie_witness_matches_entrywise_oracle():
+    rep = sample_report("glen(t1,t2,t3)", seed=5, samples=3)
+    w = rep["witness"]
+    args = {int(name[1:]): [Fraction(x) for x in co] for name, co in w["arguments"].items()}
+    # the arguments are the seeded stream's draws at the witness index
+    rng = random.Random(5)
+    for _ in range(w["sample_index"] + 1):
+        drawn = [random_element(rng) for _ in range(3)]
+    assert [args[k] for k in (1, 2, 3)] == [e.coords() for e in drawn]
+    # the value is glen evaluated monomial by monomial on full octonion matrices
+    poly = lang.expand("glen(t1,t2,t3)", COMMUTATIVE)
+    want = entrywise_value(poly, dict(zip((1, 2, 3), drawn)))
     assert [Fraction(x) for x in w["value"]] == want and any(want)
+
+
+@pytest.mark.parametrize("expr,bound,samples,dtype", [
+    ("glen(t1,t2,t3)", 3, 4, np.int64),
+    ("glen(t1,t2,t3)", 1000, 3, object),
+    ("1/2 glen(t1,t2,t3)", 3, 3, np.int64),     # every coefficient of glen is even
+    ("1/3 glen(t1,t2,t3)", 3, 3, object),
+    (" ".join(["t1"] * 18), 3, 5, object),
+])
+def test_every_sample_matches_entrywise_oracle(expr, bound, samples, dtype, monkeypatch):
+    # int64 only where the a-priori bound proves it exact; every value, not
+    # only the witness, is the oracle's, in blocks of 3 and a shorter last one
+    monkeypatch.setattr(albert27, "BLOCK", 3)
+    poly = lang.expand(expr, COMMUTATIVE)
+    checked = 0
+    for draws, values in albert27._sample_blocks(poly, 11, samples, bound):
+        assert values.dtype == dtype
+        for args, got in zip(draws, values.tolist()):
+            elements = {k: AlbertElement.from_coords(co) for k, co in enumerate(args, 1)}
+            assert got == entrywise_value(poly, elements)
+            checked += 1
+    assert checked == samples
+
+
+def test_the_int64_route_stops_at_its_bound():
+    # L = 34 and commutative glen at coordinate bound 3 stays under 2^63
+    assert albert27._star_kernel()[4] == 34
+    glen = lang.expand("glen(t1,t2,t3)", COMMUTATIVE)
+    coeffs = [int(glen.field.to_fraction(c)) for c in glen.terms.values()]
+    assert albert27._fits_int64(glen, coeffs, 3)
+    assert not albert27._fits_int64(glen, coeffs, 4)
+    assert not albert27._fits_int64(glen, coeffs, None)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_reports_do_not_depend_on_the_block_size(block, monkeypatch):
+    cases = [("glen(t1,t2,t3)", 7, 20), ("lietriple(t1,t2,t3)", 5, 20),
+             ("t1 t1 - t1 t1", 3, 20)]
+    want = [sample_report(*case) for case in cases]
+    monkeypatch.setattr(albert27, "BLOCK", block)
+    assert [sample_report(*case) for case in cases] == want
+    zero = want[2]
+    assert zero["zero_count"] == 20 and zero["witness"] is None
+
+
+def test_a_late_witness_keeps_its_stream_index(monkeypatch):
+    # the first 9 samples are zero elements (their draws still consumed), so
+    # the witness is sample 9: inside the second block at every block size
+    draw = albert27.random_element
+    calls = []
+
+    def zero_at_first(rng, bound=3):
+        calls.append(None)
+        e = draw(rng, bound)
+        return AlbertElement.zero() if len(calls) <= 9 * 3 else e
+
+    reports = []
+    for block in (1, 7, albert27.BLOCK):
+        calls.clear()
+        monkeypatch.setattr(albert27, "BLOCK", block)
+        monkeypatch.setattr(albert27, "random_element", zero_at_first)
+        reports.append(sample_report("glen(t1,t2,t3)", 5, 12))
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0]["zero_count"] == 9 and reports[0]["witness"]["sample_index"] == 9
 
 
 def test_reports_are_deterministic():

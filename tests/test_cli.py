@@ -54,6 +54,8 @@ def load_golden(name):
      ["--format", "json", "check", "assym", "lietriple(t1,t2,t3)", "--mode", "plus"]),
     ("koszul_order3.json", ["--format", "json", "koszul", "--order", "3"]),
     ("kernel_31.json", ["--format", "json", "kernel", "assym", "--multidegree", "3,1"]),
+    ("albert_glen_5.json", ["--format", "json", "albert", "glen(t1,t2,t3)", "--samples", "5",
+                            "--seed", "20240809"]),
 ])
 def test_json_reports_match_goldens(name, argv):
     rc, out = run(argv)
@@ -188,6 +190,8 @@ def test_albert_report_deterministic():
     ["check", "assym", "lsym_q{q=1/0}(t1,t2,t3)"],
     ["dim", "assym", "--multidegree", "0"],
     ["dim", "assym", "--multidegree", "2,x"],
+    ["--char", "x", "dim", "assym", "--multidegree", "2"],
+    ["albert", "t1 t1", "--samples", "x"],
 ])
 def test_bad_input_is_one_line_exit_2(argv):
     rc = subprocess.run([sys.executable, "-m", "freealg.cli"] + argv,
