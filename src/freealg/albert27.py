@@ -30,7 +30,6 @@ nonzero witnesses, separating it from the other two.
 from __future__ import annotations
 
 import functools
-import json
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -149,10 +148,6 @@ class Octonion:
 
     def __repr__(self):
         return "Octonion(%r)" % (self.co,)
-
-
-def oct_mul(x: Octonion, y: Octonion) -> Octonion:
-    return x * y
 
 
 def associator(x, y, z):
@@ -422,11 +417,3 @@ def sample_report(expr, seed, samples, bound=3):
         "nonzero_count": samples - zero_count,
         "witness": witness,
     }
-
-
-def witness_json(report) -> str:
-    def default(o):
-        if isinstance(o, Fraction):
-            return {"n": o.numerator, "d": o.denominator}
-        raise TypeError(type(o))
-    return json.dumps(report, indent=2, sort_keys=True, default=default)

@@ -321,6 +321,15 @@ def _identity_entry(check, claim_ref, variety, expr, char, mode, expect=True):
                         v.multidegrees, v.timing, v.warnings)
 
 
+def _coordinates_entry(check, claim_ref, expr, alpha, expected):
+    """expr's nonzero plus-evaluated coordinates in the fixed basis of type alpha
+    against expected ({monomial text: value}, zeros dropped)."""
+    coords = reduce_to_basis(tideal.get_variety("assosymmetric"), expr, alpha)
+    got = {m.to_text(): c for m, c in coords.items() if c}
+    return report_entry(check, claim_ref, _pass_fail(got == _expected_coords(expected)), 0,
+                        [alpha], detail={"coordinates": {k: str(v) for k, v in got.items()}})
+
+
 def _exact_zero_entry(check, claim_ref, expr, flavor):
     (p, t) = _timed(lambda: lang.expand(expr, flavor))
     return report_entry(check, claim_ref, _pass_fail(p.is_zero()), 0,
@@ -455,19 +464,16 @@ def suite_arman(char=0):
     names = sorted(ARMAN_SYSTEMS)
     out = []
     t0 = time.time()
-    spans = {}
-    for name in names:
-        v = tideal.variety_with(ambient, ARMAN_SYSTEMS[name], name="comm+" + name)
-        spans[name] = {d: tideal.consequence_span(v, d, field_by_char(char))
-                       for d in DEGREE4_TYPES}
-    gen_t = time.time() - t0
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            bad = [d for d in DEGREE4_TYPES if not spans[a][d].same_span(spans[b][d])]
+            same = systems_equivalent(ARMAN_SYSTEMS[a], ARMAN_SYSTEMS[b], ambient,
+                                      DEGREE4_TYPES, char)
+            bad = [d for d in DEGREE4_TYPES if not same[d]]
             out.append(report_entry("equivalent-systems:%s~%s" % (a, b),
                                     "comm:degree-4-systems-equivalent",
                                     _pass_fail(not bad), char, DEGREE4_TYPES, 0.0,
                                     detail={"differing_types": [list(d) for d in bad]}))
+    gen_t = time.time() - t0
     # one-directional: the alternating sum implies the one-variable cubic relation
     v66 = tideal.variety_with(ambient, ARMAN_SYSTEMS["alternating-sum"], name="comm+66")
     v = is_identity(v66, ARMAN_CUBIC, char, "direct")
@@ -492,13 +498,9 @@ def suite_deg4(char=0):
         out.append(report_entry("fixed-basis-valid:%s" % (list(alpha),),
                                 "assym:degree-4-basis-pinned", _pass_fail(ok), 0, [alpha], t))
     # residual coordinates of the plus-evaluated test polynomials
-    coords = reduce_to_basis(assym, "g4_1(t1)", (4,))
-    expect = _expected_coords({"((t1 t1) t1) t1": -2, "(t1 (t1 t1)) t1": 4,
-                               "(t1 t1)(t1 t1)": -2})
-    got = {m.to_text(): c for m, c in coords.items() if c}
-    out.append(report_entry("residual-coordinates:quartic", "assym:quartic-residual",
-                            _pass_fail(got == expect), 0, [(4,)],
-                            detail={"coordinates": {k: str(v) for k, v in got.items()}}))
+    out.append(_coordinates_entry(
+        "residual-coordinates:quartic", "assym:quartic-residual", "g4_1(t1)", (4,),
+        {"((t1 t1) t1) t1": -2, "(t1 (t1 t1)) t1": 4, "(t1 t1)(t1 t1)": -2}))
     v31 = reduce_to_basis(assym, "g31_2(t1,t2)", (3, 1))
     out.append(report_entry("residual-coordinates:type-31-second", "assym:type-31-identity",
                             _pass_fail(all(c == 0 for c in v31.values())), 0, [(3, 1)]))
@@ -508,28 +510,17 @@ def suite_deg4(char=0):
     base22 = {"(t1 t1)(t2 t2)": 1, "(t2 (t1 t2)) t1": -2, "((t1 t1) t2) t2": -1,
               "((t2 t1) t2) t1": 2}
     for mu1, mu2 in [(1, 0), (1, -1)]:
-        expr = _mu_combo([mu1, mu2], ["g22_1(t1,t2)", "g22_1(t2,t1)"])
-        coords = reduce_to_basis(assym, expr, (2, 2))
-        scale = 6 * (mu1 + mu2)
-        wantc = _expected_coords({k: scale * v for k, v in base22.items()})
-        gotc = {m.to_text(): c for m, c in coords.items() if c}
-        out.append(report_entry("residual-coordinates:type-22:mu=%d,%d" % (mu1, mu2),
-                                "assym:type-22-residual-multiple", _pass_fail(gotc == wantc),
-                                0, [(2, 2)],
-                                detail={"coordinates": {k: str(v) for k, v in gotc.items()}}))
+        out.append(_coordinates_entry(
+            "residual-coordinates:type-22:mu=%d,%d" % (mu1, mu2), "assym:type-22-residual-multiple",
+            _mu_combo([mu1, mu2], ["g22_1(t1,t2)", "g22_1(t2,t1)"]), (2, 2),
+            {k: 6 * (mu1 + mu2) * v for k, v in base22.items()}))
     base211 = {"(t1 t1)(t2 t3)": 1, "(t3 (t1 t2)) t1": -2, "((t1 t1) t2) t3": -1,
                "((t3 t1) t2) t1": 2}
     for mu in [(1, 0, 0), (1, -1, 0)]:
-        expr = _mu_combo(list(mu), ["g211_1(t1,t2,t3)", "g211_2(t1,t2,t3)",
-                                    "g211_2(t1,t3,t2)"])
-        coords = reduce_to_basis(assym, expr, (2, 1, 1))
-        scale = -6 * sum(mu)
-        wantc = _expected_coords({k: scale * v for k, v in base211.items()})
-        gotc = {m.to_text(): c for m, c in coords.items() if c}
-        out.append(report_entry("residual-coordinates:type-211:mu=%d,%d,%d" % mu,
-                                "assym:type-211-residual-multiple", _pass_fail(gotc == wantc),
-                                0, [(2, 1, 1)],
-                                detail={"coordinates": {k: str(v) for k, v in gotc.items()}}))
+        out.append(_coordinates_entry(
+            "residual-coordinates:type-211:mu=%d,%d,%d" % mu, "assym:type-211-residual-multiple",
+            _mu_combo(list(mu), ["g211_1(t1,t2,t3)", "g211_2(t1,t2,t3)", "g211_2(t1,t3,t2)"]),
+            (2, 1, 1), {k: -6 * sum(mu) * v for k, v in base211.items()}))
     for name in ["h22(t1,t2)", "h211_1(t1,t2,t3)", "h211_2(t1,t2,t3)", "g31_2(t1,t2)"]:
         out.append(_identity_entry("plus-identity:%s" % name.split("(")[0],
                                    "assym:degree-4-plus-identities",
@@ -654,8 +645,7 @@ def suite_koszul(extended=False, char=0):
     out.append(report_entry("dual-multilinear-dimensions", "dual:multilinear-1-to-%d" % upto,
                             _pass_fail(ddims == want), char,
                             [(1,) * n for n in range(1, upto + 1)], t2, detail={"dims": ddims}))
-    resid = series.compose(series.from_dims(dims), series.from_dims(ddims[:5]), 5) \
-        - series.TruncatedSeries.identity(5)
+    resid = series.koszul_residual(assym, dual, 5, fld)[0]
     expect = series.TruncatedSeries.from_coeffs([0, 0, 0, 0, Fraction(3, 8)])
     out.append(report_entry("composition-residual", "koszul:order-5-obstruction",
                             _pass_fail(resid == expect), char, [], 0.0,

@@ -10,11 +10,16 @@ Grammar (whitespace-insensitive):
               | 'A' '(' s,s,s ')' | 'J' '(' s,s,s ')'
               | 'q' '{q=' rational '}' '(' s ',' s ')'
               | NAME ['{' NAME '=' rational '}'] '(' args ')'
-    var      := 't' digits
+    var      := 't' digits                      # index in 1..MAX_VARIABLE
 
 Products are left-associative; 'A' is the associator of the ambient product,
 'J' the associator of the star.  In commutative flavor the star expands as
 2*(product) and a literal Lie bracket expands to zero (with a warning).
+
+A macro call is expanded by substituting its argument trees for t1..tk in
+the macro's expression tree; lsym_q and rsym_q build theirs from the sigma_q
+image (planar only).  A call may set only the parameters its macro declares,
+and must set all of them.
 """
 
 from __future__ import annotations
@@ -26,7 +31,9 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .term import (COMMUTATIVE, PLANAR, FlavorError, Monomial, Polynomial, QQ, leaf_positions,
-                   linear_combination, map_monomials, poly_substitute)
+                   linear_combination, map_monomials, slot_arrangements)
+
+MAX_VARIABLE = 1000     # largest index k of a variable t_k; the suites use t1..t5
 
 
 class ParseError(ValueError):
@@ -205,7 +212,10 @@ class _Parser:
         if t[0] == "name":
             name = t[1]
             if name.startswith("t") and name[1:].isdigit():
-                return ("var", int(name[1:]))
+                k = int(name[1:])
+                if not 1 <= k <= MAX_VARIABLE:
+                    raise ParseError("variable index %d outside 1..%d" % (k, MAX_VARIABLE), t[2])
+                return ("var", k)
             if name == "A":
                 return ("assoc",) + self.parse_args(3)
             if name == "J":
@@ -249,23 +259,24 @@ class MacroDef:
     def __init__(self, arity, body_text=None, builder=None, params=()):
         self.arity = arity
         self.body_text = body_text
-        self.builder = builder      # callable(params) -> planar Polynomial in t1..tk
+        self.builder = builder      # callable(**params) -> planar expression tree in t1..tk
         self.params = params
         self._body = None
 
-    def body(self):
+    def body(self, params):
+        """The macro's expression tree in t1..tk at these parameter values."""
+        if self.builder is not None:
+            return self.builder(**params)
         if self._body is None:
             self._body = parse(self.body_text)
         return self._body
 
 
 def _sigma_builder(base_text):
-    def build(params):
-        q = dict(params).get("q")
-        if q is None:
-            raise MacroError("missing parameter q")
-        base = expand(parse(base_text), PLANAR)
-        return apply_sigma_q(base, -q)
+    def build(q):
+        image = apply_sigma_q(expand(base_text, PLANAR), -q)
+        terms = map_monomials(image, lambda m: ("var", m.enc[0]), lambda a, b: ("prod", a, b))
+        return ("sum", tuple(("scale", c, tree) for c, tree in terms))
     return build
 
 
@@ -374,13 +385,16 @@ def _expand_call(e, flavor, field):
         raise MacroError("unknown macro %r" % (name,))
     if len(args) != mac.arity:
         raise MacroError("macro %s expects %d arguments, got %d" % (name, mac.arity, len(args)))
-    if mac.builder is not None:
-        base = mac.builder(params)
-        if flavor != base.flavor:
-            raise FlavorError("macro %s expands only in %s flavor" % (name, base.flavor))
-        arg_polys = {i + 1: _expand(a, flavor, field) for i, a in enumerate(args)}
-        return poly_substitute(base.to_field(field), arg_polys)
-    body = tree_substitute(mac.body(), {i + 1: a for i, a in enumerate(args)})
+    params = dict(params)
+    for pname in params:
+        if pname not in mac.params:
+            raise MacroError("macro %s takes no parameter %s" % (name, pname))
+    for pname in mac.params:
+        if pname not in params:
+            raise MacroError("missing parameter %s" % pname)
+    if mac.builder is not None and flavor != PLANAR:
+        raise FlavorError("macro %s expands only in %s flavor" % (name, PLANAR))
+    body = tree_substitute(mac.body(params), {i + 1: a for i, a in enumerate(args)})
     return _expand(body, flavor, field)
 
 
@@ -434,8 +448,11 @@ def blended_instance(p: Polynomial, assignment: dict) -> Polynomial:
     """
     f = p.field
     items = sorted(assignment.items())
-    arrangements = [sorted(set(itertools.permutations(tuple(x.enc for x in ms))))
-                    for _, ms in items]
+    arrangements = []
+    for _, ms in items:
+        encs = sorted(x.enc for x in ms)
+        arrangements.append([tuple(encs[k] for k in perm)
+                             for perm in slot_arrangements(tuple(map(encs.index, encs)))])
 
     def instance(m):
         pos = leaf_positions(m.enc)

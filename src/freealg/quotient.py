@@ -80,7 +80,6 @@ exit, or when the parent's pipe closes.
 from __future__ import annotations
 
 import atexit
-import functools
 import itertools
 import math
 import os
@@ -96,7 +95,7 @@ import numpy as np
 from . import linalg
 from .term import (COMMUTATIVE, PLANAR, GF, QQ, Monomial, Polynomial, count_monomials,
                    leaf_positions, mdeg, mdeg_add, mdeg_key, mdeg_leq, mdeg_sub, mdeg_total,
-                   splits2, sub_multidegrees)
+                   slot_arrangements, splits2, sub_multidegrees)
 
 SELECTION_PRIMES = (999983, 999979)
 FULL_COLS_CAP = 420          # exact components at most this wide skip the modular pre-pass
@@ -310,16 +309,6 @@ def _multiset_shape(ms):
             label += 1
         out.append((x[0], label))
     return tuple(out)
-
-
-@functools.cache
-def _slot_arrangements(labels):
-    """The distinct arrangements of a multiset whose slots carry these equality
-    labels, each as a permutation of the slots: leaf k gets slot perm[k]."""
-    out = {}
-    for perm in itertools.permutations(range(len(labels))):
-        out.setdefault(tuple(labels[k] for k in perm), perm)
-    return tuple(out.values())
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +770,7 @@ class ModularQuotient(InductiveQuotient):
             rows = np.array(at)
             slots = [(v, [e for e, _ in shape], np.array([[i for _, i in specs[a][2][v]] for a in at]))
                      for v, shape in variables]
-            combos = list(itertools.product(*(_slot_arrangements(tuple(label for _, label in shape))
+            combos = list(itertools.product(*(slot_arrangements(tuple(label for _, label in shape))
                                               for _, shape in variables)))
             bound = 0
             for enc, coeff, positions in self._identity_terms()[f_idx]:
@@ -1293,7 +1282,7 @@ class ExactQuotient(InductiveQuotient):
         coordinates of their split."""
         variables = sorted(assignment)
         combos = list(itertools.product(*(
-            _slot_arrangements(tuple(label for _, label in _multiset_shape(assignment[v])))
+            slot_arrangements(tuple(label for _, label in _multiset_shape(assignment[v])))
             for v in variables)))
         row = {}
         for enc, coeff, positions in self._identity_terms()[f_idx]:

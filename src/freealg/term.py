@@ -13,6 +13,7 @@ code downstream (row sorting, pivot choice, printing) relies on this order.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -406,6 +407,13 @@ class Polynomial:
                     clean[m] = c
         self.terms = clean
 
+    @staticmethod
+    def _of(flavor, terms, field):
+        """A polynomial of terms this module built: nonzero and of this flavor."""
+        p = object.__new__(Polynomial)
+        p.flavor, p.field, p.terms = flavor, field, terms
+        return p
+
     # -- constructors --------------------------------------------------------
 
     @staticmethod
@@ -449,21 +457,21 @@ class Polynomial:
                 out.pop(m, None)
             else:
                 out[m] = v
-        return Polynomial(self.flavor, out, f)
+        return Polynomial._of(self.flavor, out, f)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         f = self.field
-        return Polynomial(self.flavor, {m: f.neg(c) for m, c in self.terms.items()}, f)
+        return Polynomial._of(self.flavor, {m: f.neg(c) for m, c in self.terms.items()}, f)
 
     def scale(self, coeff):
         f = self.field
         c0 = coeff if not isinstance(coeff, (int, Fraction)) else f.from_fraction(Fraction(coeff))
         if f.is_zero(c0):
             return Polynomial.zero(self.flavor, f)
-        return Polynomial(self.flavor, {m: f.mul(c, c0) for m, c in self.terms.items()}, f)
+        return Polynomial._of(self.flavor, {m: f.mul(c, c0) for m, c in self.terms.items()}, f)
 
     def __mul__(self, other):
         """Free (flavor) product, extended bilinearly."""
@@ -478,7 +486,7 @@ class Polynomial:
                     out.pop(m, None)
                 else:
                     out[m] = v
-        return Polynomial(self.flavor, out, f)
+        return Polynomial._of(self.flavor, out, f)
 
     def star(self, other):
         """a * b + b * a (no 1/2 normalization)."""
@@ -551,6 +559,19 @@ def leaf_positions(enc) -> dict:
     return out
 
 
+@lru_cache(maxsize=None)
+def slot_arrangements(labels) -> tuple:
+    """The distinct arrangements of a multiset whose slots carry these equality
+    labels, each as a permutation of the slots: leaf k gets slot perm[k].
+
+    With labels nondecreasing, the arrangements come in lexicographic order.
+    """
+    out = {}
+    for perm in itertools.permutations(range(len(labels))):
+        out.setdefault(tuple(labels[k] for k in perm), perm)
+    return tuple(out.values())
+
+
 def map_monomials(p: Polynomial, leaf, node) -> list:
     """(coefficient, image) for each term of p, images built bottom-up.
 
@@ -578,23 +599,4 @@ def linear_combination(flavor, field, pairs) -> Polynomial:
     out = {}
     for c, poly in pairs:
         vec_add_scaled(field, out, poly.terms, c)
-    return Polynomial(flavor, out, field)
-
-
-def poly_substitute(p: Polynomial, mapping: dict) -> Polynomial:
-    """Substitute polynomials for variables (T-substitution), expanding products.
-
-    mapping: variable index -> Polynomial (same flavor/field as p).  Variables
-    not in the mapping stay themselves.
-    """
-    f = p.field
-
-    def leaf(m):
-        res = mapping.get(m.enc[0])
-        if res is None:
-            return Polynomial.unit(m, 1, f)
-        if res.flavor != p.flavor or res.field is not f:
-            raise FlavorError("substitution image flavor/field mismatch")
-        return res
-
-    return linear_combination(p.flavor, f, map_monomials(p, leaf, Polynomial.__mul__))
+    return Polynomial._of(flavor, out, field)

@@ -268,12 +268,10 @@ def monomial_index(d, flavor):
 class SpanCache:
     """Free-coordinate span bases per multidegree for one (variety, field)."""
 
-    def __init__(self, variety, fld, degree_cap=DEFAULT_DEGREE_CAP,
-                 max_columns=MAX_FREE_COLUMNS):
+    def __init__(self, variety, fld, degree_cap=DEFAULT_DEGREE_CAP):
         self.variety = variety
         self.field = fld
         self.degree_cap = degree_cap
-        self.max_columns = max_columns
         self.bases = {}
 
     def rows(self, d) -> list[ConsequenceRow]:
@@ -309,9 +307,9 @@ class SpanCache:
         if mdeg_total(d) > self.degree_cap:
             raise quotient.DegreeCapExceeded(
                 "component %r exceeds degree cap %d" % (d, self.degree_cap))
-        if count_monomials(d, self.variety.flavor) > self.max_columns:
+        if count_monomials(d, self.variety.flavor) > MAX_FREE_COLUMNS:
             raise BudgetExceeded("component %r exceeds the column budget %d"
-                                 % (d, self.max_columns))
+                                 % (d, MAX_FREE_COLUMNS))
         mons, index = monomial_index(d, self.variety.flavor)
         rows = _dedupe([vectorize(cr.poly, index) for cr in self.rows(d)], self.field)
         basis = linalg.rref(rows, len(mons), self.field)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from freealg import albert27, lang
 from freealg.albert27 import (AlbertElement, Octonion, albert_star, associator,
-                              evaluate, oct_mul, random_element, sample_report)
+                              evaluate, random_element, sample_report)
 from freealg.term import COMMUTATIVE
 
 E = [Octonion.basis(i) for i in range(8)]
@@ -38,16 +38,16 @@ def rnd_oct(rng, bound=4):
 
 def test_unit_and_squares():
     for x in E:
-        assert oct_mul(E[0], x) == x
-        assert oct_mul(x, E[0]) == x
+        assert E[0] * x == x
+        assert x * E[0] == x
     for i in range(1, 8):
-        assert oct_mul(E[i], E[i]) == -E[0]
+        assert E[i] * E[i] == -E[0]
 
 
 def test_full_table_matches_doubling_oracle():
     for i in range(8):
         for j in range(8):
-            got = oct_mul(E[i], E[j]).co
+            got = (E[i] * E[j]).co
             want = doubling_mul(E[i].co, E[j].co)
             assert tuple(got) == tuple(want)
 
@@ -119,9 +119,8 @@ def test_glennie_has_a_witness():
     assert rep["nonzero_count"] >= 1
     w = rep["witness"]
     assert w is not None and len(w["value"]) == 27
-    # serialized report is valid JSON with full coordinates
-    data = json.loads(albert27.witness_json(rep))
-    assert data["witness"]["sample_index"] == w["sample_index"]
+    # the report is JSON as it stands: witness coordinates are strings
+    assert json.loads(json.dumps(rep)) == rep
 
 
 def entrywise_value(poly, elements):

@@ -192,6 +192,9 @@ def test_albert_report_deterministic():
     ["dim", "assym", "--multidegree", "2,x"],
     ["--char", "x", "dim", "assym", "--multidegree", "2"],
     ["albert", "t1 t1", "--samples", "x"],
+    ["expand", "t99999999999999999999 t1"],
+    ["expand", "t10000000"],
+    ["expand", "jor{q=3}(t1,t2)"],
 ])
 def test_bad_input_is_one_line_exit_2(argv):
     rc = subprocess.run([sys.executable, "-m", "freealg.cli"] + argv,

@@ -1,6 +1,9 @@
 """DSL parsing, macro expansion, star expansion, sigma_q and polarization."""
 
+import hashlib
 import itertools
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -9,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 from freealg import lang
 from freealg.lang import (MacroError, ParseError, apply_sigma_q, blended_instance,
                           expand, parse, polarize, star_expand)
-from freealg.term import COMMUTATIVE, PLANAR, FlavorError, Monomial, Polynomial, QQ
+from freealg.term import COMMUTATIVE, GF, PLANAR, FlavorError, Monomial, Polynomial, QQ
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "expansions.json")
 
 
 def test_parse_basic_shapes():
@@ -31,6 +36,10 @@ def test_parse_errors():
     for text in ("1/0 t1", "q{q=1/0}(t1,t2)", "lsym_q{q=-1/0}(t1,t2,t3)"):
         with pytest.raises(ParseError, match="zero denominator"):
             expand(text, PLANAR)
+    for text in ("t99999999999999999999 t1", "t10000000", "t0", "t%d" % (lang.MAX_VARIABLE + 1)):
+        with pytest.raises(ParseError, match="outside 1..%d" % lang.MAX_VARIABLE):
+            parse(text)
+    assert expand("t%d" % lang.MAX_VARIABLE, PLANAR).multidegree()[-1] == 1
 
 
 def test_expand_bracket():
@@ -195,6 +204,48 @@ def test_macro_q_parameter():
     assert p == apply_sigma_q(expand("lsym(t1,t2,t3)", PLANAR), -2)
     with pytest.raises(FlavorError):
         expand("lsym_q{q=2}(t1,t2,t3)", COMMUTATIVE)
+
+
+def test_macro_takes_only_its_declared_parameters():
+    with pytest.raises(MacroError, match="jor takes no parameter q"):
+        expand("jor{q=3}(t1,t2)", PLANAR)
+    with pytest.raises(MacroError, match="lsym_q takes no parameter p"):
+        expand("lsym_q{p=2}(t1,t2,t3)", PLANAR)
+    with pytest.raises(MacroError, match="missing parameter q"):
+        expand("rsym_q(t1,t2,t3)", PLANAR)
+
+
+# Compound arguments for the golden expansions; glen, shest and D, of degree
+# 8, 7 and 7, take a shorter third one.
+GOLDEN_ARGS = ["t1 t2", "t3 - 1/2 t1", "(t2 t4) t1", "t4 + 2 t2 t3"]
+GOLDEN_ARGS_DEEP = ["t1 t2", "t3 - 1/2 t1", "t2 t4"]
+
+
+def golden_expansion_cases():
+    """(expr, flavor, char) for every built-in macro with compound arguments:
+    both flavors, or planar at q = 2 and q = -1/3 for the sigma_q macros."""
+    out = []
+    for name, mac in sorted(lang.MACROS.items()):
+        args = ", ".join((GOLDEN_ARGS_DEEP if name in ("glen", "shest", "D")
+                          else GOLDEN_ARGS)[:mac.arity])
+        if mac.params:
+            calls = [("%s{q=%s}(%s)" % (name, q, args), PLANAR) for q in ("2", "-1/3")]
+        else:
+            calls = [("%s(%s)" % (name, args), flavor) for flavor in (PLANAR, COMMUTATIVE)]
+        out += [(expr, flavor, char) for expr, flavor in calls for char in (0, 7)]
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:Lie bracket expands to zero")
+def test_macro_expansions_match_golden():
+    with open(GOLDEN) as fh:
+        golden = {(g["expr"], g["flavor"], g["char"]): g["sha256"] for g in json.load(fh)}
+    cases = golden_expansion_cases()
+    assert sorted(cases) == sorted(golden)
+    for expr, flavor, char in cases:
+        p = expand(expr, flavor, QQ if char == 0 else GF(char))
+        assert hashlib.sha256(str(p).encode()).hexdigest() == golden[expr, flavor, char], \
+            (expr, flavor, char)
 
 
 def test_q_product_literal():

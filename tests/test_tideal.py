@@ -192,8 +192,9 @@ def test_degree_cap_enforced(assym):
         tideal.quotient_dim(assym, (9,), QQ, degree_cap=8)
 
 
-def test_column_budget_enforced(assym):
-    small = tideal.SpanCache(assym, QQ, max_columns=10)
+def test_column_budget_enforced(assym, monkeypatch):
+    monkeypatch.setattr(tideal, "MAX_FREE_COLUMNS", 10)
+    small = tideal.SpanCache(assym, QQ)
     with pytest.raises(tideal.BudgetExceeded):
         small.basis((1, 1, 1))
 
