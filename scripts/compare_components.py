@@ -10,9 +10,10 @@ A line gives the case (variety, q, target multidegree), the field of the
 quotient (0 for QQ, else p), a multidegree d at or below the target, and the
 component at d: dim, rank, mode, pair columns and SHA-256 digests of its
 selected row indices and of its struct map (split keys and blocks, in split
-order).  A case over QQ also reports the GF(p) twins of its quotient, when it
-has any, at every multidegree at or below the target; the twins build in
-process whatever they lack.  Each case starts from empty caches.
+order).  A case over QQ that has a component wider than FULL_COLS_CAP also
+reports, at every multidegree at or below the target, the GF(p) quotients of
+both SELECTION_PRIMES, built in process: its twins, however many of them its
+lifts asked for.  Each case starts from empty caches.
 """
 
 import argparse
@@ -92,10 +93,14 @@ def main():
             qa = quotient.get_quotient(tideal.get_variety(name, q), field_by_char(char))
             qa.component(target)
             below = sorted(sub_multidegrees(target) + [target], key=mdeg_key)
-            for built in [qa] + (getattr(qa, "_twins", None) or []):
-                field = getattr(built, "p", 0)
+            built = [qa]
+            if char == 0 and any(c.paircols > quotient.FULL_COLS_CAP for c in qa.comps.values()):
+                built += [quotient.ModularQuotient(qa.variety, p)
+                          for p in quotient.SELECTION_PRIMES]
+            for b in built:
+                field = getattr(b, "p", 0)
                 for d in below:
-                    print(_line(case, field, d, built.component(d), np), flush=True)
+                    print(_line(case, field, d, b.component(d), np), flush=True)
     finally:
         quotient.clear_cache()
 

@@ -7,7 +7,9 @@ component with at most `exact_column_cap` free-monomial columns (default
 20 000) is decided exactly over QQ, a larger one modulo two independent
 primes whose images must agree, with a 'modular' warning.  The two primes'
 quotients are built side by side in two child processes, or one after the
-other in process on a single CPU (quotient.build_twins).  Zero images over
+other in process on a single CPU (quotient.build_twins).  Over QQ the wide
+components lift their struct maps from one prime's child, a second prime
+only when reconstruction needs it (quotient.ExactQuotient).  Zero images over
 QQ are exact membership proofs even when the span was assembled from
 modular-selected rows (the rows are honest consequence members either way).
 """

@@ -69,7 +69,7 @@ def _tokenize(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            toks.append(("num", int(text[i:j]), i))
+            toks.append(("num", _number(text[i:j], i), i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -82,6 +82,14 @@ def _tokenize(text):
         raise ParseError("unexpected character %r" % ch, i)
     toks.append(("end", None, n))
     return toks
+
+
+def _number(digits, pos):
+    """A run of digits as an int; a ParseError past the interpreter's limit on digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("number of %d digits is too long" % len(digits), pos) from None
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +220,7 @@ class _Parser:
         if t[0] == "name":
             name = t[1]
             if name.startswith("t") and name[1:].isdigit():
-                k = int(name[1:])
+                k = _number(name[1:], t[2])
                 if not 1 <= k <= MAX_VARIABLE:
                     raise ParseError("variable index %d outside 1..%d" % (k, MAX_VARIABLE), t[2])
                 return ("var", k)
@@ -273,10 +281,14 @@ class MacroDef:
 
 
 def _sigma_builder(base_text):
+    trees = {}                    # q -> the image tree; trees are immutable, so shared
+
     def build(q):
-        image = apply_sigma_q(expand(base_text, PLANAR), -q)
-        terms = map_monomials(image, lambda m: ("var", m.enc[0]), lambda a, b: ("prod", a, b))
-        return ("sum", tuple(("scale", c, tree) for c, tree in terms))
+        if q not in trees:
+            image = apply_sigma_q(expand(base_text, PLANAR), -q)
+            terms = map_monomials(image, lambda m: ("var", m.enc[0]), lambda a, b: ("prod", a, b))
+            trees[q] = ("sum", tuple(("scale", c, tree) for c, tree in terms))
+        return trees[q]
     return build
 
 

@@ -51,35 +51,40 @@ the row assembly and the elimination:
   on each distinct arrangement of each variable's multiset; a product of
   two basis elements is a cached struct row, any other product its pair
   coordinates through the struct map.  Large components assemble only the
-  rows that pivoted modulo the first of two independent primes; replayed
-  rows are honest T-ideal members.  Their struct map is lifted from the two
-  GF(p) struct matrices by CRT and rational reconstruction (lift_struct)
-  and accepted only when every replayed row maps to zero exactly and the
-  rows have full rank, which proves it is the map of their span whatever
-  the twins did; so zero residuals stay proofs.  The first twin's selection is
-  the only proof of that rank: it holds when the twin has the rational
-  orbit bases and every lower rational struct map reduces modulo its prime
-  to the twin's, for then each replayed row reduces to a unit multiple of a
-  row the twin found independent.  A component whose selection proves
-  nothing, a refused lift, every small component and every component of
-  identities with a strategy prime in a coefficient's denominator send
-  every relation row through IntRREF, an integer-scaled RREF.
+  rows that pivoted modulo the first strategy prime; replayed rows are
+  honest T-ideal members.  Their struct map is lifted by CRT and rational
+  reconstruction (lift_struct) from the GF(p) struct matrices of the twins
+  present, one per prime, starting with one; only a residue that does not
+  reconstruct or a candidate the exact check refuses asks for the next
+  prime's twin.  A lift is accepted only when every replayed row maps to
+  zero exactly and the rows have full rank, which proves it is the map of
+  their span whatever the twins did; so zero residuals stay proofs.  The
+  first twin's selection is the only proof of that rank: it holds when the
+  twin has the rational orbit bases and every lower rational struct map
+  reduces modulo its prime to the twin's, for then each replayed row
+  reduces to a unit multiple of a row the twin found independent.  A
+  component whose selection proves nothing, a lift refused with every
+  prime, every small component and every component of identities with a
+  strategy prime in a coefficient's denominator send every relation row
+  through IntRREF, an integer-scaled RREF.
 
-The two GF(p) builds of one component, one per strategy prime (the twins
-of a rational component, and the two-prime verdicts in engine), are built
-side by side by build_twins: in two long-lived child processes, one per
-prime, each a fresh interpreter that imports freealg from this package's
-directory and uses max(1, ncpu // 2) BLAS threads.  The parent installs the
-zero-free components they return and makes the relabelings itself, so every
-later lookup, image and replay is the same as after an in-process build.
-With one CPU the twins are built in process, one after the other.  Children
-start on the first such build, never at import, and stop in clear_cache, at
-exit, or when the parent's pipe closes.
+GF(p) twins are built in long-lived child processes, one per prime, each a
+fresh interpreter that imports freealg from this package's directory and uses
+max(1, ncpu // 2) BLAS threads.  request_tower asks a child for a component's
+whole tower without waiting; the child answers component by component in
+build order, and the parent installs the replies when it needs one, as if
+built here.  An exact build asks twin 0's child as it starts, so the child
+builds beside the parent; build_twins, behind engine's two-prime verdicts,
+asks one child per prime and collects every reply.  With one CPU twins are
+built in process.  Children start on the first request, never at import, and
+stop in clear_cache, at exit, or when the parent's pipe closes; one with a
+request in flight is killed, not waited for.
 """
 
 from __future__ import annotations
 
 import atexit
+import collections
 import itertools
 import math
 import os
@@ -88,6 +93,7 @@ import resource
 import signal
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -686,6 +692,7 @@ class ModularQuotient(InductiveQuotient):
         super().__init__(variety, GF(p), degree_cap)
         self.p = p
         self._coeff_cache: dict[Fraction, int] = {}
+        self._coming: dict[tuple, _TwinBuilder] = {}   # asked of a child, not yet installed
 
     def poly_image(self, poly: Polynomial):
         """Image of a multihomogeneous polynomial in its component's coordinates,
@@ -705,15 +712,28 @@ class ModularQuotient(InductiveQuotient):
         """Product Q_{d1} x Q_{d2} -> Q_{d1+d2} on coordinate vectors."""
         return self._products(d1, v1[None], d2, v2[None])[0]
 
-    def _install(self, records):
-        """Take components built in another process (see build_twins) as if built here."""
-        for d, values in records:
-            comp = _Component(d)
-            for name, value in zip(_WIRE, values):
-                setattr(comp, name, value)
-            if comp.S is not None:
-                _split_struct(comp, comp.S)
-            self.comps[d] = comp
+    def _install(self, d, values):
+        """Take a component built in a child process (see request_tower) as if built here."""
+        comp = _Component(d)
+        for name, value in zip(_WIRE, values):
+            setattr(comp, name, value)
+        if comp.S is not None:
+            _split_struct(comp, comp.S)
+        self.comps[d] = comp
+
+    def _receive(self, d):
+        """Install the replies of the child asked for d, in order, until d is here;
+        raises the child's exception when the request that was to bring d failed."""
+        while d in self._coming:
+            error = self._coming[d].install_next()
+            if error is not None and d not in self._coming and d not in self.comps:
+                raise error
+
+    def _build(self, d):
+        if d in self._coming:                 # a child builds it: take its reply
+            self._receive(d)
+            return self.comps[d]
+        return super()._build(d)
 
     def _unit(self, d, i):
         return _one_hot(self.comps[d].dim, i)
@@ -999,17 +1019,19 @@ def rational_reconstruction(u, m, bound):
 
 
 def lift_struct(rows, nonpivs, structs, primes):
-    """Struct columns over QQ of the span of integer rows, lifted from two twins; or None.
+    """Struct columns over QQ of the span of integer rows, lifted from k >= 1 twins; or None.
 
     structs[t] is the paircols x dim struct matrix of a reduced echelon basis
     over GF(primes[t]) and nonpivs[t] its non-pivot columns; rows is an
     iterable of sparse integer rows that the caller has proven linearly
     independent over QQ, read in blocks and only once the lift has a
-    candidate.  The twins' pivot rows are combined by CRT modulo m = p0 p1
-    and each distinct residue is reconstructed as a fraction with numerator
-    and denominator at most sqrt(m / 2) < p0, p1, so a value that is 0
-    modulo one prime is 0.  The candidate S is accepted only when
-      1. both twins have the same shape, non-pivot columns and zero entries,
+    candidate.  The twins' pivot rows are combined by CRT modulo m, the
+    product of the primes (below 2^63), and each distinct residue is
+    reconstructed as a fraction with numerator and denominator at most
+    sqrt((m - 1) / 2) < each prime (707 for one prime near 10^6), so a value
+    that is 0 modulo one prime is 0.
+    The candidate S is accepted only when
+      1. every twin has twin 0's shape, non-pivot columns and zero entries,
       2. every residue reconstructs,
       3. rows @ S = 0 exactly (D rows @ S in float64 while the bound allows,
          D the common denominator, else in Python ints), and
@@ -1022,21 +1044,23 @@ def lift_struct(rows, nonpivs, structs, primes):
     one IntRREF gives.  Returns, per pair column, {struct column: int or
     Fraction}.
     """
-    (n0, n1), (S0, S1), (p0, p1) = nonpivs, structs, primes
+    n0, S0, m = nonpivs[0], structs[0], primes[0]
     ncols, dim = S0.shape
     k = ncols - dim
-    if S0.shape != S1.shape or not np.array_equal(n0, n1):
+    if any(S.shape != S0.shape or not np.array_equal(n, n0) for n, S in zip(nonpivs, structs)):
         return None
     piv = np.setdiff1d(np.arange(ncols), n0)
-    P0, P1 = S0[piv], S1[piv]
-    nz = P0 != 0
-    if not np.array_equal(nz, P1 != 0):
-        return None
-    a = P0[nz].astype(np.int64)
-    t = (P1[nz].astype(np.int64) - a) % p1 * pow(p0, -1, p1) % p1
-    uniq, inv = np.unique(a + p0 * t, return_inverse=True)
-    del P0, P1, a, t
-    m = p0 * p1
+    P = S0[piv]
+    nz = P != 0
+    a = P[nz].astype(np.int64)
+    for S, p in zip(structs[1:], primes[1:]):
+        P = S[piv]
+        if not np.array_equal(nz, P != 0):
+            return None
+        a += m * ((P[nz].astype(np.int64) - a) % p * pow(m, -1, p) % p)
+        m *= p
+    uniq, inv = np.unique(a, return_inverse=True)
+    del P, a
     bound = math.isqrt((m - 1) // 2)
     fracs = [rational_reconstruction(int(u), m, bound) for u in uniq]
     if None in fracs:
@@ -1111,29 +1135,40 @@ def _kills(rows, cols):
 class ExactQuotient(InductiveQuotient):
     """Relatively-free algebra over QQ.
 
-    A component wider than FULL_COLS_CAP pair columns gets its two GF(p)
-    twins, one per SELECTION_PRIMES prime, unless a prime divides the
-    denominator of an identity coefficient.  When _selection_proves_rank
-    shows that the rows the first twin selected are independent over QQ,
-    those rows are assembled over QQ (honest T-ideal members) and the
-    struct map is lifted from the twins' struct matrices by CRT and
-    rational reconstruction; the exact check of lift_struct proves it is
-    the map of the span of those rows (mode "replay").  Every other
-    component, and one whose lift is refused, sends every relation row
-    through IntRREF (mode "full").  Coordinates are sparse dicts whose
-    values are ints when integral and Fractions otherwise; poly_image
-    returns Fractions.  Relation rows and products both add into pair
-    coordinates through _pair_coords.
+    A component wider than FULL_COLS_CAP pair columns gets GF(p) twins, one
+    per SELECTION_PRIMES prime in order, unless a prime divides the
+    denominator of an identity coefficient.  _twins starts with twin 0
+    alone and grows only when a lift needs another prime; each lift uses
+    every twin present.  When _selection_proves_rank shows that the rows
+    twin 0 selected are independent over QQ, those rows are assembled over
+    QQ (honest T-ideal members) and the struct map is lifted from the twins'
+    struct matrices by CRT and rational reconstruction; the exact check of
+    lift_struct proves it is the map of the span of those rows (mode
+    "replay").  Every other component, and one whose lift every prime's twin
+    leaves refused, sends every relation row through IntRREF (mode "full").
+    Coordinates are sparse dicts whose values are ints when integral and
+    Fractions otherwise; poly_image returns Fractions.  Relation rows and
+    products both add into pair coordinates through _pair_coords.
     """
 
     def __init__(self, variety, degree_cap=DEFAULT_DEGREE_CAP):
         super().__init__(variety, QQ, degree_cap)
         self.pair_cache: dict[tuple, dict] = {}     # (d1, i, d2, j) -> struct row of the pair
-        self._twins = None
+        self._twins = []         # the GF(SELECTION_PRIMES[i]) quotients so far (_twin)
         self._reduces = {}       # d -> does d's struct map reduce mod p to the first twin's S?
         # a strategy prime that divides a coefficient's denominator has no twin
         self._twinnable = not any(c.denominator % p == 0 for p in SELECTION_PRIMES
                                   for f in self.identities for c in f.terms.values())
+
+    def component(self, d):
+        """InductiveQuotient.component; a build with more than FULL_COLS_CAP free
+        monomials (the most pair columns any component below d can have) first
+        asks twin 0's child for d's tower (request_tower)."""
+        d = mdeg(d)
+        if (d not in self.comps and self._twinnable and 1 < mdeg_total(d) <= self.degree_cap
+                and count_monomials(d, self.flavor) > FULL_COLS_CAP):
+            request_tower(self._twin(0), d)
+        return super().component(d)
 
     def poly_image(self, poly: Polynomial):
         """Image of a multihomogeneous polynomial, {coordinate: nonzero Fraction}."""
@@ -1220,26 +1255,43 @@ class ExactQuotient(InductiveQuotient):
 
     def _reduce(self, comp):
         if comp.paircols > FULL_COLS_CAP and self._twinnable:
-            if self._twins is None:
-                self._twins = [get_quotient(self.variety, GF(p), self.degree_cap)
-                               for p in SELECTION_PRIMES]
-            build_twins(self._twins, comp.d)
-            twins = [t.component(comp.d) for t in self._twins]
-            if self._selection_proves_rank(comp.d):
-                cols = lift_struct(self._integral_rows(comp, set(twins[0].selected)),
-                                   [t.nonpiv for t in twins], [t.S for t in twins],
-                                   [t.p for t in self._twins])
-                if cols is not None:
-                    comp.mode = "replay"
-                    comp.rank = twins[0].rank
-                    # the fractions are the CRT residues, with denominators below p
-                    self._reduces[comp.d] = True
-                    return cols
+            d = comp.d
+            twins = [self._twin_component(i, d) for i in range(max(1, len(self._twins)))]
+            if self._selection_proves_rank(d):
+                selected = set(twins[0].selected)
+                while True:
+                    cols = lift_struct(self._integral_rows(comp, selected),
+                                       [t.nonpiv for t in twins], [t.S for t in twins],
+                                       [t.p for t in self._twins[:len(twins)]])
+                    if cols is not None:
+                        comp.mode = "replay"
+                        comp.rank = twins[0].rank
+                        # the fractions are the CRT residues, with denominators below p
+                        self._reduces[d] = True
+                        return cols
+                    if len(twins) == len(SELECTION_PRIMES):
+                        break
+                    twins.append(self._twin_component(len(twins), d))
         basis = IntRREF(comp.paircols)
         for row in self._integral_rows(comp):
             basis.insert(row)
         comp.rank = basis.rank
         return basis.struct_columns()
+
+    def _twin(self, i):
+        """Twin i, the cached GF(SELECTION_PRIMES[i]) quotient; _twins grows to hold it."""
+        while len(self._twins) <= i:
+            p = SELECTION_PRIMES[len(self._twins)]
+            self._twins.append(get_quotient(self.variety, GF(p), self.degree_cap))
+        return self._twins[i]
+
+    def _twin_component(self, i, d):
+        """Twin i's component at d: from the child of its prime when there is
+        one, else built here."""
+        twin = self._twin(i)
+        request_tower(twin, d)
+        twin._receive(d)              # installs d and its tower: component(d) is a lookup
+        return twin.component(d)
 
     def _selection_proves_rank(self, d):
         """Are the rows the first twin selected at d independent over QQ?
@@ -1324,7 +1376,7 @@ def clear_cache():
 
 
 # ---------------------------------------------------------------------------
-# GF(p) twins built side by side, one long-lived child process per prime.
+# GF(p) twins built in long-lived child processes, one per prime.
 # ---------------------------------------------------------------------------
 
 # What a child sends of each component; the struct blocks are rebuilt as views of S.
@@ -1336,61 +1388,71 @@ _CHILD_CODE = ("import sys; sys.path.insert(0, sys.argv[1]); "
 _BUILDERS: dict[int, "_TwinBuilder"] = {}
 
 
-def build_twins(quotients, d):
-    """Build component d of several ModularQuotients at once, one child process per prime.
+def _cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1    # no affinity API, as on macOS
 
-    Each quotient that lacks d sends (variety, p, degree cap, d, the
-    multidegrees it holds) to the child of its prime, which builds d and its
-    lower components in its own cached ModularQuotient and answers with the
-    zero-free ones the quotient lacks (_tower), in build order; they are
-    installed as if built here, and the quotient's component() makes the
-    zero-padded relabelings from them when asked, so every later lookup is
-    unchanged.  Components are bit-identical to an in-process build, since
-    GF(p) elimination is exact in any BLAS summation order.  With one CPU, fewer than two quotients
-    lacking d, or no process to be had, nothing happens and the callers'
-    component(d) builds in process as before.  A child's exception is raised
-    here with its type and message, after every other child has answered; a
-    child that died raises BuildError, and the next request starts a fresh
-    one.
+
+def request_tower(q, d):
+    """Ask the child of the ModularQuotient q's prime for d's tower, without waiting.
+
+    The child builds it in its own cached ModularQuotient and sends the
+    zero-free components of _tower(d) that q neither holds nor awaits, one
+    reply each, in build order; q installs them when it needs one
+    (ModularQuotient._receive) and makes the zero-padded relabelings itself.
+    They are bit-identical to an in-process build, since GF(p) elimination
+    is exact in any BLAS summation order.  With one CPU, or no process to be
+    had, nothing is asked.  A child that died raises BuildError, and the
+    next request starts a fresh one.
+    """
+    d = mdeg(d)
+    base = _zero_free(d)
+    ncpu = _cpus()
+    if ncpu < 2 or base in q.comps or base in q._coming:
+        return
+    tower = [e for e in _tower(d, q.flavor) if e not in q.comps and e not in q._coming]
+    builder = _BUILDERS.get(q.p)
+    if builder is None:
+        try:
+            builder = _TwinBuilder(q.p, ncpu)
+        except OSError:
+            return
+    builder.send((q.variety, q.p, q.degree_cap, d, set(q.comps).union(q._coming)))
+    builder.requests.append((q, collections.deque(tower)))
+    q._coming.update(dict.fromkeys(tower, builder))
+
+
+def build_twins(quotients, d):
+    """Build component d of several ModularQuotients at once, one child process per prime:
+    request_tower for each quotient lacking d, then every reply.  With one
+    CPU or fewer than two quotients lacking d, nothing happens and the
+    callers' component(d) builds in process.  A child's exception is raised
+    here with its type and message, after every other child has answered.
     """
     d = mdeg(d)
     lacking = [q for q in quotients if d not in q.comps]
-    if hasattr(os, "sched_getaffinity"):
-        ncpu = len(os.sched_getaffinity(0))
-    else:                         # no affinity API, as on macOS
-        ncpu = os.cpu_count() or 1
-    if ncpu < 2 or len(lacking) < 2:
-        return
-    try:
-        builders = [_BUILDERS.get(q.p) or _TwinBuilder(q.p, ncpu) for q in lacking]
-    except OSError:
+    if _cpus() < 2 or len(lacking) < 2:
         return
     error = None
-    try:
-        sent = []
-        for q, builder in zip(lacking, builders):
-            try:
-                builder.send((q.variety, q.p, q.degree_cap, d, set(q.comps)))
-                sent.append((q, builder))
-            except BuildError as exc:
-                error = error or exc
-        for q, builder in sent:
-            try:
-                q._install(builder.receive())
-            except Exception as exc:
-                error = error or exc
-    except BaseException:
-        # interrupted mid-exchange: the children's replies are out of step
-        for builder in list(_BUILDERS.values()):
-            builder.close(force=True)
-        raise
+    for q in lacking:
+        try:
+            request_tower(q, d)
+        except BuildError as exc:
+            error = error or exc
+    for q in lacking:
+        try:
+            q._receive(_zero_free(d))
+        except Exception as exc:
+            error = error or exc
     if error is not None:
         raise error
 
 
 def stop_twin_builders():
-    """Stop build_twins' children; returns {p: the child's report}, where a
-    report ({"pid", "freealg", "maxrss_mb"}) is None for a child that had died."""
+    """Stop the children; returns {p: the child's report}, where a report
+    ({"pid", "freealg", "maxrss_mb"}) is None for a child that had died or
+    was killed with a request in flight."""
     return {p: _BUILDERS[p].stop() for p in list(_BUILDERS)}
 
 
@@ -1400,9 +1462,12 @@ atexit.register(stop_twin_builders)
 class _TwinBuilder:
     """The parent's end of one child process that builds GF(p) components.
 
-    Requests and replies are pickles on the child's stdin and stdout.  The
-    child gets max(1, ncpu // 2) BLAS threads, set before numpy loads, and
-    exits when its stdin reaches EOF, so none outlives the parent.
+    Requests and replies are pickles on the child's stdin and stdout.
+    requests holds, in order, each request in flight as (quotient, the
+    multidegrees still to come): one reply each, or one error reply that
+    ends the request.  The child gets max(1, ncpu // 2) BLAS threads, set
+    before numpy loads, and exits when its stdin reaches EOF or a reply finds
+    the parent gone, so none outlives the parent.
     """
 
     def __init__(self, p, ncpu):
@@ -1410,6 +1475,7 @@ class _TwinBuilder:
         env.update(dict.fromkeys(_BLAS_THREAD_VARS, str(max(1, ncpu // 2))))
         src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         self.p = p
+        self.requests = collections.deque()
         self.proc = subprocess.Popen([sys.executable, "-c", _CHILD_CODE, src],
                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
         _BUILDERS[p] = self
@@ -1420,30 +1486,62 @@ class _TwinBuilder:
             self.proc.stdin.flush()
         except OSError:
             raise self._died() from None
+        except BaseException:
+            self.close(force=True)          # interrupted: the child's input is out of step
+            raise
 
     def receive(self):
+        """The child's next reply, (status, payload)."""
         try:
-            status, payload = pickle.load(self.proc.stdout)
+            return pickle.load(self.proc.stdout)
         except (EOFError, OSError, pickle.UnpicklingError):
             raise self._died() from None
+        except BaseException:
+            self.close(force=True)          # interrupted: the replies are out of step
+            raise
+
+    def install_next(self):
+        """Install the next reply in the quotient that asked for it; returns the
+        child's exception when the reply ends a failed request, else None."""
+        q, tower = self.requests[0]
+        status, payload = self.receive()
         if status == "error":
-            raise payload
-        return payload
+            self._forget(self.requests.popleft())
+            return payload
+        e, values = payload
+        q._install(e, values)
+        del q._coming[tower.popleft()]
+        if not tower:
+            self.requests.popleft()
+        return None
+
+    @staticmethod
+    def _forget(request):
+        q, tower = request
+        for e in tower:
+            del q._coming[e]
 
     def stop(self):
-        """End the child; returns its report, or None if it had died."""
+        """End the child; returns its report, or None if it had died or had a
+        request in flight, when it is killed rather than waited for."""
+        if self.requests:
+            self.close(force=True)
+            return None
         try:
             self.send("stop")
-            report = self.receive()
+            status, report = self.receive()
         except BuildError:
             report = None
         self.close()
         return report
 
     def close(self, force=False):
-        """Forget this child and reap it; force kills it first (it may be mid-build)."""
+        """Forget this child and its requests, and reap it; force kills it first
+        (it may be mid-build)."""
         if _BUILDERS.get(self.p) is self:
             del _BUILDERS[self.p]
+        while self.requests:
+            self._forget(self.requests.popleft())
         if force:
             self.proc.kill()
         for pipe in (self.proc.stdin, self.proc.stdout):
@@ -1464,35 +1562,51 @@ class _TwinBuilder:
 
 
 def serve_twin_builds():
-    """Child side of build_twins: answer requests from stdin until EOF or "stop"."""
+    """Child side of request_tower: answer requests from stdin until EOF or "stop".
+
+    Replies go out through a writer thread, so a reply the parent has not
+    read yet never holds up the next build."""
+    import queue                  # the child's only; the parent never loads it
     signal.signal(signal.SIGINT, signal.SIG_IGN)    # the parent handles interrupts
     out = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)                 # stray output goes to stderr, not into the replies
+    replies = queue.SimpleQueue()
+    writer = threading.Thread(target=_write_replies, args=(replies, out), daemon=True)
+    writer.start()
     inp = sys.stdin.buffer
     while True:
         try:
             msg = pickle.load(inp)
         except EOFError:
-            return
+            break
         if msg == "stop":
-            reply = ("ok", {"pid": os.getpid(), "freealg": os.path.dirname(os.path.abspath(__file__)),
-                            "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024})
-        else:
-            variety, p, degree_cap, d, held = msg
-            try:
-                q = get_quotient(variety, GF(p), degree_cap)
-                q.component(d)
-                reply = ("ok", [(e, tuple(getattr(q.comps[e], name) for name in _WIRE))
-                                for e in _tower(d, q.flavor) if e not in held])
-            except Exception as exc:
-                reply = ("error", _portable(exc))
+            replies.put(("ok", {"pid": os.getpid(),
+                                "freealg": os.path.dirname(os.path.abspath(__file__)),
+                                "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                                / 1024}))
+            break
+        variety, p, degree_cap, d, held = msg
+        try:
+            q = get_quotient(variety, GF(p), degree_cap)
+            if mdeg_total(d) > degree_cap:
+                q.component(d)    # raises DegreeCapExceeded before building anything
+            for e in _tower(d, q.flavor):
+                if e not in held:
+                    comp = q.component(e)
+                    replies.put(("ok", (e, tuple(getattr(comp, name) for name in _WIRE))))
+        except Exception as exc:
+            replies.put(("error", _portable(exc)))
+    replies.put(None)
+    writer.join()
+
+
+def _write_replies(replies, out):
+    while (reply := replies.get()) is not None:
         try:
             pickle.dump(reply, out, protocol=pickle.HIGHEST_PROTOCOL)
             out.flush()
         except BrokenPipeError:
-            return
-        if msg == "stop":
-            return
+            os._exit(0)           # the parent is gone; the main thread may be mid-build
 
 
 def _tower(d, flavor):

@@ -195,6 +195,8 @@ def test_albert_report_deterministic():
     ["expand", "t99999999999999999999 t1"],
     ["expand", "t10000000"],
     ["expand", "jor{q=3}(t1,t2)"],
+    ["expand", "7" * 5000 + " t1"],
+    ["expand", "t" + "9" * 5000],
 ])
 def test_bad_input_is_one_line_exit_2(argv):
     rc = subprocess.run([sys.executable, "-m", "freealg.cli"] + argv,

@@ -40,6 +40,11 @@ def test_parse_errors():
         with pytest.raises(ParseError, match="outside 1..%d" % lang.MAX_VARIABLE):
             parse(text)
     assert expand("t%d" % lang.MAX_VARIABLE, PLANAR).multidegree()[-1] == 1
+    # digit runs past int()'s limit on digits
+    for text in ("7" * 5000 + " t1", "t" + "9" * 5000):
+        with pytest.raises(ParseError, match="number of 5000 digits is too long") as err:
+            expand(text, PLANAR)
+        assert err.value.pos == 0
 
 
 def test_expand_bracket():
@@ -204,6 +209,9 @@ def test_macro_q_parameter():
     assert p == apply_sigma_q(expand("lsym(t1,t2,t3)", PLANAR), -2)
     with pytest.raises(FlavorError):
         expand("lsym_q{q=2}(t1,t2,t3)", COMMUTATIVE)
+    # the sigma_q image tree is made once per q
+    body = lang.MACROS["lsym_q"].body
+    assert body({"q": Fraction(2)}) is body({"q": Fraction(2)}) is not body({"q": Fraction(3)})
 
 
 def test_macro_takes_only_its_declared_parameters():

@@ -661,6 +661,22 @@ def test_lift_struct_checks_in_ints_beyond_the_float_bound():
     assert _lift([{0: 2 ** 53, 1: -2 ** 53}], 2, twins) == [{0: 1}, {0: 1}]
 
 
+def test_lift_struct_from_one_twin_up_to_its_bound():
+    # one twin: its residues reconstructed with numerators and denominators up to
+    # isqrt((p0 - 1) / 2) = 707; a struct constant of height 708 needs a second prime
+    assert math.isqrt((P0 - 1) // 2) == 707
+    for seed in range(4):
+        rows = _independent_rows(seed)
+        nonpiv, S, _ = _twin(rows, 10, P0)
+        assert quotient.lift_struct(rows, [nonpiv], [S], (P0,)) == _int_rref_struct(rows, 10)
+    for h in (707, 708):
+        rows = [{0: h, 1: -1}, {2: 1, 3: -h}]          # struct constants 1/h and h
+        nonpiv, S, _ = _twin(rows, 4, P0)
+        got = quotient.lift_struct(rows, [nonpiv], [S], (P0,))
+        assert got == (_int_rref_struct(rows, 4) if h == 707 else None)
+        assert _lift(rows, 4) == _int_rref_struct(rows, 4)
+
+
 def _components_being_built(monkeypatch):
     """The stack of ExactQuotient components being built, kept current."""
     building = []
@@ -731,8 +747,38 @@ def test_replay_lifts_struct_without_int_rref(name, q, monkeypatch):
     replayed = [d for d, c in qe.comps.items() if c.mode == "replay" and d == _base(d)]
     assert (2, 1, 1, 1) in replayed
     assert not any(calls.get(d) for d in replayed)
-    # twin 0's selection proves every rank: each replayed component is lifted once
-    assert lifts == {d: 1 for d in replayed}
+    # twin 0's selection proves every rank: each replayed component is lifted once, and
+    # once more where GF(p0) alone is refused (q = 3: a numerator 713 at (2,1,1))
+    second = {(2, 1, 1)} if q is not None else set()
+    assert lifts == {d: 1 + (d in second) for d in replayed}
+    assert _structs(qe) == _structs(full)
+
+
+def test_a_residue_over_one_primes_bound_asks_for_the_next_twin(monkeypatch):
+    # quasi-assosymmetric q = 3 has a struct numerator 713 at (2,1,1), over GF(p0)'s
+    # bound 707: that lift is refused, GF(p1)'s twin is asked for, and the lift from
+    # both replays; every later lift uses both twins
+    variety = tideal.get_variety("quasi_assosymmetric", Fraction(3))
+    d = (2, 1, 1, 1)
+    full = _full_reference(variety, d, monkeypatch)
+    assert max(abs(Fraction(x).numerator) for col in itertools.chain(*full.comps[(2, 1, 1)]
+                                                                      .struct.values())
+               for x in col.values()) == 713
+    building = _components_being_built(monkeypatch)
+    tried, lift = {}, quotient.lift_struct
+
+    def recorded(*args):
+        cols = lift(*args)
+        tried.setdefault(building[-1], []).append((tuple(args[3]), cols is not None))
+        return cols
+
+    monkeypatch.setattr(quotient, "lift_struct", recorded)
+    qe = quotient.ExactQuotient(variety)
+    qe.component(d)
+    assert tried == {(2, 1, 1): [((P0,), False), ((P0, P1), True)],
+                     (1, 1, 1, 1): [((P0, P1), True)], d: [((P0, P1), True)]}
+    assert [t.p for t in qe._twins] == [P0, P1]
+    assert all(qe.comps[e].mode == "replay" for e in tried)
     assert _structs(qe) == _structs(full)
 
 
@@ -768,28 +814,31 @@ def test_a_lower_struct_off_the_first_twin_re_eliminates_the_rank(monkeypatch):
 
 def test_replay_falls_back_to_int_rref_above_the_height_bound(monkeypatch):
     # quasi-assosymmetric q = -1/3 has struct constants like 3819349/3271840 at (2,1,1,1):
-    # the lift is refused and every relation row goes through IntRREF
+    # the lift is refused with every prime and every relation row goes through IntRREF
     variety = tideal.get_variety("quasi_assosymmetric", Fraction(-1, 3))
     calls = _replay_inserts(monkeypatch)
     full = _full_reference(variety, (2, 1, 1, 1), monkeypatch)
     full_calls = dict(calls)
     calls.clear()
-    accepted, lift = [], quotient.lift_struct
+    building = _components_being_built(monkeypatch)
+    tried, lift = {}, quotient.lift_struct
 
     def recorded(*args):
         cols = lift(*args)
-        accepted.append(cols is not None)
+        tried.setdefault(building[-1], []).append((len(args[3]), cols is not None))
         return cols
 
     monkeypatch.setattr(quotient, "lift_struct", recorded)
     qe = quotient.ExactQuotient(variety)
     comp = qe.component((2, 1, 1, 1))
     assert comp.mode == "full" and calls[(2, 1, 1, 1)] == full_calls[(2, 1, 1, 1)]
-    # a zero-free component reads "replay" exactly when its lift was accepted; the
+    assert tried[(2, 1, 1, 1)][-1] == (len(quotient.SELECTION_PRIMES), False)
+    # a zero-free component reads "replay" exactly when its last lift was accepted; the
     # zero-padded ones are relabelings and lift nothing
-    built = [c for d, c in qe.comps.items() if d == _base(d)]
-    assert len(accepted) == sum(c.paircols > 20 for c in built)
-    assert sum(c.mode == "replay" for c in built) == sum(accepted)
+    built = {d: c for d, c in qe.comps.items() if d == _base(d)}
+    assert set(tried) == {d for d, c in built.items() if c.paircols > 20}
+    assert all((c.mode == "replay") == tried.get(d, [(0, False)])[-1][1]
+               for d, c in built.items())
     assert _structs(qe) == _structs(full)
 
 
@@ -799,8 +848,8 @@ def test_a_strategy_prime_in_a_denominator_skips_the_twins(monkeypatch):
     d = (2, 1, 1)
     requests = []
     monkeypatch.setattr(quotient, "FULL_COLS_CAP", 20)
-    monkeypatch.setattr(quotient, "build_twins", lambda *args: requests.append(args))
+    monkeypatch.setattr(quotient, "request_tower", lambda *args: requests.append(args))
     qe = quotient.ExactQuotient(variety)
     comp = qe.component(d)
-    assert comp.paircols > 20 and comp.mode == "full" and not requests
+    assert comp.paircols > 20 and comp.mode == "full" and not requests and not qe._twins
     assert comp.dim == free_dim(variety, d, QQ)

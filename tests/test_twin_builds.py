@@ -191,6 +191,77 @@ def test_clear_cache_stops_both_children(monkeypatch):
     assert [proc.returncode for proc in procs] == [0, 0]
 
 
+def test_an_exact_build_asks_one_child_for_its_whole_tower(monkeypatch):
+    # [3,3,1], as in the D = shest check: one request to GF(p0)'s child as the build
+    # starts, before any QQ component, and one child; GF(p0) alone lifts every replay
+    monkeypatch.setattr(quotient, "_CACHE", {})
+    quotient.stop_twin_builders()
+    _cpus(monkeypatch, 2)
+    events, send, build = [], quotient._TwinBuilder.send, quotient.ExactQuotient._build
+
+    def recorded_send(self, msg):
+        events.append((self.p, msg[3]))
+        send(self, msg)
+
+    def recorded_build(self, d):
+        events.append(d)
+        return build(self, d)
+
+    monkeypatch.setattr(quotient._TwinBuilder, "send", recorded_send)
+    monkeypatch.setattr(quotient.ExactQuotient, "_build", recorded_build)
+    batches = _count_batches(monkeypatch)
+    qe = quotient.ExactQuotient(tideal.get_variety("assosymmetric"))
+    qe.component((3, 3, 1))
+    assert events[0] == (P0, (3, 3, 1)) and (P0, (3, 3, 1)) not in events[1:]
+    assert list(quotient._BUILDERS) == [P0] and [t.p for t in qe._twins] == [P0]
+    assert {d for d, c in qe.comps.items() if c.mode == "replay"} == \
+        {(3, 2, 1), (2, 3, 1), (3, 3, 1)}
+    assert not batches                                   # every elimination ran in the child
+    assert not qe._twins[0]._coming
+
+
+def test_clear_cache_kills_a_child_with_a_request_in_flight(monkeypatch):
+    monkeypatch.setattr(quotient, "_CACHE", {})
+    _cpus(monkeypatch, 2)
+    assym = tideal.get_variety("assosymmetric")
+    q = quotient.ModularQuotient(assym, P0)
+    quotient.request_tower(q, (3, 3, 2))               # many seconds of builds
+    proc = quotient._BUILDERS[P0].proc
+    assert q._coming
+    quotient.clear_cache()
+    assert proc.returncode == -signal.SIGKILL
+    assert not quotient._BUILDERS and not q._coming
+    # the next two-prime build reads its own replies, from a fresh child
+    twins = _twins(assym)
+    quotient.build_twins(twins, (2, 2))
+    assert quotient._BUILDERS[P0].proc.pid != proc.pid
+    assert [t.comps[(2, 2)].dim for t in twins] == [9, 9]       # the paper's degree-4 table
+    # q forgot what it awaited: it builds in process
+    assert (3, 3, 2) not in q.comps
+    assert q.dim((2, 1, 1)) == quotient.ModularQuotient(assym, P0).dim((2, 1, 1))
+
+
+def test_an_interrupted_reply_kills_the_child(monkeypatch):
+    # a reply half read leaves the stream out of step: the child is killed and
+    # forgotten, and the quotient builds what it awaited in process
+    _cpus(monkeypatch, 2)
+    assym = tideal.get_variety("assosymmetric")
+    q = quotient.ModularQuotient(assym, P0)
+    quotient.request_tower(q, (2, 2))
+    proc = quotient._BUILDERS[P0].proc
+
+    def interrupted(fh):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patched:
+        patched.setattr(quotient.pickle, "load", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            q.component((2, 2))
+    assert proc.returncode == -signal.SIGKILL
+    assert P0 not in quotient._BUILDERS and not q._coming
+    assert q.dim((2, 2)) == 9                                   # the paper's degree-4 table
+
+
 SCRIPT = """\
 import os, sys
 sys.path.insert(0, {src!r})
@@ -218,7 +289,8 @@ def test_unguarded_script_builds_through_children(tmp_path):
     run = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
     assert run.returncode == 0, run.stderr
     mode, dim, *pids = run.stdout.split()
-    assert (mode, int(dim), len(pids)) == ("replay", 16, 2)
+    # one child: GF(p0) alone lifts every component of (2,1,1)
+    assert (mode, int(dim), len(pids)) == ("replay", 16, 1)
     assert "Traceback" not in run.stderr
 
 
@@ -236,10 +308,30 @@ def test_children_exit_when_the_parent_is_killed(tmp_path):
                           text=True, env=env, cwd=tmp_path) as parent:
         try:
             pids = [int(x) for x in parent.stdout.readline().split()[2:]]
-            assert len(pids) == 2 and all(map(_alive, pids))
+            assert len(pids) == 1 and all(map(_alive, pids))
         finally:
             parent.kill()
     deadline = time.monotonic() + 30
     while any(map(_alive, pids)) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not any(map(_alive, pids))
+
+
+IN_FLIGHT = """\
+import os, sys
+sys.path.insert(0, {src!r})
+os.sched_getaffinity = lambda pid: {{0, 1}}     # children even on a one-CPU host
+from freealg import quotient, tideal
+q = quotient.ModularQuotient(tideal.get_variety("assosymmetric"), quotient.SELECTION_PRIMES[0])
+quotient.request_tower(q, (3, 3, 2))
+print(quotient._BUILDERS[q.p].proc.pid, flush=True)
+"""
+
+
+def test_exit_with_a_request_in_flight_leaves_no_child(tmp_path):
+    path = tmp_path / "in_flight.py"
+    path.write_text(IN_FLIGHT.format(src=SRC))
+    run = subprocess.run([sys.executable, str(path)], capture_output=True, text=True,
+                         cwd=tmp_path, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert not _alive(int(run.stdout))
