@@ -10,10 +10,13 @@ A line gives the case (variety, q, target multidegree), the field of the
 quotient (0 for QQ, else p), a multidegree d at or below the target, and the
 component at d: dim, rank, mode, pair columns and SHA-256 digests of its
 selected row indices and of its struct map (split keys and blocks, in split
-order).  A case over QQ that has a component wider than FULL_COLS_CAP also
-reports, at every multidegree at or below the target, the GF(p) quotients of
-both SELECTION_PRIMES, built in process: its twins, however many of them its
-lifts asked for.  Each case starts from empty caches.
+order; a block is the slice of S from its split's offset to the next).  A
+case over QQ that has a component wider than FULL_COLS_CAP also reports, at
+every multidegree at or below the target, the GF(p) quotients of both
+SELECTION_PRIMES, built in process: its twins, however many of them its
+lifts asked for.  Each case starts from empty caches.  The struct map is read
+from each component's S and offsets; an older checkout that stored it
+elsewhere is read with that checkout's own copy of this script.
 """
 
 import argparse
@@ -61,8 +64,9 @@ def _block_bytes(block, np):
 
 def _line(case, field, d, comp, np):
     name, q, _, target = case
-    struct = [part for split, block in comp.struct.items()
-              for part in (repr(split), _block_bytes(block, np))]
+    ends = list(comp.offsets.values())[1:] + [comp.paircols]
+    struct = [part for (split, off), end in zip(comp.offsets.items(), ends)
+              for part in (repr(split), _block_bytes(comp.S[off:end], np))]
     return json.dumps({"variety": name, "q": None if q is None else str(q),
                        "target": list(target), "field": field, "d": list(d),
                        "dim": comp.dim, "rank": comp.rank, "mode": comp.mode,

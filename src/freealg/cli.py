@@ -34,7 +34,6 @@ class RunConfig:
     degree_cap: int = DEFAULT_DEGREE_CAP
     exact_column_cap: int = engine.EXACT_COLUMN_CAP
     fmt: str = "text"
-    extended: bool = False
     certificates: bool = False
     catalog_path: str | None = None
 
@@ -207,7 +206,7 @@ def cmd_albert(cfg, args):
 
 
 def cmd_suite(cfg, args):
-    kw = {"char": cfg.char, "extended": cfg.extended}
+    kw = {"char": cfg.char}
     if args.name == "albert":
         kw = {"seed": args.seed, "samples": args.samples}
     if args.name in ("main1", "char3"):
@@ -244,8 +243,6 @@ def build_parser():
     ap.add_argument("--exact-column-cap", type=int, default=engine.EXACT_COLUMN_CAP,
                     help="largest free-coordinate component decided over the rationals")
     ap.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
-    ap.add_argument("--extended", action="store_true",
-                    help="enable the resource-heavy extras (degree-7 dual dimension)")
     ap.add_argument("--certificate", dest="certificates", action="store_true")
     ap.add_argument("--catalog", dest="catalog_path", default=None,
                     help="extra variety catalog file")
@@ -317,8 +314,7 @@ def main(argv=None):
     try:
         cfg = RunConfig(char=args.char, degree_cap=args.degree_cap,
                         exact_column_cap=args.exact_column_cap, fmt=args.fmt,
-                        extended=args.extended, certificates=args.certificates,
-                        catalog_path=args.catalog_path)
+                        certificates=args.certificates, catalog_path=args.catalog_path)
         return args.fn(cfg, args)
     except USER_ERRORS as e:
         print("%s: error: %s" % (ap.prog, e), file=sys.stderr)

@@ -5,13 +5,15 @@ is_identity decides each component in one loop: it passes when every image
 (sparse in both fields) is empty.  At char p the field is GF(p); at char 0 a
 component with at most `exact_column_cap` free-monomial columns (default
 20 000) is decided exactly over QQ, a larger one modulo two independent
-primes whose images must agree, with a 'modular' warning.  The two primes'
-quotients are built side by side in two child processes, or one after the
-other in process on a single CPU (quotient.build_twins).  Over QQ the wide
-components lift their struct maps from one prime's child, a second prime
-only when reconstruction needs it (quotient.ExactQuotient).  Zero images over
-QQ are exact membership proofs even when the span was assembled from
-modular-selected rows (the rows are honest consequence members either way).
+primes whose images must agree, with a 'modular' warning.  Both primes'
+children are asked for the component's tower before either image is taken
+(quotient.request_tower), so the two quotients build side by side in two
+child processes, or one after the other in process on a single CPU.  Over QQ
+the wide components lift their struct maps from one prime's child, a second
+prime only when reconstruction needs it (quotient.ExactQuotient).  Zero
+images over QQ are exact membership proofs even when the span was assembled
+from modular-selected rows (the rows are honest consequence members either
+way).
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ def is_identity(variety, expr, char=0, mode="direct",
             fields = [GF(p) for p in quotient.SELECTION_PRIMES]
         quotients = [quotient.get_quotient(variety, fld, degree_cap) for fld in fields]
         if len(quotients) > 1:
-            quotient.build_twins(quotients, d)
+            for qa in quotients:
+                quotient.request_tower(qa, d)
             warnings.append("component %s decided by the two-prime modular strategy"
                             % (list(d),))
         zero = [not qa.poly_image(part) for qa in quotients]
@@ -631,7 +634,7 @@ def suite_quasi(char=0):
     return sorted(out, key=lambda e: e["check"])
 
 
-def suite_koszul(extended=False, char=0):
+def suite_koszul(char=0):
     """Dimension sequences, the dual pairing and the order-5 obstruction."""
     assym = tideal.get_variety("assosymmetric")
     dual = tideal.get_variety("dual_assosymmetric")
@@ -641,12 +644,10 @@ def suite_koszul(extended=False, char=0):
     out.append(report_entry("multilinear-dimensions", "assym:multilinear-1-to-5",
                             _pass_fail(dims == [1, 2, 7, 29, 136]), char,
                             [(1,) * n for n in range(1, 6)], t1, detail={"dims": dims}))
-    upto = 7 if extended else 6
-    (ddims, t2) = _timed(lambda: tideal.multilinear_dims(dual, upto, fld))
-    want = [1, 2, 5, 9, 9, 11, 13][:upto]
-    out.append(report_entry("dual-multilinear-dimensions", "dual:multilinear-1-to-%d" % upto,
-                            _pass_fail(ddims == want), char,
-                            [(1,) * n for n in range(1, upto + 1)], t2, detail={"dims": ddims}))
+    (ddims, t2) = _timed(lambda: tideal.multilinear_dims(dual, 7, fld))
+    out.append(report_entry("dual-multilinear-dimensions", "dual:multilinear-1-to-7",
+                            _pass_fail(ddims == [1, 2, 5, 9, 9, 11, 13]), char,
+                            [(1,) * n for n in range(1, 8)], t2, detail={"dims": ddims}))
     resid = series.koszul_residual(assym, dual, 5, fld)[0]
     expect = series.TruncatedSeries.from_coeffs([0, 0, 0, 0, Fraction(3, 8)])
     out.append(report_entry("composition-residual", "koszul:order-5-obstruction",
@@ -707,7 +708,7 @@ SUITES = {
     "main1": lambda cfg: suite_main1(cfg.get("char", 0), cfg.get("heavy", True)),
     "char3": lambda cfg: suite_char3(cfg.get("heavy", True)),
     "quasi": lambda cfg: suite_quasi(cfg.get("char", 0)),
-    "koszul": lambda cfg: suite_koszul(cfg.get("extended", False), cfg.get("char", 0)),
+    "koszul": lambda cfg: suite_koszul(cfg.get("char", 0)),
     "albert": lambda cfg: suite_albert(cfg.get("seed", 20240809), cfg.get("samples", 100)),
 }
 

@@ -22,16 +22,17 @@ Only multidegrees with no zero entry are built.  One with zero entries, such
 as (1,0,1,1), is its zero-free base (1,1,1) under the only order-preserving
 renaming of variables, which keeps the split order, the spec stream and
 every relation row; its component is a view of the base's, sharing its
-dimension, rank, selection, struct matrix and struct blocks, with only the
-split keys renamed (_relabel).  So [1^6] builds 6 components, not 63.
+dimension, rank, selection and struct map, with only the split keys of its
+offsets renamed (_relabel).  So [1^6] builds 6 components, not 63.
 
 One builder, InductiveQuotient, does everything that does not depend on the
-coordinates: the component recursion, the pair layout and its budget, the
-split of a struct map into blocks, and the evaluation of a substituted
-identity term (_evaluate), whose leaves carry basis indices and whose
-interior nodes are the subclass's _products.  Each subclass writes its pair
-layout once, in _pair_coords, and gives the coordinate type, the products,
-the row assembly and the elimination:
+coordinates: the component recursion, the pair layout and its budget, and
+the evaluation of a substituted identity term (_evaluate), whose leaves
+carry basis indices and whose interior nodes are the subclass's _products.
+Each subclass writes its pair layout once, in _pair_coords, and gives the
+coordinate type, the products, the row assembly and the elimination.  A
+component stores its struct map once, as S, one row per pair column; a
+product finds its split's block through the component's offsets:
 
 * ModularQuotient: GF(p) with dense numpy rows, for primes with
   2 (p-1)^2 <= 2^53.  Relation rows are assembled in bulk, a batch of specs
@@ -74,11 +75,11 @@ max(1, ncpu // 2) BLAS threads.  request_tower asks a child for a component's
 whole tower without waiting; the child answers component by component in
 build order, and the parent installs the replies when it needs one, as if
 built here.  An exact build asks twin 0's child as it starts, so the child
-builds beside the parent; build_twins, behind engine's two-prime verdicts,
-asks one child per prime and collects every reply.  With one CPU twins are
-built in process.  Children start on the first request, never at import, and
-stop in clear_cache, at exit, or when the parent's pipe closes; one with a
-request in flight is killed, not waited for.
+builds beside the parent; engine's two-prime verdicts ask both primes'
+children before reading a reply, so the two build side by side.  With one
+CPU twins are built in process.  Children start on the first request, never
+at import, and stop in clear_cache, at exit, or when the parent's pipe
+closes; one with a request in flight is killed, not waited for.
 """
 
 from __future__ import annotations
@@ -498,19 +499,19 @@ def _gauss_jordan_mod(P, p):
 class _Component:
     """A component.  Its split layout is the ordered offsets, {split: first
     pair column of its block}; a block ends where the next begins, the last
-    at paircols.  struct holds the struct map's blocks in the same order."""
+    at paircols, and is block_size wide.  S is the struct map, one row per
+    pair column: a paircols x dim matrix over GF(p), a list of sparse
+    {struct column: int or Fraction} over QQ, None in degree 1."""
 
-    __slots__ = ("d", "dim", "offsets", "paircols",
-                 "struct", "selected", "rank", "mode", "nonpiv", "S")
+    __slots__ = ("d", "dim", "offsets", "paircols", "selected", "rank", "mode", "nonpiv", "S")
 
     def __init__(self, d):
         self.d = d
-        self.struct = {}
         self.selected = []
         self.rank = 0
         self.mode = "full"
         self.nonpiv = None       # GF(p): non-pivot columns, ascending
-        self.S = None            # GF(p): paircols x dim struct matrix; struct blocks are views
+        self.S = None
 
 
 def _zero_free(d):
@@ -525,9 +526,8 @@ def _relabel(base, d):
     its variables onto base's.  It keeps mdeg_key, so it keeps the split
     order (planar and commutative), the spec stream of iter_relation_specs
     and every relation row, value by value: the component at d is base
-    under renamed split keys.  Only the keys of offsets and struct are
-    renamed; dim, paircols, rank, mode, selected, nonpiv, S and the struct
-    blocks are base's own objects.
+    under renamed split keys.  Only the keys of offsets are renamed; dim,
+    paircols, rank, mode, selected, nonpiv and S are base's own objects.
     """
     at = [i for i, x in enumerate(d) if x]
 
@@ -540,9 +540,7 @@ def _relabel(base, d):
     comp = _Component(d)
     for name in ("dim", "paircols", "rank", "mode", "selected", "nonpiv", "S"):
         setattr(comp, name, getattr(base, name))
-    keys = {split: (rename(split[0]), rename(split[1])) for split in base.offsets}
-    comp.offsets = {keys[split]: x for split, x in base.offsets.items()}
-    comp.struct = {keys[split]: x for split, x in base.struct.items()}
+    comp.offsets = {(rename(d1), rename(d2)): x for (d1, d2), x in base.offsets.items()}
     return comp
 
 
@@ -551,14 +549,13 @@ class InductiveQuotient:
 
     Everything here is independent of the coordinates: the component
     recursion, the pair layout and its budget, monomial images, orbit bases,
-    identity terms, the evaluation of substituted terms (_evaluate) and the
-    split of a struct map into blocks.  A subclass supplies the coordinate
-    type through _unit (a basis vector), _coeff (a rational as a
-    coefficient), _products (the value of an interior node of _evaluate,
-    whose leaves carry basis indices), product, poly_image (a sparse
-    {coordinate: nonzero value} in both fields), and
+    identity terms and the evaluation of substituted terms (_evaluate).  A
+    subclass supplies the coordinate type through _unit (a basis vector),
+    _coeff (a rational as a coefficient), _products (the value of an
+    interior node of _evaluate, whose leaves carry basis indices), product,
+    poly_image (a sparse {coordinate: nonzero value} in both fields), and
     _reduce(comp), which assembles and eliminates a component's relation
-    rows, sets comp.rank and returns its struct map: one row per pair
+    rows, sets comp.rank and returns its struct map S: one row per pair
     column.
     """
 
@@ -663,17 +660,9 @@ class InductiveQuotient:
         if comp.paircols > MAX_PAIR_COLUMNS:
             raise BudgetExceeded("component %r needs %d pair columns, over the budget %d"
                                  % (d, comp.paircols, MAX_PAIR_COLUMNS))
-        struct = self._reduce(comp)
+        comp.S = self._reduce(comp)
         comp.dim = comp.paircols - comp.rank
-        _split_struct(comp, struct)
         return comp
-
-
-def _split_struct(comp, struct):
-    """One struct block per split: a slice (for numpy, a view) of the struct
-    map from the split's offset to the next one's, or to paircols."""
-    ends = list(comp.offsets.values())[1:] + [comp.paircols]
-    comp.struct = {split: struct[off:end] for (split, off), end in zip(comp.offsets.items(), ends)}
 
 
 # ---------------------------------------------------------------------------
@@ -712,28 +701,18 @@ class ModularQuotient(InductiveQuotient):
         """Product Q_{d1} x Q_{d2} -> Q_{d1+d2} on coordinate vectors."""
         return self._products(d1, v1[None], d2, v2[None])[0]
 
-    def _install(self, d, values):
-        """Take a component built in a child process (see request_tower) as if built here."""
-        comp = _Component(d)
-        for name, value in zip(_WIRE, values):
-            setattr(comp, name, value)
-        if comp.S is not None:
-            _split_struct(comp, comp.S)
-        self.comps[d] = comp
-
-    def _receive(self, d):
-        """Install the replies of the child asked for d, in order, until d is here;
-        raises the child's exception when the request that was to bring d failed."""
-        while d in self._coming:
-            error = self._coming[d].install_next()
-            if error is not None and d not in self._coming and d not in self.comps:
-                raise error
-
-    def _build(self, d):
-        if d in self._coming:                 # a child builds it: take its reply
-            self._receive(d)
-            return self.comps[d]
-        return super()._build(d)
+    def component(self, d):
+        """InductiveQuotient.component, unless a child builds d (request_tower):
+        then the child's replies are installed, in order, until d is here,
+        with no zero-padded relabeling below d; the child's exception is
+        raised if the request that was to bring d failed."""
+        if self._coming:
+            d = mdeg(d)
+            while d in self._coming:
+                error = self._coming[d].install_next()
+                if error is not None and d not in self._coming and d not in self.comps:
+                    raise error
+        return super().component(d)
 
     def _unit(self, d, i):
         return _one_hot(self.comps[d].dim, i)
@@ -763,7 +742,7 @@ class ModularQuotient(InductiveQuotient):
         S = np.zeros((comp.paircols, comp.paircols - rre.rank))
         S[rre.nonpiv, np.arange(S.shape[1])] = 1.0
         S[rre.piv] = mod_p(-rre.N, self.p)
-        comp.nonpiv, comp.S = rre.nonpiv, S
+        comp.nonpiv = rre.nonpiv
         return S
 
     def _relation_rows(self, comp, specs):
@@ -816,11 +795,16 @@ class ModularQuotient(InductiveQuotient):
 
     def _products(self, d1, x1, d2, x2):
         """The products x1[g] x2[g] in Q_{d1+d2} as a (group, dim) array: rows
-        of a struct block for two basis elements, else one matmul_mod."""
+        of the struct map for two basis elements, else one matmul_mod with
+        the split's block of it."""
         split, cols, vals = self._pair_coords(d1, x1, d2, x2)
-        S = self.component(mdeg_add(d1, d2)).struct[split]
+        comp = self.component(mdeg_add(d1, d2))
+        off = comp.offsets[split]
         if x1.ndim == x2.ndim == 1:
-            return S[cols[:, 0]]
+            return comp.S[off + cols[:, 0]]
+        e1, e2 = split
+        S = comp.S[off:off + block_size(self.flavor, e1, e2, self.comps[e1].dim,
+                                        self.comps[e2].dim)]
         if cols is not None:
             block = np.zeros((cols.shape[0], S.shape[0]))
             block[np.arange(cols.shape[0])[:, None], cols] = vals
@@ -1107,7 +1091,7 @@ def _struct_reduces_to(comp, twin, p):
     if not comp.paircols:
         return True
     R = np.zeros(twin.S.shape)
-    for c, col in enumerate(col for block in comp.struct.values() for col in block):
+    for c, col in enumerate(comp.S):
         for j, x in col.items():
             den = x.denominator % p
             if not den:
@@ -1165,7 +1149,7 @@ class ExactQuotient(InductiveQuotient):
         monomials (the most pair columns any component below d can have) first
         asks twin 0's child for d's tower (request_tower)."""
         d = mdeg(d)
-        if (d not in self.comps and self._twinnable and 1 < mdeg_total(d) <= self.degree_cap
+        if (d not in self.comps and self._twinnable and mdeg_total(d) > 1
                 and count_monomials(d, self.flavor) > FULL_COLS_CAP):
             request_tower(self._twin(0), d)
         return super().component(d)
@@ -1192,10 +1176,10 @@ class ExactQuotient(InductiveQuotient):
         through the struct map.  A v is a sparse vector or a basis index."""
         comp = self.component(mdeg_add(d1, d2))
         pairs = {}
-        S = comp.struct[self._pair_coords(d1, v1, d2, v2, pairs)]
+        self._pair_coords(comp.offsets, d1, v1, d2, v2, pairs)
         out = {}
         for c, a in pairs.items():
-            for k, x in S[c].items():
+            for k, x in comp.S[c].items():
                 v = out.get(k, 0) + a * x
                 if v:
                     out[k] = v
@@ -1210,28 +1194,28 @@ class ExactQuotient(InductiveQuotient):
             key = (d1, x1, d2, x2)
             got = self.pair_cache.get(key)
             if got is None:
+                comp = self.component(mdeg_add(d1, d2))
                 pairs = {}
-                split = self._pair_coords(d1, x1, d2, x2, pairs)
+                self._pair_coords(comp.offsets, d1, x1, d2, x2, pairs)
                 [col] = pairs
-                got = self.pair_cache[key] = self.component(mdeg_add(d1, d2)).struct[split][col]
+                got = self.pair_cache[key] = comp.S[col]
             return got
         return self.product(d1, x1, d2, x2)
 
-    def _pair_coords(self, d1, x1, d2, x2, out, coeff=1, offsets=None):
-        """Add coeff x1 x2, in pair coordinates, into the sparse vector out;
-        returns the split.
+    def _pair_coords(self, offsets, d1, x1, d2, x2, out, coeff=1):
+        """Add coeff x1 x2, in the pair coordinates of the component whose
+        split layout is offsets, into the sparse vector out.
 
         An x is a basis index or a sparse vector.  A commutative split is
         taken in key order.  The pair (i, j) is column i n2 + j of the
         split's block, or in the symmetric block of a commutative split
         (d1 = d2) column tri_index(min(i, j), max(i, j), n1), which so holds
-        the upper triangle of x1 x2 + x2 x1, less the diagonal once.  With
-        offsets, the block starts at column offsets[split] of out.
+        the upper triangle of x1 x2 + x2 x1, less the diagonal once.  The
+        block starts at column offsets[split].
         """
         if self.flavor == COMMUTATIVE and mdeg_key(d1) > mdeg_key(d2):
             d1, x1, d2, x2 = d2, x2, d1, x1
-        split = (d1, d2)
-        off = offsets[split] if offsets else 0
+        off = offsets[(d1, d2)]
         n1, n2 = self.comps[d1].dim, self.comps[d2].dim
         sym = self.flavor == COMMUTATIVE and d1 == d2
         v1 = {x1: 1} if x1.__class__ is int else x1
@@ -1245,7 +1229,6 @@ class ExactQuotient(InductiveQuotient):
                     out[col] = v
                 else:
                     out.pop(col, None)
-        return split
 
     def _unit(self, d, i):
         return {i: 1}
@@ -1290,7 +1273,6 @@ class ExactQuotient(InductiveQuotient):
         one, else built here."""
         twin = self._twin(i)
         request_tower(twin, d)
-        twin._receive(d)              # installs d and its tower: component(d) is a lookup
         return twin.component(d)
 
     def _selection_proves_rank(self, d):
@@ -1346,7 +1328,7 @@ class ExactQuotient(InductiveQuotient):
                         leaves[pos] = ms[k]
                 d1, x1, j = self._evaluate(enc, 1, leaves)
                 d2, x2, _ = self._evaluate(enc, j, leaves)
-                self._pair_coords(d1, x1, d2, x2, row, coeff, comp.offsets)
+                self._pair_coords(comp.offsets, d1, x1, d2, x2, row, coeff)
         return row
 
 
@@ -1379,7 +1361,7 @@ def clear_cache():
 # GF(p) twins built in long-lived child processes, one per prime.
 # ---------------------------------------------------------------------------
 
-# What a child sends of each component; the struct blocks are rebuilt as views of S.
+# What a child sends of each component.
 _WIRE = ("dim", "offsets", "paircols", "selected", "rank", "mode", "nonpiv", "S")
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # A fresh interpreter that imports freealg from the parent's directory, never __main__.
@@ -1400,16 +1382,17 @@ def request_tower(q, d):
     The child builds it in its own cached ModularQuotient and sends the
     zero-free components of _tower(d) that q neither holds nor awaits, one
     reply each, in build order; q installs them when it needs one
-    (ModularQuotient._receive) and makes the zero-padded relabelings itself.
+    (ModularQuotient.component) and makes the zero-padded relabelings itself.
     They are bit-identical to an in-process build, since GF(p) elimination
     is exact in any BLAS summation order.  With one CPU, or no process to be
-    had, nothing is asked.  A child that died raises BuildError, and the
+    had, nothing is asked, nor for a d over the degree cap, which
+    q.component(d) refuses.  A child that died raises BuildError, and the
     next request starts a fresh one.
     """
     d = mdeg(d)
     base = _zero_free(d)
     ncpu = _cpus()
-    if ncpu < 2 or base in q.comps or base in q._coming:
+    if ncpu < 2 or mdeg_total(d) > q.degree_cap or base in q.comps or base in q._coming:
         return
     tower = [e for e in _tower(d, q.flavor) if e not in q.comps and e not in q._coming]
     builder = _BUILDERS.get(q.p)
@@ -1421,32 +1404,6 @@ def request_tower(q, d):
     builder.send((q.variety, q.p, q.degree_cap, d, set(q.comps).union(q._coming)))
     builder.requests.append((q, collections.deque(tower)))
     q._coming.update(dict.fromkeys(tower, builder))
-
-
-def build_twins(quotients, d):
-    """Build component d of several ModularQuotients at once, one child process per prime:
-    request_tower for each quotient lacking d, then every reply.  With one
-    CPU or fewer than two quotients lacking d, nothing happens and the
-    callers' component(d) builds in process.  A child's exception is raised
-    here with its type and message, after every other child has answered.
-    """
-    d = mdeg(d)
-    lacking = [q for q in quotients if d not in q.comps]
-    if _cpus() < 2 or len(lacking) < 2:
-        return
-    error = None
-    for q in lacking:
-        try:
-            request_tower(q, d)
-        except BuildError as exc:
-            error = error or exc
-    for q in lacking:
-        try:
-            q._receive(_zero_free(d))
-        except Exception as exc:
-            error = error or exc
-    if error is not None:
-        raise error
 
 
 def stop_twin_builders():
@@ -1501,15 +1458,18 @@ class _TwinBuilder:
             raise
 
     def install_next(self):
-        """Install the next reply in the quotient that asked for it; returns the
-        child's exception when the reply ends a failed request, else None."""
+        """Install the next reply in the quotient that asked for it, as if built
+        there; returns the child's exception when the reply ends a failed
+        request, else None."""
         q, tower = self.requests[0]
         status, payload = self.receive()
         if status == "error":
             self._forget(self.requests.popleft())
             return payload
         e, values = payload
-        q._install(e, values)
+        comp = q.comps[e] = _Component(e)
+        for name, value in zip(_WIRE, values):
+            setattr(comp, name, value)
         del q._coming[tower.popleft()]
         if not tower:
             self.requests.popleft()
@@ -1588,8 +1548,6 @@ def serve_twin_builds():
         variety, p, degree_cap, d, held = msg
         try:
             q = get_quotient(variety, GF(p), degree_cap)
-            if mdeg_total(d) > degree_cap:
-                q.component(d)    # raises DegreeCapExceeded before building anything
             for e in _tower(d, q.flavor):
                 if e not in held:
                     comp = q.component(e)

@@ -118,16 +118,15 @@ def compose(g: TruncatedSeries, h: TruncatedSeries, order=None) -> TruncatedSeri
     return out
 
 
-def koszul_residual(variety, dual_variety, order, fld=QQ, degree_cap=None):
+def koszul_residual(variety, dual_variety, order, fld=QQ, degree_cap=DEFAULT_DEGREE_CAP):
     """compose(series(variety), series(dual)) - x, from computed multilinear dims.
 
-    The quotients are built with the cap max(order, degree_cap), degree_cap
-    defaulting to DEFAULT_DEGREE_CAP, so after multilinear_dims at its
-    default cap they are the cached ones.
+    The quotients are built with degree_cap, so after multilinear_dims at
+    its default cap they are the cached ones; an order over the cap raises
+    DegreeCapExceeded.
     """
     from . import tideal
-    cap = max(order, DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap)
-    dims = tideal.multilinear_dims(variety, order, fld, cap)
-    dual_dims = tideal.multilinear_dims(dual_variety, order, fld, cap)
+    dims = tideal.multilinear_dims(variety, order, fld, degree_cap)
+    dual_dims = tideal.multilinear_dims(dual_variety, order, fld, degree_cap)
     comp = compose(from_dims(dims), from_dims(dual_dims), order)
     return comp - TruncatedSeries.identity(order), dims, dual_dims

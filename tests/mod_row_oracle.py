@@ -2,9 +2,9 @@
 
 Each spec's identity terms are substituted on every distinct arrangement of
 each variable's multiset, each substituted term is evaluated node by node (a
-basis pair is a row of a struct block, any other product an outer product
-times the struct block), and the root product is added into the pair
-coordinates of its split.  It reads only a built quotient's components,
+basis pair is a row of the struct map S, any other product an outer product
+times the split's block of S, found through the component's offsets), and
+the root product is added into the pair coordinates of its split.  It reads only a built quotient's components,
 identity terms and field.
 """
 
@@ -73,18 +73,20 @@ def _pair_product(q, d1, i, d2, j):
         idx = quotient.tri_index(min(i, j), max(i, j), q.comps[d1].dim)
     else:
         idx = i * q.comps[d2].dim + j
-    return q.comps[mdeg_add(d1, d2)].struct[(d1, d2)][idx]
+    comp = q.comps[mdeg_add(d1, d2)]
+    return comp.S[comp.offsets[(d1, d2)] + idx]
 
 
 def _product(q, d1, v1, d2, v2):
     if q.flavor == COMMUTATIVE and mdeg_key(d1) > mdeg_key(d2):
         d1, v1, d2, v2 = d2, v2, d1, v1
-    S = q.comps[mdeg_add(d1, d2)].struct[(d1, d2)]
     if q.flavor == COMMUTATIVE and d1 == d2:
         block = _sym_block(v1, v2, q.p)
     else:
         block = quotient.mod_p(np.outer(v1, v2).reshape(-1), q.p)
-    return quotient.matmul_mod(block, S, q.p)
+    comp = q.comps[mdeg_add(d1, d2)]
+    off = comp.offsets[(d1, d2)]
+    return quotient.matmul_mod(block, comp.S[off:off + block.shape[0]], q.p)
 
 
 def _eval_tree(q, enc, i, leaf_map):

@@ -3,13 +3,9 @@
 Runtime budgets are asserted as stated.  The degree-8 checks share the
 per-process component caches, so later criteria reuse the heavy builds of
 earlier ones exactly as a single verification session would.
-
-Criterion 3's degree-7 dual dimension has no asserted runtime bound and runs
-only when FREEALG_EXTENDED=1 is set, mirroring the --extended CLI gate.
 """
 
 import json
-import os
 import time
 from fractions import Fraction
 
@@ -50,15 +46,10 @@ def test_criterion_02_multilinear_dimensions():
 
 def test_criterion_03_dual_multilinear_dimensions():
     t0 = time.time()
-    dims = tideal.multilinear_dims(DUAL, 6, QQ)
+    dims = tideal.multilinear_dims(DUAL, 7, QQ)
     dt = time.time() - t0
-    ok = dims == [1, 2, 5, 9, 9, 11] and dt < 600
-    if os.environ.get("FREEALG_EXTENDED") == "1":
-        d7 = tideal.quotient_dim(DUAL, (1,) * 7, QQ)
-        ok = ok and d7 == 13
-        report(3, ok, "dual dims %s (+ degree 7 = %d) in %.1fs" % (dims, d7, dt))
-    else:
-        report(3, ok, "dual dims %s in %.1fs (degree 7 gated)" % (dims, dt))
+    report(3, dims == [1, 2, 5, 9, 9, 11, 13] and dt < 600,
+           "dual dims %s in %.1fs" % (dims, dt))
 
 
 def test_criterion_04_lie_triple_plus_identity():

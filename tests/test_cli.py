@@ -197,6 +197,7 @@ def test_albert_report_deterministic():
     ["expand", "jor{q=3}(t1,t2)"],
     ["expand", "7" * 5000 + " t1"],
     ["expand", "t" + "9" * 5000],
+    ["--degree-cap", "3", "koszul", "--order", "4"],
 ])
 def test_bad_input_is_one_line_exit_2(argv):
     rc = subprocess.run([sys.executable, "-m", "freealg.cli"] + argv,

@@ -410,8 +410,6 @@ def test_a_relabeled_component_is_its_base_under_renamed_keys(name, d, char):
     for attr in ("dim", "paircols", "rank", "mode", "selected", "nonpiv", "S"):
         assert getattr(comp, attr) is getattr(base, attr), attr
     assert list(comp.offsets.values()) == list(base.offsets.values())
-    for split, base_split in zip(comp.offsets, base.offsets):
-        assert comp.struct[split] is base.struct[base_split]
     # the component at d built from its own relation rows, as before relabeling
     built = q._build(d)
     assert (built.dim, built.rank, built.selected, built.offsets) == \
@@ -419,7 +417,7 @@ def test_a_relabeled_component_is_its_base_under_renamed_keys(name, d, char):
     if char:
         assert np.array_equal(built.nonpiv, comp.nonpiv) and np.array_equal(built.S, comp.S)
     else:
-        assert built.struct == comp.struct
+        assert built.S == comp.S
 
 
 def test_a_tower_builds_only_its_zero_free_components(monkeypatch):
@@ -638,7 +636,7 @@ def test_struct_with_a_denominator_divisible_by_p_does_not_reduce():
     comp = quotient.ExactQuotient(assym).component((2, 1))
     twin = quotient.ModularQuotient(assym, P0).component((2, 1))
     assert quotient._struct_reduces_to(comp, twin, P0)
-    col = next(col for block in comp.struct.values() for col in block if len(col) > 1)
+    col = next(col for col in comp.S if len(col) > 1)
     j = next(iter(col))
     col[j] += Fraction(P0 + 1, P0)        # no residue mod P0
     assert not quotient._struct_reduces_to(comp, twin, P0)
@@ -720,7 +718,7 @@ def _lifts(monkeypatch):
 
 
 def _structs(q):
-    return {d: (c.dim, c.struct) for d, c in q.comps.items()}
+    return {d: (c.dim, c.offsets, c.S) for d, c in q.comps.items()}
 
 
 def _base(d):
@@ -761,8 +759,7 @@ def test_a_residue_over_one_primes_bound_asks_for_the_next_twin(monkeypatch):
     variety = tideal.get_variety("quasi_assosymmetric", Fraction(3))
     d = (2, 1, 1, 1)
     full = _full_reference(variety, d, monkeypatch)
-    assert max(abs(Fraction(x).numerator) for col in itertools.chain(*full.comps[(2, 1, 1)]
-                                                                      .struct.values())
+    assert max(abs(Fraction(x).numerator) for col in full.comps[(2, 1, 1)].S
                for x in col.values()) == 713
     building = _components_being_built(monkeypatch)
     tried, lift = {}, quotient.lift_struct
@@ -788,7 +785,8 @@ def test_a_lower_struct_off_the_first_twin_re_eliminates_the_rank(monkeypatch):
     d, e = (2, 1, 1, 1), (2, 1)
     full = _full_reference(assym, d, monkeypatch)
     twins = [quotient.ModularQuotient(assym, p) for p in quotient.SELECTION_PRIMES]
-    quotient.build_twins(twins, d)
+    for t in twins:
+        quotient.request_tower(t, d)
     for t in twins:
         t.component(d)
     # one struct constant of twin 0 at the full component e, changed after its tower was built

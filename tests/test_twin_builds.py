@@ -5,12 +5,13 @@ import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import freealg
-from freealg import cli, quotient, tideal
+from freealg import cli, engine, quotient, tideal
+from freealg.term import FieldError
 
 P0, P1 = quotient.SELECTION_PRIMES
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(freealg.__file__)))
@@ -31,6 +32,14 @@ def _cpus(monkeypatch, n):
 
 def _twins(variety, degree_cap=quotient.DEFAULT_DEGREE_CAP):
     return [quotient.ModularQuotient(variety, p, degree_cap) for p in (P0, P1)]
+
+
+def _build(quotients, d):
+    """The two-prime route: ask every quotient's child for d's tower, then take d."""
+    for q in quotients:
+        quotient.request_tower(q, d)
+    for q in quotients:
+        q.component(d)
 
 
 def _record(comp):
@@ -62,21 +71,24 @@ def test_child_builds_equal_in_process_builds(name, targets, monkeypatch):
     _cpus(monkeypatch, 1)
     serial = _twins(variety)
     for d in targets:
-        quotient.build_twins(serial, d)
-        assert not any(d in q.comps for q in serial)     # one CPU: left to component(d)
         for q in serial:
+            quotient.request_tower(q, d)
+            assert not q._coming                         # one CPU: nothing asked
             q.component(d)
     assert batches
     batches.clear()
     _cpus(monkeypatch, 2)
-    quotient.build_twins(_twins(variety), (1, 1, 1, 1))   # children holding other components
+    _build(_twins(variety), (1, 1, 1, 1))               # children holding other components
     batches.clear()
     parallel = _twins(variety)
     for d in targets:
         held = [dict(q.comps) for q in parallel]
-        quotient.build_twins(parallel, d)
-        assert all(d in q.comps for q in parallel)
-        # only the components a quotient lacked came back
+        for q in parallel:
+            quotient.request_tower(q, d)
+            # the child builds only the zero-free components the quotient lacks
+            assert all(all(e) and e not in q.comps for e in q._coming)
+        _build(parallel, d)
+        # what a quotient held stays as it was
         assert all(q.comps[e] is c for q, h in zip(parallel, held) for e, c in h.items())
     for s, q in zip(serial, parallel):
         # the children sent the zero-free components, in build order; the parent
@@ -84,9 +96,6 @@ def test_child_builds_equal_in_process_builds(name, targets, monkeypatch):
         assert list(q.comps) == [d for d in s.comps if all(d)]
         for d, comp in s.comps.items():
             assert _record(q.component(d)) == _record(comp), d
-            for split, block in comp.struct.items():
-                assert np.shares_memory(q.comps[d].struct[split], q.comps[d].S)
-                assert np.array_equal(q.comps[d].struct[split], block)
         assert set(q.comps) == set(s.comps)
     assert not batches                                   # every elimination ran in a child
     reports = quotient.stop_twin_builders()
@@ -106,10 +115,12 @@ def test_a_zero_padded_target_is_relabeled_from_the_childrens_builds(monkeypatch
     _cpus(monkeypatch, 2)
     batches = _count_batches(monkeypatch)
     parallel = _twins(assym)
-    quotient.build_twins(parallel, d)
+    for q in parallel:
+        quotient.request_tower(q, d)
+        # the children build the zero-free components, the base (2,1,1) among them
+        assert (2, 1, 1) in q._coming and all(all(e) for e in q._coming)
     for s, q in zip(serial, parallel):
-        # the children sent the zero-free components, the base (2,1,1) among them
-        assert (2, 1, 1) in q.comps and all(all(e) for e in q.comps)
+        assert q.component(d).S is q.comps[(2, 1, 1)].S   # relabeled here
         for e, comp in s.comps.items():
             assert _record(q.component(e)) == _record(comp), e
     assert not batches                                   # every elimination ran in a child
@@ -124,38 +135,54 @@ def test_twins_count_cpus_without_an_affinity_api(monkeypatch):
     for n in (None, 1):
         monkeypatch.setattr(os, "cpu_count", lambda: n)
         serial = _twins(assym)
-        quotient.build_twins(serial, d)
-        assert not any(d in q.comps for q in serial)     # one CPU: left to component(d)
+        for q in serial:
+            quotient.request_tower(q, d)
+            assert not q._coming                         # one CPU: nothing asked
         assert [q.dim(d) for q in serial] == [16, 16]
     assert batches
     batches.clear()
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     parallel = _twins(assym)
-    quotient.build_twins(parallel, d)
-    assert [q.comps[d].dim for q in parallel] == [16, 16]
+    for q in parallel:
+        quotient.request_tower(q, d)
+        assert d in q._coming
+    assert [q.dim(d) for q in parallel] == [16, 16]
     assert not batches                                   # every elimination ran in a child
 
 
 def test_child_error_is_raised_with_its_type_and_message(monkeypatch):
-    assym = tideal.get_variety("assosymmetric")
+    # q = 1/p0 puts p0 in the identities' denominators: GF(p0) fails at its first
+    # elimination, in the child, which the parent only waits for
+    variety = tideal.quasi_assosymmetric(Fraction(1, P0))
     _cpus(monkeypatch, 1)
-    with pytest.raises(quotient.DegreeCapExceeded) as serial:
-        quotient.build_twins(_twins(assym, degree_cap=3), (2, 2))
-        _twins(assym, degree_cap=3)[0].component((2, 2))
+    with pytest.raises(FieldError) as serial:
+        quotient.ModularQuotient(variety, P0).component((2, 1))
     _cpus(monkeypatch, 2)
     batches = _count_batches(monkeypatch)
-    with pytest.raises(quotient.DegreeCapExceeded) as parallel:
-        quotient.build_twins(_twins(assym, degree_cap=3), (2, 2))
+    q = quotient.ModularQuotient(variety, P0)
+    quotient.request_tower(q, (2, 1))
+    assert q._coming
+    with pytest.raises(FieldError) as parallel:
+        q.component((2, 1))
     assert str(parallel.value) == str(serial.value)
-    assert not batches
+    assert not batches and not q._coming
     # the children still answer after an error
-    twins = _twins(assym)
-    quotient.build_twins(twins, (2, 2))
+    twins = _twins(tideal.get_variety("assosymmetric"))
+    _build(twins, (2, 2))
     assert [q.comps[(2, 2)].dim for q in twins] == [9, 9]       # the paper's degree-4 table
 
 
+def test_a_target_over_the_degree_cap_asks_no_child(monkeypatch):
+    _cpus(monkeypatch, 2)
+    q = quotient.ModularQuotient(tideal.get_variety("assosymmetric"), P0, degree_cap=3)
+    quotient.request_tower(q, (2, 2))
+    assert not q._coming
+    with pytest.raises(quotient.DegreeCapExceeded, match="exceeds degree cap 3"):
+        q.component((2, 2))
+
+
 def test_child_error_is_one_cli_line_with_exit_2(monkeypatch, capsys):
-    # degree 8 above the cap 7, on the two-prime route: the children raise it
+    # degree 8 above the cap 7, on the two-prime route: raised before any child is asked
     _cpus(monkeypatch, 2)
     argv = ["--degree-cap", "7", "check", "assym", "glen(t1,t2,t3)", "--mode", "plus"]
     assert cli.main(argv) == 2
@@ -166,16 +193,16 @@ def test_child_error_is_one_cli_line_with_exit_2(monkeypatch, capsys):
 def test_dead_child_raises_then_restarts(monkeypatch):
     assym = tideal.get_variety("assosymmetric")
     _cpus(monkeypatch, 2)
-    quotient.build_twins(_twins(assym), (2, 1))
+    _build(_twins(assym), (2, 1))
     dead = quotient._BUILDERS[P0].proc
     dead.terminate()
     dead.wait(timeout=30)
     with pytest.raises(quotient.BuildError, match=r"GF\(%d\).*exit status -%d"
                        % (P0, signal.SIGTERM)):
-        quotient.build_twins(_twins(assym), (2, 1))
+        _build(_twins(assym), (2, 1))
     assert P0 not in quotient._BUILDERS and P1 in quotient._BUILDERS
     twins = _twins(assym)
-    quotient.build_twins(twins, (2, 1))
+    _build(twins, (2, 1))
     assert quotient._BUILDERS[P0].proc.pid != dead.pid
     want = quotient.ModularQuotient(assym, P0).dim((2, 1))
     assert [q.comps[(2, 1)].dim for q in twins] == [want, want]
@@ -184,11 +211,38 @@ def test_dead_child_raises_then_restarts(monkeypatch):
 def test_clear_cache_stops_both_children(monkeypatch):
     monkeypatch.setattr(quotient, "_CACHE", {})
     _cpus(monkeypatch, 2)
-    quotient.build_twins(_twins(tideal.get_variety("assosymmetric")), (1, 1))
+    _build(_twins(tideal.get_variety("assosymmetric")), (1, 1))
     procs = [quotient._BUILDERS[p].proc for p in (P0, P1)]
     quotient.clear_cache()
     assert not quotient._BUILDERS
     assert [proc.returncode for proc in procs] == [0, 0]
+
+
+def test_a_two_prime_verdict_asks_both_children_before_reading_a_reply(monkeypatch):
+    # the two primes' towers build side by side: both requests go out before the
+    # first reply is read
+    monkeypatch.setattr(quotient, "_CACHE", {})
+    _cpus(monkeypatch, 2)
+    events, send, receive = [], quotient._TwinBuilder.send, quotient._TwinBuilder.receive
+
+    def recorded_send(self, msg):
+        events.append(("send", self.p))
+        send(self, msg)
+
+    def recorded_receive(self):
+        events.append(("receive", self.p))
+        return receive(self)
+
+    monkeypatch.setattr(quotient._TwinBuilder, "send", recorded_send)
+    monkeypatch.setattr(quotient._TwinBuilder, "receive", recorded_receive)
+    batches = _count_batches(monkeypatch)
+    v = engine.is_identity(tideal.get_variety("assosymmetric"), "lietriple(t1 t1, t2, t3 t3)",
+                           0, "plus", exact_column_cap=0)
+    assert v.is_identity and v.multidegrees == [(2, 2, 2)]
+    assert any("modular" in w for w in v.warnings)
+    assert events[:2] == [("send", P0), ("send", P1)]
+    assert set(events[2:]) == {("receive", P0), ("receive", P1)}
+    assert not batches                                   # every elimination ran in a child
 
 
 def test_an_exact_build_asks_one_child_for_its_whole_tower(monkeypatch):
@@ -233,7 +287,7 @@ def test_clear_cache_kills_a_child_with_a_request_in_flight(monkeypatch):
     assert not quotient._BUILDERS and not q._coming
     # the next two-prime build reads its own replies, from a fresh child
     twins = _twins(assym)
-    quotient.build_twins(twins, (2, 2))
+    _build(twins, (2, 2))
     assert quotient._BUILDERS[P0].proc.pid != proc.pid
     assert [t.comps[(2, 2)].dim for t in twins] == [9, 9]       # the paper's degree-4 table
     # q forgot what it awaited: it builds in process
