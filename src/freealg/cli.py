@@ -157,7 +157,8 @@ def cmd_kernel(cfg, args):
 def cmd_equiv(cfg, args):
     ambient = _get_variety(cfg, args.ambient)
     res = engine.systems_equivalent(args.left, args.right, ambient,
-                                    [_parse_mdeg(t) for t in args.multidegree], cfg.char)
+                                    [_parse_mdeg(t) for t in args.multidegree], cfg.char,
+                                    cfg.degree_cap)
     ok = all(res.values())
     payload = [engine.report_entry(
         "equiv", "identity-systems-equivalent", "pass" if ok else "fail", cfg.char, res,
@@ -206,6 +207,8 @@ def cmd_albert(cfg, args):
 
 
 def cmd_suite(cfg, args):
+    if cfg.degree_cap != DEFAULT_DEGREE_CAP:
+        raise ValueError("suites run fixed checks: --degree-cap does not apply")
     kw = {"char": cfg.char}
     if args.name == "albert":
         kw = {"seed": args.seed, "samples": args.samples}

@@ -252,7 +252,8 @@ def commutative_span(identity_texts, d, char=0):
     return tideal.consequence_span(v, d, field_by_char(char))
 
 
-def systems_equivalent(s1_texts, s2_texts, ambient, degrees, char=0):
+def systems_equivalent(s1_texts, s2_texts, ambient, degrees, char=0,
+                       degree_cap=quotient.DEFAULT_DEGREE_CAP):
     """Per-multidegree: do the two systems generate the same consequence span?"""
     fld = field_by_char(char)
     v1 = tideal.variety_with(ambient, s1_texts)
@@ -260,8 +261,8 @@ def systems_equivalent(s1_texts, s2_texts, ambient, degrees, char=0):
     out = {}
     for d in degrees:
         d = mdeg(d)
-        b1 = tideal.consequence_span(v1, d, fld)
-        b2 = tideal.consequence_span(v2, d, fld)
+        b1 = tideal.consequence_span(v1, d, fld, degree_cap)
+        b2 = tideal.consequence_span(v2, d, fld, degree_cap)
         out[d] = b1.same_span(b2)
     return out
 

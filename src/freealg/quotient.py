@@ -58,8 +58,9 @@ product finds its split's block through the component's offsets:
   present, one per prime, starting with one; only a residue that does not
   reconstruct or a candidate the exact check refuses asks for the next
   prime's twin.  A lift is accepted only when every replayed row maps to
-  zero exactly and the rows have full rank, which proves it is the map of
-  their span whatever the twins did; so zero residuals stay proofs.  The
+  zero exactly (modulo as many primes as an a-priori bound needs) and the
+  rows have full rank, which proves it is the map of their span whatever
+  the twins did; so zero residuals stay proofs.  The
   first twin's selection is the only proof of that rank: it holds when the
   twin has the rational orbit bases and every lower rational struct map
   reduces modulo its prime to the twin's, for then each replayed row
@@ -111,6 +112,7 @@ MAX_PAIR_COLUMNS = 100_000
 BATCH_ROWS = 256             # relation rows per DenseModRREF.add_batch, clamped below its chunk
 PANEL_ROWS = 16              # rows per int64 panel; entries stay below p + PANEL_ROWS (p-1)^2
 KILL_CHECK_ROWS = 32         # rows per block of lift_struct's kill check; small ones keep peak RSS
+_CHECK_PRIMES = []           # its moduli: primes below 2^20, descending, each found once
 
 
 class BuildError(RuntimeError):
@@ -123,6 +125,12 @@ class DegreeCapExceeded(BuildError):
 
 class BudgetExceeded(BuildError):
     """A component is larger than the configured column budget."""
+
+
+def check_degree_cap(d, degree_cap):
+    """Raise DegreeCapExceeded when component d is above the degree cap."""
+    if mdeg_total(d) > degree_cap:
+        raise DegreeCapExceeded("component %r exceeds degree cap %d" % (d, degree_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +600,7 @@ class InductiveQuotient:
         got = self.comps.get(d)
         if got is not None:
             return got
-        if mdeg_total(d) > self.degree_cap:
-            raise DegreeCapExceeded("component %r exceeds degree cap %d" % (d, self.degree_cap))
+        check_degree_cap(d, self.degree_cap)
         for d1, d2 in component_splits(d, self.flavor):
             self.component(d1)
             self.component(d2)
@@ -1002,6 +1009,20 @@ def rational_reconstruction(u, m, bound):
     return Fraction(r1, s1)
 
 
+def _check_primes(bound):
+    """The leading primes of _CHECK_PRIMES whose product exceeds bound."""
+    m, n = 1, 0
+    while m <= bound:
+        if n == len(_CHECK_PRIMES):
+            p = _CHECK_PRIMES[-1] - 2 if _CHECK_PRIMES else 2 ** 20 - 1
+            while any(p % f == 0 for f in range(3, math.isqrt(p) + 1, 2)):
+                p -= 2
+            _CHECK_PRIMES.append(p)
+        m *= _CHECK_PRIMES[n]
+        n += 1
+    return _CHECK_PRIMES[:n]
+
+
 def lift_struct(rows, nonpivs, structs, primes):
     """Struct columns over QQ of the span of integer rows, lifted from k >= 1 twins; or None.
 
@@ -1017,8 +1038,9 @@ def lift_struct(rows, nonpivs, structs, primes):
     The candidate S is accepted only when
       1. every twin has twin 0's shape, non-pivot columns and zero entries,
       2. every residue reconstructs,
-      3. rows @ S = 0 exactly (D rows @ S in float64 while the bound allows,
-         D the common denominator, else in Python ints), and
+      3. rows @ S = 0 exactly: D r S (D the common denominator) is 0 in
+         matmul_mod modulo check primes whose product exceeds twice the
+         bound l1(r) max(|D S|, D) on its entries, and
       4. there are exactly paircols - dim rows, so, being independent, they
          have that rank.
     Then span_QQ(rows) has dimension paircols - dim and lies in the kernel of
@@ -1061,25 +1083,27 @@ def lift_struct(rows, nonpivs, structs, primes):
 
     D = math.lcm(*(f.denominator for f in fracs))
     Z = [f.numerator * (D // f.denominator) for f in fracs]
-    max_z = max(map(abs, Z), default=0)
-    Zf = None
-    if max_z < 2 ** 53:
-        Zf = np.zeros((k, dim))
-        Zf[nz] = np.array(Z, dtype=float)[inv]
+    height = max(max(map(abs, Z), default=0), D)
+    residues = {}                # check prime q -> Z mod q as a k x dim matrix
+    pos = np.argsort(np.concatenate([piv, n0])).tolist()     # block columns: piv, then n0
     count = 0
     rows = iter(rows)
     while block := list(itertools.islice(rows, KILL_CHECK_ROWS)):
         count += len(block)
-        max_r = max(abs(x) for r in block for x in r.values())
-        if Zf is None or (k * max_z + D) * max_r >= 2 ** 53:
-            if not _kills(block, cols):
+        l1 = max(sum(map(abs, r.values())) for r in block)
+        rs = [i for i, r in enumerate(block) for _ in r]
+        cs = [pos[c] for r in block for c in r]
+        xs = [x for r in block for x in r.values()]
+        for q in _check_primes(2 * l1 * height):
+            if q not in residues:
+                residues[q] = np.zeros((k, dim))
+                residues[q][nz] = np.array([z % q for z in Z], dtype=float)[inv]
+            M = np.zeros((len(block), ncols))
+            M[rs, cs] = [x % q for x in xs]
+            R = matmul_mod(M[:, :k], residues[q], q)
+            R += D % q * M[:, k:]
+            if np.any(mod_p(R, q)):
                 return None
-            continue
-        M = np.zeros((len(block), ncols))
-        for i, r in enumerate(block):
-            M[i, list(r)] = list(r.values())
-        if np.any(M[:, piv] @ Zf + D * M[:, n0]):
-            return None
     return cols if count == k else None
 
 
@@ -1098,18 +1122,6 @@ def _struct_reduces_to(comp, twin, p):
                 return False
             R[c, j] = x.numerator * pow(den, -1, p) % p
     return np.array_equal(R, twin.S)
-
-
-def _kills(rows, cols):
-    """Is row @ S = 0 for every row, in exact arithmetic?  cols[c] is row c of S."""
-    for r in rows:
-        acc = {}
-        for c, x in r.items():
-            for j, y in cols[c].items():
-                acc[j] = acc.get(j, 0) + x * y
-        if any(acc.values()):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .quotient import DEFAULT_DEGREE_CAP
+from .quotient import DEFAULT_DEGREE_CAP, check_degree_cap
 from .term import QQ
 
 
@@ -123,9 +123,10 @@ def koszul_residual(variety, dual_variety, order, fld=QQ, degree_cap=DEFAULT_DEG
 
     The quotients are built with degree_cap, so after multilinear_dims at
     its default cap they are the cached ones; an order over the cap raises
-    DegreeCapExceeded.
+    DegreeCapExceeded before anything is built.
     """
     from . import tideal
+    check_degree_cap((1,) * min(order, degree_cap + 1), degree_cap)
     dims = tideal.multilinear_dims(variety, order, fld, degree_cap)
     dual_dims = tideal.multilinear_dims(dual_variety, order, fld, degree_cap)
     comp = compose(from_dims(dims), from_dims(dual_dims), order)

@@ -304,9 +304,7 @@ class SpanCache:
         got = self.bases.get(d)
         if got is not None:
             return got
-        if mdeg_total(d) > self.degree_cap:
-            raise quotient.DegreeCapExceeded(
-                "component %r exceeds degree cap %d" % (d, self.degree_cap))
+        quotient.check_degree_cap(d, self.degree_cap)
         if count_monomials(d, self.variety.flavor) > MAX_FREE_COLUMNS:
             raise BudgetExceeded("component %r exceeds the column budget %d"
                                  % (d, MAX_FREE_COLUMNS))

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from freealg import cli, engine, quotient
+from freealg import cli, engine, quotient, tideal
 from freealg.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -198,6 +198,9 @@ def test_albert_report_deterministic():
     ["expand", "7" * 5000 + " t1"],
     ["expand", "t" + "9" * 5000],
     ["--degree-cap", "3", "koszul", "--order", "4"],
+    ["--degree-cap", "3", "equiv", "--left", "jor1(t1,t2,t3,t4)", "--right",
+     "wjor(t1,t2,t3,t4)", "--multidegree", "1,1,1,1"],
+    ["--degree-cap", "2", "suite", "lemmas"],
 ])
 def test_bad_input_is_one_line_exit_2(argv):
     rc = subprocess.run([sys.executable, "-m", "freealg.cli"] + argv,
@@ -206,6 +209,16 @@ def test_bad_input_is_one_line_exit_2(argv):
     assert "Traceback" not in rc.stderr
     (line,) = rc.stderr.splitlines()
     assert line.startswith("freealg: error: ")
+
+
+def test_koszul_over_the_degree_cap_fails_before_it_builds(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a component was built")
+
+    monkeypatch.setattr(tideal, "multilinear_dims", never)
+    assert main(["--degree-cap", "5", "koszul", "--order", "6"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "freealg: error: component (1, 1, 1, 1, 1, 1) exceeds degree cap 5"
 
 
 @pytest.mark.parametrize("argv", [

@@ -552,8 +552,9 @@ def _independent_rows(seed, nrows=6, ncols=10):
     return [rows[i] for i in selected]
 
 
-# rows scaled by 2^50 span the same space but leave the float64 bound: Python ints
-SCALES = (1, 2 ** 50)
+# rows scaled by 2^50 or 2^80 span the same space, but with entries beyond float64's
+# exact range (2^80: beyond int64), whose kill check needs several check primes
+SCALES = (1, 2 ** 50, 2 ** 80)
 
 
 @pytest.mark.parametrize("scale", SCALES)
@@ -657,6 +658,19 @@ def test_lift_struct_checks_in_ints_beyond_the_float_bound():
     twins = [_twin([{0: 1, 1: -1}], 2, p) for p in (P0, P1)]
     assert _lift([{0: 2 ** 53 + 1, 1: -2 ** 53}], 2, twins) is None
     assert _lift([{0: 2 ** 53, 1: -2 ** 53}], 2, twins) == [{0: 1}, {0: 1}]
+
+
+def test_lift_struct_checks_modulo_every_prime_its_bound_needs():
+    # D r S of the wrong row is the first check prime q, 0 modulo q alone
+    q = quotient._check_primes(1)[0]
+    twins = [_twin([{0: 1, 1: -2}], 2, p) for p in (P0, P1)]
+    assert len(quotient._check_primes(2 * (q - 1) * 2)) == 2
+    assert _lift([{0: 1, 1: q - 2}], 2, twins) is None
+    assert _lift([{0: 1, 1: -2}], 2, twins) == [{0: 2}, {0: 1}]
+    # struct constant 1/1000: the common denominator D = 1000 bounds D r S as Z = 1 does
+    twins = [_twin([{0: 1000, 1: -1}], 2, p) for p in (P0, P1)]
+    assert _lift([{0: q % 1000, 1: q // 1000}], 2, twins) is None
+    assert _lift([{0: 1000, 1: -1}], 2, twins) == [{0: Fraction(1, 1000)}, {0: 1}]
 
 
 def test_lift_struct_from_one_twin_up_to_its_bound():
