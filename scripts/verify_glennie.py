@@ -2,12 +2,14 @@
 """The degree-8 verification: the Glennie polynomial is a plus-identity of
 assosymmetric algebras (two-prime modular strategy at characteristic 0, plus
 the characteristic-3 branch), with the element-equality check at [3,3,1] done
-exactly over the rationals."""
+exactly over the rationals.  It ends with the peak RSS of this process and
+of each GF(p) child process."""
 
 import argparse
+import resource
 import time
 
-from freealg import engine, tideal
+from freealg import engine, quotient, tideal
 
 
 def run(label, fn):
@@ -35,6 +37,11 @@ def main():
                   lambda: engine.is_identity(assym, "glen(t1,t2,t3)", 3, "plus"))
         ok &= run("multilinear jordan, char 3",
                   lambda: engine.is_identity(assym, "wjor(t1,t2,t3,t4)", 3, "plus"))
+    reports = quotient.stop_twin_builders()
+    print("peak RSS: parent %.1f MB" % (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024))
+    for p, report in sorted(reports.items()):
+        print("peak RSS: GF(%d) child %s" % (p, "unknown (it died or was killed)" if report is None
+                                             else "%.1f MB" % report["maxrss_mb"]))
     raise SystemExit(0 if ok else 1)
 
 

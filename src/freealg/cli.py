@@ -207,8 +207,13 @@ def cmd_albert(cfg, args):
 
 
 def cmd_suite(cfg, args):
-    if cfg.degree_cap != DEFAULT_DEGREE_CAP:
-        raise ValueError("suites run fixed checks: --degree-cap does not apply")
+    # a suite runs fixed checks: a global flag it would ignore is refused
+    for flag, given in [("--degree-cap", cfg.degree_cap != DEFAULT_DEGREE_CAP),
+                        ("--exact-column-cap", cfg.exact_column_cap != engine.EXACT_COLUMN_CAP),
+                        ("--certificate", cfg.certificates),
+                        ("--char", cfg.char and args.name in ("albert", "char3"))]:
+        if given:
+            raise ValueError("suite %s runs fixed checks: %s does not apply" % (args.name, flag))
     kw = {"char": cfg.char}
     if args.name == "albert":
         kw = {"seed": args.seed, "samples": args.samples}

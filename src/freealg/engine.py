@@ -5,15 +5,16 @@ is_identity decides each component in one loop: it passes when every image
 (sparse in both fields) is empty.  At char p the field is GF(p); at char 0 a
 component with at most `exact_column_cap` free-monomial columns (default
 20 000) is decided exactly over QQ, a larger one modulo two independent
-primes whose images must agree, with a 'modular' warning.  Both primes'
-children are asked for the component's tower before either image is taken
-(quotient.request_tower), so the two quotients build side by side in two
-child processes, or one after the other in process on a single CPU.  Over QQ
-the wide components lift their struct maps from one prime's child, a second
-prime only when reconstruction needs it (quotient.ExactQuotient).  Zero
-images over QQ are exact membership proofs even when the span was assembled
-from modular-selected rows (the rows are honest consequence members either
-way).
+primes whose images must agree, with a 'modular' warning.  Each prime's
+child gets the component and replies with its image (quotient.poly_images);
+both are asked before either reply is read, so the two towers build side by
+side in two child processes, or one after the other in process on a single
+CPU, and the parent holds no GF(p) component for such a verdict.  Over QQ
+the wide components lift their struct maps from towers that one prime's
+child sends, a second prime only when reconstruction needs it
+(quotient.ExactQuotient).  Zero images over QQ are exact membership proofs
+even when the span was assembled from modular-selected rows (the rows are
+honest consequence members either way).
 """
 
 from __future__ import annotations
@@ -85,19 +86,15 @@ def is_identity(variety, expr, char=0, mode="direct",
     if not comps:
         warnings.append("candidate expands to the zero polynomial")
     for d, part in comps.items():
-        if char:
-            fields = [GF(char)]
-        elif count_monomials(d, variety.flavor) <= exact_column_cap:
-            fields = [QQ]
+        if char or count_monomials(d, variety.flavor) <= exact_column_cap:
+            images = [quotient.get_quotient(variety, field_by_char(char), degree_cap)
+                      .poly_image(part)]
         else:
-            fields = [GF(p) for p in quotient.SELECTION_PRIMES]
-        quotients = [quotient.get_quotient(variety, fld, degree_cap) for fld in fields]
-        if len(quotients) > 1:
-            for qa in quotients:
-                quotient.request_tower(qa, d)
+            images = quotient.poly_images([quotient.get_quotient(variety, GF(p), degree_cap)
+                                           for p in quotient.SELECTION_PRIMES], part)
             warnings.append("component %s decided by the two-prime modular strategy"
                             % (list(d),))
-        zero = [not qa.poly_image(part) for qa in quotients]
+        zero = [not img for img in images]
         if len(set(zero)) > 1:
             raise EngineError("strategy primes disagree at %r" % (d,))
         ok = ok and zero[0]

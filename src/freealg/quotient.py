@@ -70,15 +70,17 @@ product finds its split's block through the component's offsets:
   strategy prime in a coefficient's denominator send every relation row
   through IntRREF, an integer-scaled RREF.
 
-GF(p) twins are built in long-lived child processes, one per prime, each a
-fresh interpreter that imports freealg from this package's directory and uses
-max(1, ncpu // 2) BLAS threads.  request_tower asks a child for a component's
-whole tower without waiting; the child answers component by component in
-build order, and the parent installs the replies when it needs one, as if
-built here.  An exact build asks twin 0's child as it starts, so the child
-builds beside the parent; engine's two-prime verdicts ask both primes'
-children before reading a reply, so the two build side by side.  With one
-CPU twins are built in process.  Children start on the first request, never
+GF(p) components are built in long-lived child processes, one per prime,
+each a fresh interpreter that imports freealg from this package's directory
+and uses max(1, ncpu // 2) BLAS threads; a child answers in request order.
+request_tower asks a child for a component's whole tower without waiting;
+the child answers component by component in build order, and the parent
+installs the replies when it needs one, as if built here.  Only exact
+builds ask for towers: one asks twin 0's child as it starts, so the child
+builds beside the parent.  Engine's two-prime verdicts send both primes'
+children the candidate and get back its image (poly_images), so the two
+build side by side and the parent installs nothing.  With one CPU all
+is built in process.  Children start on the first request, never
 at import, and stop in clear_cache, at exit, or when the parent's pipe
 closes; one with a request in flight is killed, not waited for.
 """
@@ -692,17 +694,24 @@ class ModularQuotient(InductiveQuotient):
 
     def poly_image(self, poly: Polynomial):
         """Image of a multihomogeneous polynomial in its component's coordinates,
-        {coordinate: nonzero residue}; FieldError on a denominator p divides."""
-        d = poly.multidegree()
-        if d is None:
-            raise BuildError("polynomial is not multihomogeneous")
-        terms = [(m, self._coeff(poly.field.to_fraction(c))) for m, c in poly.terms.items()]
-        out = np.zeros(self.component(d).dim)       # a bad coefficient fails before the build
+        {coordinate: nonzero residue}; errors as _checked_terms, before the build."""
+        d, terms = self._checked_terms(poly)
+        out = np.zeros(self.component(d).dim)
         for m, cm in terms:
             if cm:
                 out += cm * self.monomial_image(m)
                 out %= self.p
         return {int(k): int(out[k]) for k in np.flatnonzero(out)}
+
+    def _checked_terms(self, poly: Polynomial):
+        """poly's multidegree and its terms as (monomial, coefficient mod p);
+        BuildError unless poly is multihomogeneous within the degree cap,
+        FieldError on a denominator p divides."""
+        d = poly.multidegree()
+        if d is None:
+            raise BuildError("polynomial is not multihomogeneous")
+        check_degree_cap(d, self.degree_cap)
+        return d, [(m, self._coeff(poly.field.to_fraction(c))) for m, c in poly.terms.items()]
 
     def product(self, d1, v1, d2, v2):
         """Product Q_{d1} x Q_{d2} -> Q_{d1+d2} on coordinate vectors."""
@@ -716,9 +725,9 @@ class ModularQuotient(InductiveQuotient):
         if self._coming:
             d = mdeg(d)
             while d in self._coming:
-                error = self._coming[d].install_next()
-                if error is not None and d not in self._coming and d not in self.comps:
-                    raise error
+                ended = self._coming[d].install_next()
+                if d not in self._coming and d not in self.comps:
+                    raise ended             # the request that was to bring d failed
         return super().component(d)
 
     def _unit(self, d, i):
@@ -1388,34 +1397,61 @@ def _cpus():
     return os.cpu_count() or 1    # no affinity API, as on macOS
 
 
+def _builder(p):
+    """The child of prime p, started if need be; None with one CPU or no process to be had."""
+    ncpu = _cpus()
+    if ncpu < 2:
+        return None
+    if p in _BUILDERS:
+        return _BUILDERS[p]
+    try:
+        return _TwinBuilder(p, ncpu)
+    except OSError:
+        return None
+
+
 def request_tower(q, d):
     """Ask the child of the ModularQuotient q's prime for d's tower, without waiting.
 
-    The child builds it in its own cached ModularQuotient and sends the
-    zero-free components of _tower(d) that q neither holds nor awaits, one
-    reply each, in build order; q installs them when it needs one
-    (ModularQuotient.component) and makes the zero-padded relabelings itself.
-    They are bit-identical to an in-process build, since GF(p) elimination
-    is exact in any BLAS summation order.  With one CPU, or no process to be
-    had, nothing is asked, nor for a d over the degree cap, which
-    q.component(d) refuses.  A child that died raises BuildError, and the
-    next request starts a fresh one.
+    Only the exact route's twins come this way.  The child builds the tower
+    in its own cached ModularQuotient and sends the zero-free components of
+    _tower(d) that q neither holds nor awaits, one reply each, in build
+    order; q installs them when it needs one (ModularQuotient.component) and
+    makes the zero-padded relabelings itself.  They are bit-identical to an
+    in-process build, since GF(p) elimination is exact in any BLAS summation
+    order.  With one CPU, or no process to be had, nothing is asked, nor for
+    a d over the degree cap, which q.component(d) refuses.  The child's
+    exception is raised with its type and message; a child that died raises
+    BuildError, and the next request starts a fresh one.
     """
     d = mdeg(d)
     base = _zero_free(d)
-    ncpu = _cpus()
-    if ncpu < 2 or mdeg_total(d) > q.degree_cap or base in q.comps or base in q._coming:
+    if mdeg_total(d) > q.degree_cap or base in q.comps or base in q._coming:
+        return
+    builder = _builder(q.p)
+    if builder is None:
         return
     tower = [e for e in _tower(d, q.flavor) if e not in q.comps and e not in q._coming]
-    builder = _BUILDERS.get(q.p)
-    if builder is None:
-        try:
-            builder = _TwinBuilder(q.p, ncpu)
-        except OSError:
-            return
-    builder.send((q.variety, q.p, q.degree_cap, d, set(q.comps).union(q._coming)))
-    builder.requests.append((q, collections.deque(tower)))
+    builder.ask(q, d, set(q.comps).union(q._coming), collections.deque(tower))
     q._coming.update(dict.fromkeys(tower, builder))
+
+
+def poly_images(quotients, poly):
+    """[q.poly_image(poly) for q in quotients] for ModularQuotients, each taken by
+    its prime's child in the child's own tower, so the parent installs none.
+
+    poly is checked against every quotient before any child is asked, and
+    every child is asked before any reply is read, so the children build
+    side by side.  A quotient that holds the component, or has no child,
+    takes the image here.  Errors are those of request_tower.
+    """
+    for q in quotients:
+        q._checked_terms(poly)
+    base = _zero_free(poly.multidegree())
+    builders = [None if base in q.comps else _builder(q.p) for q in quotients]
+    asked = [b and b.ask(q, poly, None, ()) for q, b in zip(quotients, builders)]
+    return [q.poly_image(poly) if b is None else b.image(request)
+            for q, b, request in zip(quotients, builders, asked)]
 
 
 def stop_twin_builders():
@@ -1434,9 +1470,10 @@ class _TwinBuilder:
     Requests and replies are pickles on the child's stdin and stdout.
     requests holds, in order, each request in flight as (quotient, the
     multidegrees still to come): one reply each, or one error reply that
-    ends the request.  The child gets max(1, ncpu // 2) BLAS threads, set
-    before numpy loads, and exits when its stdin reaches EOF or a reply finds
-    the parent gone, so none outlives the parent.
+    ends the request; an image request awaits none and has one reply.  The
+    child gets max(1, ncpu // 2) BLAS threads, set before numpy loads, and
+    exits when its stdin reaches EOF or a reply finds the parent gone, so
+    none outlives the parent.
     """
 
     def __init__(self, p, ncpu):
@@ -1459,6 +1496,14 @@ class _TwinBuilder:
             self.close(force=True)          # interrupted: the child's input is out of step
             raise
 
+    def ask(self, q, target, held, tower):
+        """Send and queue q's request, which it returns: for d's tower, target d,
+        held what q holds or awaits and tower the multidegrees to come; for a
+        polynomial's image, target the polynomial, held None and tower ()."""
+        self.send((q.variety, q.p, q.degree_cap, target, held))
+        self.requests.append((q, tower))
+        return self.requests[-1]
+
     def receive(self):
         """The child's next reply, (status, payload)."""
         try:
@@ -1471,11 +1516,11 @@ class _TwinBuilder:
 
     def install_next(self):
         """Install the next reply in the quotient that asked for it, as if built
-        there; returns the child's exception when the reply ends a failed
-        request, else None."""
+        there, and return None; a reply that ends its request, the child's
+        exception or an image no one reads any more, is returned."""
         q, tower = self.requests[0]
         status, payload = self.receive()
-        if status == "error":
+        if status == "error" or not tower:
             self._forget(self.requests.popleft())
             return payload
         e, values = payload
@@ -1486,6 +1531,17 @@ class _TwinBuilder:
         if not tower:
             self.requests.popleft()
         return None
+
+    def image(self, request):
+        """The image an image request asked for, read after the replies of every
+        request before it are installed; raises the child's exception."""
+        while self.requests[0] is not request:
+            self.install_next()
+        status, payload = self.receive()
+        self.requests.popleft()
+        if status == "error":
+            raise payload
+        return payload
 
     @staticmethod
     def _forget(request):
@@ -1534,7 +1590,8 @@ class _TwinBuilder:
 
 
 def serve_twin_builds():
-    """Child side of request_tower: answer requests from stdin until EOF or "stop".
+    """Child side of request_tower and poly_images: answer requests from stdin
+    until EOF or "stop".
 
     Replies go out through a writer thread, so a reply the parent has not
     read yet never holds up the next build."""
@@ -1557,10 +1614,13 @@ def serve_twin_builds():
                                 "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                                 / 1024}))
             break
-        variety, p, degree_cap, d, held = msg
+        variety, p, degree_cap, target, held = msg
         try:
             q = get_quotient(variety, GF(p), degree_cap)
-            for e in _tower(d, q.flavor):
+            if held is None:        # target is a polynomial: one reply, its image
+                replies.put(("ok", q.poly_image(target)))
+                continue
+            for e in _tower(target, q.flavor):
                 if e not in held:
                     comp = q.component(e)
                     replies.put(("ok", (e, tuple(getattr(comp, name) for name in _WIRE))))

@@ -201,6 +201,11 @@ def test_albert_report_deterministic():
     ["--degree-cap", "3", "equiv", "--left", "jor1(t1,t2,t3,t4)", "--right",
      "wjor(t1,t2,t3,t4)", "--multidegree", "1,1,1,1"],
     ["--degree-cap", "2", "suite", "lemmas"],
+    ["--exact-column-cap", "0", "suite", "lemmas"],
+    ["--certificate", "suite", "lemmas"],
+    ["--char", "3", "suite", "albert"],
+    ["--char", "5", "suite", "char3"],
+    ["check", "assym", "1/999983 lietriple(t1 t1, t1 t2, t2 t2)", "--mode", "plus"],
 ])
 def test_bad_input_is_one_line_exit_2(argv):
     rc = subprocess.run([sys.executable, "-m", "freealg.cli"] + argv,

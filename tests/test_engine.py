@@ -56,13 +56,14 @@ def test_strategy_primes_that_disagree_raise(assym, monkeypatch):
     v = engine.is_identity(assym, "lietriple(t1,t2,t3)", 0, "plus", exact_column_cap=0)
     assert v.is_identity
     assert v.warnings == ["component [1, 2, 1] decided by the two-prime modular strategy"]
-    image = quotient.ModularQuotient.poly_image
+    images = quotient.poly_images
 
-    def skewed(self, poly):
-        img = image(self, poly)
-        return {0: 1} if self.p == quotient.SELECTION_PRIMES[1] else img
+    def skewed(quotients, poly):
+        # the second prime's image as the parent receives it, from its child or
+        # taken here
+        return images(quotients, poly)[:1] + [{0: 1}]
 
-    monkeypatch.setattr(quotient.ModularQuotient, "poly_image", skewed)
+    monkeypatch.setattr(quotient, "poly_images", skewed)
     with pytest.raises(engine.EngineError, match=r"strategy primes disagree at \(1, 2, 1\)"):
         engine.is_identity(assym, "lietriple(t1,t2,t3)", 0, "plus", exact_column_cap=0)
 

@@ -11,7 +11,7 @@ import pytest
 
 import freealg
 from freealg import cli, engine, quotient, tideal
-from freealg.term import FieldError
+from freealg.term import GF, FieldError
 
 P0, P1 = quotient.SELECTION_PRIMES
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(freealg.__file__)))
@@ -245,6 +245,126 @@ def test_a_two_prime_verdict_asks_both_children_before_reading_a_reply(monkeypat
     assert not batches                                   # every elimination ran in a child
 
 
+@pytest.mark.parametrize("name,expr,mode", [
+    ("assosymmetric", "lietriple(t1 t1, t2, t3 t3)", "plus"),
+    ("jordan", "jor(t1, (t2 t2) t3)", "direct"),             # an identity at (3,2,1)
+    ("lie_triple", "jor(t1, (t2 t2) t3)", "direct"),         # not one
+])
+def test_a_two_prime_verdict_installs_no_component_in_the_parent(name, expr, mode,
+                                                                 monkeypatch):
+    # the children take both images: the parent's GF(p) quotients stay empty, and
+    # the verdict is the one-CPU verdict
+    variety = tideal.get_variety(name)
+    verdicts, held = [], []
+    for ncpu in (1, 2):
+        monkeypatch.setattr(quotient, "_CACHE", {})
+        _cpus(monkeypatch, ncpu)
+        v = engine.is_identity(variety, expr, 0, mode, exact_column_cap=0)
+        verdicts.append((v.is_identity, v.multidegrees, v.warnings))
+        twins = [quotient.get_quotient(variety, GF(p)) for p in (P0, P1)]
+        held.append([bool(q.comps or q._coming) for q in twins])
+    assert verdicts[0] == verdicts[1]
+    assert any("modular" in w for w in verdicts[1][2])
+    assert held == [[True, True], [False, False]]
+
+
+def test_a_coefficient_a_strategy_prime_divides_starts_no_child(monkeypatch):
+    # the candidate is checked against both primes before either child is asked
+    monkeypatch.setattr(quotient, "_CACHE", {})
+    quotient.stop_twin_builders()
+    _cpus(monkeypatch, 2)
+    with pytest.raises(FieldError, match="denominator %d not invertible mod %d" % (P0, P0)):
+        engine.is_identity(tideal.get_variety("assosymmetric"),
+                           "1/%d lietriple(t1 t1, t1 t2, t2 t2)" % P0, 0, "plus")
+    assert not quotient._BUILDERS
+
+
+def test_an_image_request_raises_the_childs_error_with_its_type_and_message(monkeypatch):
+    # q = 1/p0 puts p0 in the identities' denominators, not in the candidate's: the
+    # child fails at its first elimination and the parent re-raises its error
+    variety = tideal.quasi_assosymmetric(Fraction(1, P0))
+    poly = engine.candidate_polynomial("t1 (t2 t3)", variety, "direct")
+    _cpus(monkeypatch, 1)
+    with pytest.raises(FieldError) as serial:
+        quotient.poly_images([quotient.ModularQuotient(variety, P0)], poly)
+    _cpus(monkeypatch, 2)
+    batches = _count_batches(monkeypatch)
+    q = quotient.ModularQuotient(variety, P0)
+    with pytest.raises(FieldError) as parallel:
+        quotient.poly_images([q], poly)
+    assert str(parallel.value) == str(serial.value)
+    assert not batches and not q.comps and not quotient._BUILDERS[P0].requests
+    # the child still answers after an error
+    assym = tideal.get_variety("assosymmetric")
+    poly = engine.candidate_polynomial("t1 (t2 t3)", assym, "direct")
+    assert quotient.poly_images([quotient.ModularQuotient(assym, P0)], poly) == \
+        [quotient.ModularQuotient(assym, P0).poly_image(poly)]      # taken here
+
+
+def test_a_child_that_dies_during_an_image_request_raises_then_restarts(monkeypatch):
+    monkeypatch.setattr(quotient, "_CACHE", {})
+    quotient.stop_twin_builders()            # fresh children, still starting when asked
+    _cpus(monkeypatch, 2)
+    killed, send = [], quotient._TwinBuilder.send
+
+    def send_then_die(self, msg):
+        send(self, msg)
+        if self.p == P0 and not killed:
+            self.proc.kill()
+            killed.append(self.proc.pid)
+
+    monkeypatch.setattr(quotient._TwinBuilder, "send", send_then_die)
+    args = (tideal.get_variety("assosymmetric"), "lietriple(t1 t1, t2, t3 t3)", 0, "plus")
+    with pytest.raises(quotient.BuildError, match=r"GF\(%d\).*exit status -%d"
+                       % (P0, signal.SIGKILL)):
+        engine.is_identity(*args, exact_column_cap=0)
+    assert P0 not in quotient._BUILDERS and quotient._BUILDERS[P1].requests
+    v = engine.is_identity(*args, exact_column_cap=0)
+    assert v.is_identity and quotient._BUILDERS[P0].proc.pid != killed[0]
+    # GF(p1)'s child answered the image no one read before the new one
+    assert not any(b.requests for b in quotient._BUILDERS.values())
+
+
+def test_an_image_request_is_answered_after_the_tower_asked_before_it(monkeypatch):
+    # as when an exact build asked GF(p0)'s child for a tower and did not read it
+    # all: the image is read after that tower's replies are installed
+    monkeypatch.setattr(quotient, "_CACHE", {})
+    _cpus(monkeypatch, 2)
+    assym = tideal.get_variety("assosymmetric")
+    q = quotient.get_quotient(assym, GF(P0))
+    quotient.request_tower(q, (2, 2, 1))
+    tower = set(q._coming)
+    pending, receive = [], quotient._TwinBuilder.receive
+
+    def recorded_receive(self):
+        pending.append(len(q._coming))
+        return receive(self)
+
+    monkeypatch.setattr(quotient._TwinBuilder, "receive", recorded_receive)
+    poly = engine.candidate_polynomial("((t1 t1)(t2 t2))(t3 t3)", assym, "direct")
+    (image,) = quotient.poly_images([q], poly)
+    assert pending == list(range(len(tower), -1, -1))
+    assert set(q.comps) == tower and not q._coming
+    # the image of a component the parent holds is taken here, with no request
+    held = engine.candidate_polynomial("((t1 t1)(t2 t2)) t3", assym, "direct")
+    assert quotient.poly_images([q], held) == \
+        [quotient.ModularQuotient(assym, P0).poly_image(held)]
+    assert len(pending) == len(tower) + 1
+    _cpus(monkeypatch, 1)
+    assert image and image == quotient.ModularQuotient(assym, P0).poly_image(poly)
+
+
+def test_stop_kills_a_child_with_an_image_request_in_flight(monkeypatch):
+    _cpus(monkeypatch, 2)
+    assym = tideal.get_variety("assosymmetric")
+    poly = engine.candidate_polynomial("((t1 t1)(t1 t2))((t2 t2)(t3 t3))", assym, "direct")
+    builder = quotient._builder(P0)
+    builder.ask(quotient.ModularQuotient(assym, P0), poly, None, ())   # (3,3,2): seconds
+    reports = quotient.stop_twin_builders()
+    assert reports[P0] is None and builder.proc.returncode == -signal.SIGKILL
+    assert not quotient._BUILDERS
+
+
 def test_an_exact_build_asks_one_child_for_its_whole_tower(monkeypatch):
     # [3,3,1], as in the D = shest check: one request to GF(p0)'s child as the build
     # starts, before any QQ component, and one child; GF(p0) alone lifts every replay
@@ -314,6 +434,18 @@ def test_an_interrupted_reply_kills_the_child(monkeypatch):
     assert proc.returncode == -signal.SIGKILL
     assert P0 not in quotient._BUILDERS and not q._coming
     assert q.dim((2, 2)) == 9                                   # the paper's degree-4 table
+    # so does an image read half done; the next image comes from a fresh child
+    poly = engine.candidate_polynomial("((t1 t1) t2) t3", assym, "direct")
+    q = quotient.ModularQuotient(assym, P0)
+    proc = quotient._builder(P0).proc
+    with monkeypatch.context() as patched:
+        patched.setattr(quotient.pickle, "load", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            quotient.poly_images([q], poly)
+    assert proc.returncode == -signal.SIGKILL
+    assert P0 not in quotient._BUILDERS and not q.comps
+    assert quotient.poly_images([q], poly) == [quotient.ModularQuotient(assym, P0).poly_image(poly)]
+    assert quotient._BUILDERS[P0].proc.pid != proc.pid and not q.comps
 
 
 SCRIPT = """\
