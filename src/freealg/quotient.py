@@ -72,12 +72,14 @@ product finds its split's block through the component's offsets:
 
 GF(p) components are built in long-lived child processes, one per prime,
 each a fresh interpreter that imports freealg from this package's directory
-and uses max(1, ncpu // 2) BLAS threads; a child answers in request order.
-request_tower asks a child for a component's whole tower without waiting;
-the child answers component by component in build order, and the parent
-installs the replies when it needs one, as if built here.  Only exact
-builds ask for towers: one asks twin 0's child as it starts, so the child
-builds beside the parent.  Engine's two-prime verdicts send both primes'
+and uses max(1, ncpu // 2) BLAS threads.  Every request is one call on the
+child's cached ModularQuotient, a zero-free component or a polynomial's
+image, and has one reply: the component, the image or the exception.  The
+parent reads the replies in request order and installs each component in
+the quotient that asked for it, as if built here.  request_tower asks,
+without waiting, for each component of a tower in build order, so the
+child builds beside the parent; only exact builds ask for towers, one
+for twin 0's as it starts.  Engine's two-prime verdicts send both primes'
 children the candidate and get back its image (poly_images), so the two
 build side by side and the parent installs nothing.  With one CPU all
 is built in process.  Children start on the first request, never
@@ -511,7 +513,8 @@ class _Component:
     pair column of its block}; a block ends where the next begins, the last
     at paircols, and is block_size wide.  S is the struct map, one row per
     pair column: a paircols x dim matrix over GF(p), a list of sparse
-    {struct column: int or Fraction} over QQ, None in degree 1."""
+    {struct column: int or Fraction} over QQ, None in degree 1.  A child
+    sends a GF(p) component to the parent pickled whole, slots and all."""
 
     __slots__ = ("d", "dim", "offsets", "paircols", "selected", "rank", "mode", "nonpiv", "S")
 
@@ -690,7 +693,7 @@ class ModularQuotient(InductiveQuotient):
         super().__init__(variety, GF(p), degree_cap)
         self.p = p
         self._coeff_cache: dict[Fraction, int] = {}
-        self._coming: dict[tuple, _TwinBuilder] = {}   # asked of a child, not yet installed
+        self._coming: dict[tuple, _Request] = {}   # asked of a child, not yet installed
 
     def poly_image(self, poly: Polynomial):
         """Image of a multihomogeneous polynomial in its component's coordinates,
@@ -719,15 +722,13 @@ class ModularQuotient(InductiveQuotient):
 
     def component(self, d):
         """InductiveQuotient.component, unless a child builds d (request_tower):
-        then the child's replies are installed, in order, until d is here,
-        with no zero-padded relabeling below d; the child's exception is
-        raised if the request that was to bring d failed."""
+        then the child's replies are read, in order, up to d's, which installs
+        d; the child's exception is raised if d's request failed."""
         if self._coming:
             d = mdeg(d)
-            while d in self._coming:
-                ended = self._coming[d].install_next()
-                if d not in self._coming and d not in self.comps:
-                    raise ended             # the request that was to bring d failed
+            if d in self._coming:
+                request = self._coming[d]
+                request.builder.answer(request)
         return super().component(d)
 
     def _unit(self, d, i):
@@ -750,9 +751,7 @@ class ModularQuotient(InductiveQuotient):
         specs = iter_relation_specs(self.identities, comp.d, self.dim, self.orbits())
         while chunk := list(itertools.islice(specs, rre.batch)):
             M = self._relation_rows(comp, chunk)
-            live = np.flatnonzero(M.any(axis=1))
-            if live.size:
-                selected += [chunk[live[pos]][0] for pos in rre.add_batch(M[live])]
+            selected += [chunk[pos][0] for pos in rre.add_batch(M)]
         comp.rank = rre.rank
         comp.selected = selected
         S = np.zeros((comp.paircols, comp.paircols - rre.rank))
@@ -1382,8 +1381,6 @@ def clear_cache():
 # GF(p) twins built in long-lived child processes, one per prime.
 # ---------------------------------------------------------------------------
 
-# What a child sends of each component.
-_WIRE = ("dim", "offsets", "paircols", "selected", "rank", "mode", "nonpiv", "S")
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # A fresh interpreter that imports freealg from the parent's directory, never __main__.
 _CHILD_CODE = ("import sys; sys.path.insert(0, sys.argv[1]); "
@@ -1413,16 +1410,17 @@ def _builder(p):
 def request_tower(q, d):
     """Ask the child of the ModularQuotient q's prime for d's tower, without waiting.
 
-    Only the exact route's twins come this way.  The child builds the tower
-    in its own cached ModularQuotient and sends the zero-free components of
-    _tower(d) that q neither holds nor awaits, one reply each, in build
-    order; q installs them when it needs one (ModularQuotient.component) and
+    Only the exact route's twins come this way.  Each zero-free component of
+    _tower(d) that q neither holds nor awaits is one request, in build
+    order; the child builds it in its own cached ModularQuotient, and q
+    installs the replies when it needs one (ModularQuotient.component) and
     makes the zero-padded relabelings itself.  They are bit-identical to an
     in-process build, since GF(p) elimination is exact in any BLAS summation
     order.  With one CPU, or no process to be had, nothing is asked, nor for
     a d over the degree cap, which q.component(d) refuses.  The child's
-    exception is raised with its type and message; a child that died raises
-    BuildError, and the next request starts a fresh one.
+    exception is raised with its type and message by the component whose
+    request failed; a child that died raises BuildError, and the next
+    request starts a fresh one.
     """
     d = mdeg(d)
     base = _zero_free(d)
@@ -1431,9 +1429,9 @@ def request_tower(q, d):
     builder = _builder(q.p)
     if builder is None:
         return
-    tower = [e for e in _tower(d, q.flavor) if e not in q.comps and e not in q._coming]
-    builder.ask(q, d, set(q.comps).union(q._coming), collections.deque(tower))
-    q._coming.update(dict.fromkeys(tower, builder))
+    for e in _tower(d, q.flavor):
+        if e not in q.comps and e not in q._coming:
+            q._coming[e] = builder.ask(q, e)
 
 
 def poly_images(quotients, poly):
@@ -1442,15 +1440,17 @@ def poly_images(quotients, poly):
 
     poly is checked against every quotient before any child is asked, and
     every child is asked before any reply is read, so the children build
-    side by side.  A quotient that holds the component, or has no child,
-    takes the image here.  Errors are those of request_tower.
+    side by side.  The image is one request with one reply, read after the
+    replies to every request before it.  A quotient that holds the
+    component, or has no child, takes the image here.  Errors are those of
+    request_tower.
     """
     for q in quotients:
         q._checked_terms(poly)
     base = _zero_free(poly.multidegree())
     builders = [None if base in q.comps else _builder(q.p) for q in quotients]
-    asked = [b and b.ask(q, poly, None, ()) for q, b in zip(quotients, builders)]
-    return [q.poly_image(poly) if b is None else b.image(request)
+    asked = [b and b.ask(q, poly) for q, b in zip(quotients, builders)]
+    return [q.poly_image(poly) if b is None else b.answer(request)
             for q, b, request in zip(quotients, builders, asked)]
 
 
@@ -1464,16 +1464,20 @@ def stop_twin_builders():
 atexit.register(stop_twin_builders)
 
 
+# A request in flight: q asked builder's child for target, a multidegree or a polynomial.
+_Request = collections.namedtuple("_Request", "builder q target")
+
+
 class _TwinBuilder:
     """The parent's end of one child process that builds GF(p) components.
 
-    Requests and replies are pickles on the child's stdin and stdout.
-    requests holds, in order, each request in flight as (quotient, the
-    multidegrees still to come): one reply each, or one error reply that
-    ends the request; an image request awaits none and has one reply.  The
-    child gets max(1, ncpu // 2) BLAS threads, set before numpy loads, and
-    exits when its stdin reaches EOF or a reply finds the parent gone, so
-    none outlives the parent.
+    Requests and replies are pickles on the child's stdin and stdout.  A
+    request, (variety, p, degree_cap, target), asks for one zero-free
+    component or one polynomial's image and has exactly one reply;
+    requests holds those in flight, in order.  The child gets
+    max(1, ncpu // 2) BLAS threads, set before numpy loads, and exits when
+    its stdin reaches EOF or a reply finds the parent gone, so none outlives
+    the parent.
     """
 
     def __init__(self, p, ncpu):
@@ -1496,12 +1500,11 @@ class _TwinBuilder:
             self.close(force=True)          # interrupted: the child's input is out of step
             raise
 
-    def ask(self, q, target, held, tower):
-        """Send and queue q's request, which it returns: for d's tower, target d,
-        held what q holds or awaits and tower the multidegrees to come; for a
-        polynomial's image, target the polynomial, held None and tower ()."""
-        self.send((q.variety, q.p, q.degree_cap, target, held))
-        self.requests.append((q, tower))
+    def ask(self, q, target):
+        """Send q's request for target, a zero-free multidegree or a polynomial,
+        and return it, a _Request in flight until answer reads its reply."""
+        self.send((q.variety, q.p, q.degree_cap, target))
+        self.requests.append(_Request(self, q, target))
         return self.requests[-1]
 
     def receive(self):
@@ -1514,40 +1517,28 @@ class _TwinBuilder:
             self.close(force=True)          # interrupted: the replies are out of step
             raise
 
-    def install_next(self):
-        """Install the next reply in the quotient that asked for it, as if built
-        there, and return None; a reply that ends its request, the child's
-        exception or an image no one reads any more, is returned."""
-        q, tower = self.requests[0]
-        status, payload = self.receive()
-        if status == "error" or not tower:
-            self._forget(self.requests.popleft())
-            return payload
-        e, values = payload
-        comp = q.comps[e] = _Component(e)
-        for name, value in zip(_WIRE, values):
-            setattr(comp, name, value)
-        del q._coming[tower.popleft()]
-        if not tower:
-            self.requests.popleft()
-        return None
+    def answer(self, request):
+        """Read the replies up to request's, in request order, and deliver each to
+        its request: a component is installed in the quotient that asked for
+        it, unless the child failed, and leaves that quotient's _coming.
+        Returns request's payload; raises the child's exception."""
+        while True:
+            status, payload = self.receive()
+            asked = self._forget()
+            if status == "ok" and isinstance(asked.target, tuple):
+                asked.q.comps[asked.target] = payload
+            if asked is request:
+                if status == "error":
+                    raise payload
+                return payload
 
-    def image(self, request):
-        """The image an image request asked for, read after the replies of every
-        request before it are installed; raises the child's exception."""
-        while self.requests[0] is not request:
-            self.install_next()
-        status, payload = self.receive()
-        self.requests.popleft()
-        if status == "error":
-            raise payload
-        return payload
-
-    @staticmethod
-    def _forget(request):
-        q, tower = request
-        for e in tower:
-            del q._coming[e]
+    def _forget(self):
+        """Take the oldest request in flight off requests and return it; a
+        component's leaves the _coming of the quotient that asked."""
+        asked = self.requests.popleft()
+        if isinstance(asked.target, tuple):
+            del asked.q._coming[asked.target]
+        return asked
 
     def stop(self):
         """End the child; returns its report, or None if it had died or had a
@@ -1569,7 +1560,7 @@ class _TwinBuilder:
         if _BUILDERS.get(self.p) is self:
             del _BUILDERS[self.p]
         while self.requests:
-            self._forget(self.requests.popleft())
+            self._forget()
         if force:
             self.proc.kill()
         for pipe in (self.proc.stdin, self.proc.stdout):
@@ -1590,11 +1581,14 @@ class _TwinBuilder:
 
 
 def serve_twin_builds():
-    """Child side of request_tower and poly_images: answer requests from stdin
-    until EOF or "stop".
+    """Child side of request_tower and poly_images: answer each request from
+    stdin, in order, until EOF or "stop".
 
-    Replies go out through a writer thread, so a reply the parent has not
-    read yet never holds up the next build."""
+    A request is one call on the cached ModularQuotient of its variety,
+    prime and degree cap: component for a multidegree, poly_image for a
+    polynomial.  Its one reply is ("ok", the _Component or the image) or
+    ("error", the exception).  Replies go out through a writer thread, so a
+    reply the parent has not read yet never holds up the next build."""
     import queue                  # the child's only; the parent never loads it
     signal.signal(signal.SIGINT, signal.SIG_IGN)    # the parent handles interrupts
     out = os.fdopen(os.dup(1), "wb")
@@ -1614,16 +1608,11 @@ def serve_twin_builds():
                                 "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                                 / 1024}))
             break
-        variety, p, degree_cap, target, held = msg
+        variety, p, degree_cap, target = msg
         try:
             q = get_quotient(variety, GF(p), degree_cap)
-            if held is None:        # target is a polynomial: one reply, its image
-                replies.put(("ok", q.poly_image(target)))
-                continue
-            for e in _tower(target, q.flavor):
-                if e not in held:
-                    comp = q.component(e)
-                    replies.put(("ok", (e, tuple(getattr(comp, name) for name in _WIRE))))
+            replies.put(("ok", q.component(target) if isinstance(target, tuple)
+                         else q.poly_image(target)))
         except Exception as exc:
             replies.put(("error", _portable(exc)))
     replies.put(None)

@@ -123,9 +123,11 @@ def koszul_residual(variety, dual_variety, order, fld=QQ, degree_cap=DEFAULT_DEG
 
     The quotients are built with degree_cap, so after multilinear_dims at
     its default cap they are the cached ones; an order over the cap raises
-    DegreeCapExceeded before anything is built.
+    DegreeCapExceeded, and one below 1 ValueError, before anything is built.
     """
     from . import tideal
+    if order < 1:
+        raise ValueError("the order must be positive")
     check_degree_cap((1,) * min(order, degree_cap + 1), degree_cap)
     dims = tideal.multilinear_dims(variety, order, fld, degree_cap)
     dual_dims = tideal.multilinear_dims(dual_variety, order, fld, degree_cap)

@@ -226,6 +226,13 @@ def test_koszul_over_the_degree_cap_fails_before_it_builds(monkeypatch, capsys):
     assert line == "freealg: error: component (1, 1, 1, 1, 1, 1) exceeds degree cap 5"
 
 
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_koszul_order_below_one_is_refused_by_name(order, capsys):
+    assert main(["koszul", "--order", order]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "freealg: error: the order must be positive"
+
+
 @pytest.mark.parametrize("argv", [
     ["dim", "quasi_assosymmetric", "--multidegree", "2,1", "--q", "1/0"],
     ["check", "quasi_assosymmetric", "A(t1,t2,t3)", "--q", "1/0"],

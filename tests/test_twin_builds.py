@@ -359,26 +359,27 @@ def test_stop_kills_a_child_with_an_image_request_in_flight(monkeypatch):
     assym = tideal.get_variety("assosymmetric")
     poly = engine.candidate_polynomial("((t1 t1)(t1 t2))((t2 t2)(t3 t3))", assym, "direct")
     builder = quotient._builder(P0)
-    builder.ask(quotient.ModularQuotient(assym, P0), poly, None, ())   # (3,3,2): seconds
+    builder.ask(quotient.ModularQuotient(assym, P0), poly)   # (3,3,2): seconds
     reports = quotient.stop_twin_builders()
     assert reports[P0] is None and builder.proc.returncode == -signal.SIGKILL
     assert not quotient._BUILDERS
 
 
 def test_an_exact_build_asks_one_child_for_its_whole_tower(monkeypatch):
-    # [3,3,1], as in the D = shest check: one request to GF(p0)'s child as the build
-    # starts, before any QQ component, and one child; GF(p0) alone lifts every replay
+    # [3,3,1], as in the D = shest check: GF(p0)'s child is asked for each zero-free
+    # component of the tower once, as the build starts, before any QQ component, and
+    # one child runs; GF(p0) alone lifts every replay
     monkeypatch.setattr(quotient, "_CACHE", {})
     quotient.stop_twin_builders()
     _cpus(monkeypatch, 2)
     events, send, build = [], quotient._TwinBuilder.send, quotient.ExactQuotient._build
 
     def recorded_send(self, msg):
-        events.append((self.p, msg[3]))
+        events.append(("ask", self.p, msg[3]))
         send(self, msg)
 
     def recorded_build(self, d):
-        events.append(d)
+        events.append(("build", d))
         return build(self, d)
 
     monkeypatch.setattr(quotient._TwinBuilder, "send", recorded_send)
@@ -386,12 +387,38 @@ def test_an_exact_build_asks_one_child_for_its_whole_tower(monkeypatch):
     batches = _count_batches(monkeypatch)
     qe = quotient.ExactQuotient(tideal.get_variety("assosymmetric"))
     qe.component((3, 3, 1))
-    assert events[0] == (P0, (3, 3, 1)) and (P0, (3, 3, 1)) not in events[1:]
+    tower = quotient._tower((3, 3, 1), qe.flavor)
+    first_build = [kind for kind, *_ in events].index("build")
+    assert sorted(e for e in events if e[0] == "ask") == sorted(("ask", P0, e) for e in tower)
+    assert events[:first_build] == [("ask", P0, e) for e in tower]
     assert list(quotient._BUILDERS) == [P0] and [t.p for t in qe._twins] == [P0]
     assert {d for d, c in qe.comps.items() if c.mode == "replay"} == \
         {(3, 2, 1), (2, 3, 1), (3, 3, 1)}
     assert not batches                                   # every elimination ran in the child
     assert not qe._twins[0]._coming
+
+
+def test_two_quotients_take_their_own_replies_from_one_child(monkeypatch):
+    # as in the tables workload, two varieties on GF(p0)'s child, asked back to back;
+    # taking the second's component first reads the first's replies into the first
+    monkeypatch.setattr(quotient, "_CACHE", {})
+    quotient.stop_twin_builders()
+    _cpus(monkeypatch, 2)
+    batches = _count_batches(monkeypatch)
+    assym, dual = (quotient.ModularQuotient(tideal.get_variety(name), P0)
+                   for name in ("assosymmetric", "dual_assosymmetric"))
+    quotient.request_tower(assym, (2, 2, 1))
+    quotient.request_tower(dual, (1, 1, 1, 1))
+    asked, child = list(assym._coming), quotient._BUILDERS[P0].proc
+    dual.component((1, 1, 1, 1))
+    assert list(assym.comps) == asked and not assym._coming and not dual._coming
+    assert not batches                                   # every elimination ran in the child
+    assert [b.proc for b in quotient._BUILDERS.values()] == [child]
+    _cpus(monkeypatch, 1)
+    for q in (assym, dual):
+        serial = quotient.ModularQuotient(q.variety, P0)
+        for d, comp in q.comps.items():
+            assert _record(comp) == _record(serial.component(d)), d
 
 
 def test_clear_cache_kills_a_child_with_a_request_in_flight(monkeypatch):
