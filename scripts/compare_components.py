@@ -9,8 +9,11 @@ the builds of two checkouts can be compared with diff:
 A line gives the case (variety, q, target multidegree), the field of the
 quotient (0 for QQ, else p), a multidegree d at or below the target, and the
 component at d: dim, rank, mode, pair columns and SHA-256 digests of its
-selected row indices and of its struct map (split keys and blocks, in split
-order; a block is the slice of S from its split's offset to the next).  A
+selected row indices, of its struct map (split keys and blocks, in split
+order; a block is the slice of S from its split's offset to the next) and of
+its relation-spec stream (every (row index, identity, assignment) of
+iter_relation_specs at d, by row index, whether the checkout yields them one
+spec at a time or in blocks of one shape).  A
 case over QQ that has a component wider than FULL_COLS_CAP also reports, at
 every multidegree at or below the target, the GF(p) quotients of both
 SELECTION_PRIMES, built in process: its twins, however many of them its
@@ -62,7 +65,28 @@ def _block_bytes(block, np):
     return json.dumps([sorted((j, str(x)) for j, x in col.items()) for col in block]).encode()
 
 
-def _line(case, field, d, comp, np):
+def _specs(qa, d, quotient):
+    """The relation specs of qa at d, by row:
+    [row, identity, [[variable, [[mdeg, basis index], ...]], ...]]."""
+    out = []
+    for item in quotient.iter_relation_specs(qa.identities, d, qa.dim, qa.orbits()):
+        if isinstance(item, tuple) and len(item) == 3 and isinstance(item[2], dict):
+            row, f_idx, assignment = item
+            out.append((row, f_idx, sorted(assignment.items())))
+            continue
+        for k, row in enumerate(item.rows.tolist()):
+            assignment, s = [], 0
+            for v, slots in item.shape:
+                assignment.append((v, [(e, int(item.idx[k, s + j]))
+                                       for j, (e, _) in enumerate(slots)]))
+                s += len(slots)
+            out.append((row, item.f_idx, assignment))
+    out.sort(key=lambda spec: spec[0])
+    return [[row, f_idx, [[v, [[list(e), int(i)] for e, i in ms]] for v, ms in assignment]]
+            for row, f_idx, assignment in out]
+
+
+def _line(case, field, d, comp, np, specs):
     name, q, _, target = case
     ends = list(comp.offsets.values())[1:] + [comp.paircols]
     struct = [part for (split, off), end in zip(comp.offsets.items(), ends)
@@ -72,7 +96,8 @@ def _line(case, field, d, comp, np):
                        "dim": comp.dim, "rank": comp.rank, "mode": comp.mode,
                        "paircols": comp.paircols,
                        "selected": _digest([json.dumps(list(comp.selected))]),
-                       "struct": _digest(struct)})
+                       "struct": _digest(struct),
+                       "specs": _digest([json.dumps(specs)])})
 
 
 def main():
@@ -104,7 +129,8 @@ def main():
             for b in built:
                 field = getattr(b, "p", 0)
                 for d in below:
-                    print(_line(case, field, d, b.component(d), np), flush=True)
+                    comp = b.component(d)
+                    print(_line(case, field, d, comp, np, _specs(b, d, quotient)), flush=True)
     finally:
         quotient.clear_cache()
 

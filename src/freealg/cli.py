@@ -40,8 +40,8 @@ class RunConfig:
     def __post_init__(self):
         try:
             field_by_char(self.char)
-        except FieldError:
-            raise ValueError("characteristic must be 0 or a prime") from None
+        except FieldError as exc:
+            raise ValueError("characteristic must be 0 or a prime (%s)" % exc) from None
         if self.degree_cap < 1:
             raise ValueError("the degree cap must be positive")
         if self.exact_column_cap < 0:

@@ -13,6 +13,10 @@ of the S_n-module their permutations span (orbit_basis), and substitutes each
 sorted n-multiset of basis elements into each basis element once.  Every
 ordered instance is a combination of those, so the span is the same with
 fewer rows (5 instead of 12 per triple of distinct elements for lsym/rsym).
+One enumerator, specs.iter_relation_specs, numbers these substitutions
+(specs) for both fields and yields them in blocks of one shape: the identity
+and, per variable, the multidegrees and equality labels of its multiset,
+with the block's row indices and one basis-index array per slot.
 
 This keeps the linear algebra tiny compared to free-monomial coordinates
 (e.g. 5k pair columns instead of 240 240 monomials in the heaviest degree-8
@@ -20,7 +24,7 @@ component) at the price of building all lower components first.
 
 Only multidegrees with no zero entry are built.  One with zero entries, such
 as (1,0,1,1), is its zero-free base (1,1,1) under the only order-preserving
-renaming of variables, which keeps the split order, the spec stream and
+renaming of variables, which keeps the split order, the spec blocks and
 every relation row; its component is a view of the base's, sharing its
 dimension, rank, selection and struct map, with only the split keys of its
 offsets renamed (_relabel).  So [1^6] builds 6 components, not 63.
@@ -35,21 +39,21 @@ component stores its struct map once, as S, one row per pair column; a
 product finds its split's block through the component's offsets:
 
 * ModularQuotient: GF(p) with dense numpy rows, for primes with
-  2 (p-1)^2 <= 2^53.  Relation rows are assembled in bulk, a batch of specs
-  at a time: specs of one shape (identity, and per variable the
-  multidegrees and repeated elements of its multiset) are evaluated together,
-  each identity term once per arrangement over arrays of basis indices,
-  gathering struct rows for products of two basis elements and using one
-  matmul for every other product, and the batch's block is reduced mod p
-  once.  The reduced basis is kept as its pivot columns and the rank x
+  2 (p-1)^2 <= 2^53.  Relation rows are assembled in bulk, one window of
+  consecutive rows at a time: each spec block's slice in the window is
+  evaluated together, each identity term once per arrangement over arrays
+  of basis indices, gathering struct rows for products of two basis
+  elements and using one matmul for every other product, and the window's
+  rows are reduced mod p once.  The reduced basis is kept as its pivot columns and the rank x
   non-pivot block N, which is also the struct map (S[piv] = -N); batches
   are reduced on the non-pivot columns only, and rows that are then zero are
   dropped before the Gauss-Jordan panels.  Products and sums of at most
   mod_chunk(p) of them are exact in float64, so BLAS matmuls are exact
   integer arithmetic and the reduced basis is canonical.
 * ExactQuotient: QQ with sparse rows whose values are ints when integral
-  and Fractions otherwise.  A relation row is one spec at a time, each term
-  on each distinct arrangement of each variable's multiset; a product of
+  and Fractions otherwise.  A relation row is one spec of a block at a
+  time, in row order, each term on each distinct arrangement of each
+  variable's multiset; a product of
   two basis elements is a cached struct row, any other product its pair
   coordinates through the struct map.  Large components assemble only the
   rows that pivoted modulo the first strategy prime; replayed rows are
@@ -104,10 +108,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
+from .specs import BuildError, iter_relation_specs, orbit_basis, row_windows
 from .term import (COMMUTATIVE, PLANAR, GF, QQ, Monomial, Polynomial, count_monomials,
-                   leaf_positions, mdeg, mdeg_add, mdeg_key, mdeg_leq, mdeg_sub, mdeg_total,
-                   slot_arrangements, splits2, sub_multidegrees)
+                   is_prime, leaf_positions, mdeg, mdeg_add, mdeg_key, mdeg_total,
+                   slot_arrangements, splits2)
 
 SELECTION_PRIMES = (999983, 999979)
 FULL_COLS_CAP = 420          # exact components at most this wide skip the modular pre-pass
@@ -117,10 +121,6 @@ BATCH_ROWS = 256             # relation rows per DenseModRREF.add_batch, clamped
 PANEL_ROWS = 16              # rows per int64 panel; entries stay below p + PANEL_ROWS (p-1)^2
 KILL_CHECK_ROWS = 32         # rows per block of lift_struct's kill check; small ones keep peak RSS
 _CHECK_PRIMES = []           # its moduli: primes below 2^20, descending, each found once
-
-
-class BuildError(RuntimeError):
-    pass
 
 
 class DegreeCapExceeded(BuildError):
@@ -138,7 +138,7 @@ def check_degree_cap(d, degree_cap):
 
 
 # ---------------------------------------------------------------------------
-# Shared split/enumeration machinery.
+# Shared split machinery.
 # ---------------------------------------------------------------------------
 
 def component_splits(d, flavor):
@@ -166,168 +166,6 @@ def block_size(flavor, d1, d2, n1, n2):
     if flavor == COMMUTATIVE and d1 == d2:
         return tri_size(n1)
     return n1 * n2
-
-
-def identity_profile(f: Polynomial):
-    """[(variable, multiplicity), ...] for a multihomogeneous identity."""
-    fd = f.multidegree()
-    if fd is None:
-        raise BuildError("defining identity is not multihomogeneous: %s" % (f,))
-    return [(v + 1, fd[v]) for v in range(len(fd)) if fd[v] > 0]
-
-
-def multilinear_variables(f: Polynomial):
-    """Variables of f in increasing order if each occurs once per term, else None."""
-    profile = identity_profile(f)
-    if any(m != 1 for _, m in profile):
-        return None
-    return [v for v, _ in profile]
-
-
-def orbit_basis(identities, fld):
-    """Greedy basis, per arity n, of the S_n-module spanned by the multilinear identities.
-
-    For an identity f in the variables v_1 < ... < v_n and a permutation sigma
-    of range(n), sigma.f is f with v_k renamed t_{sigma[k]+1}.  The elements
-    (f_idx, sigma) are walked in a fixed order (identities in order, then
-    sigma lexicographically); one joins the basis when sigma.f is independent
-    over fld of the ones before it.  Returns {n: ((f_idx, sigma), ...)} for
-    increasing n.  Substituting a tuple x into sigma.f substitutes
-    x[sigma[k]] for v_k, so every ordered instance of every multilinear
-    identity of arity n is a combination, over fld, of basis elements at
-    the sorted tuple.
-    """
-    spans = {}
-    out = {}
-    for f_idx, f in enumerate(identities):
-        variables = multilinear_variables(f)
-        if variables is None:
-            continue
-        n = len(variables)
-        if n not in spans:
-            spans[n] = (linalg.SpanBasis(fld, count_monomials((1,) * n, f.flavor)), {})
-        basis, index = spans[n]
-        for sigma in itertools.permutations(range(n)):
-            rename = {v: s + 1 for v, s in zip(variables, sigma)}
-            row = {}
-            for m, c in f.terms.items():
-                enc = tuple(rename[x] if x else 0 for x in m.enc)
-                col = index.setdefault(Monomial.from_enc(f.flavor, enc), len(index))
-                row[col] = fld.from_fraction(f.field.to_fraction(c))   # renaming is injective
-            row = {col: x for col, x in row.items() if not fld.is_zero(x)}
-            if row and linalg.insert_row(basis, row):
-                out.setdefault(n, []).append((f_idx, sigma))
-    return {n: tuple(out[n]) for n in sorted(out)}
-
-
-def iter_relation_specs(identities, d, dim_of, orbits=None):
-    """Deterministic stream of blended-instance specs at multidegree d.
-
-    Yields (row_index, identity_index, assignment) where assignment maps each
-    identity variable to a canonically sorted tuple of (mdeg, basis_index)
-    pairs (a multiset over lower-component basis elements).
-
-    With orbits (from orbit_basis), the multilinear identities of arity n are
-    substituted only into sorted n-multisets ms of lower basis elements: one
-    spec per (ms, (f_idx, sigma)) in the basis, giving variable v_k the
-    element ms[sigma[k]] (when ms repeats an element, specs that give the
-    same instance are yielded once).  Identities with a repeated variable, and every
-    identity when orbits is None, take every multiset per variable and so
-    every ordered tuple for the multilinear ones.  The order depends only on
-    the identities, the orbit bases and the lower component dimensions, so a
-    row index addresses the same row in every field whose orbit bases agree.
-    """
-    row_index = 0
-    for n, basis in (orbits or {}).items():
-        variables = [multilinear_variables(identities[f_idx]) for f_idx, _ in basis]
-        for assignment in _assignments([(1, n)], d, dim_of):
-            ms = assignment[1]
-            seen = set()
-            for (f_idx, sigma), fvars in zip(basis, variables):
-                args = tuple(ms[s] for s in sigma)
-                if (f_idx, args) in seen:      # same instance: ms repeats an element
-                    continue
-                seen.add((f_idx, args))
-                yield row_index, f_idx, dict(zip(fvars, ((x,) for x in args)))
-                row_index += 1
-    for f_idx, f in enumerate(identities):
-        if orbits is not None and multilinear_variables(f) is not None:
-            continue
-        for assignment in _assignments(identity_profile(f), d, dim_of):
-            yield row_index, f_idx, assignment
-            row_index += 1
-
-
-def _assignments(profile, d, dim_of):
-    """Every assignment of lower-basis multisets to the variables of a profile
-    [(variable, multiplicity), ...] whose multidegrees add up to d."""
-    total = mdeg_total(d)
-    all_sub = sub_multidegrees(d) + [d]
-    slots = [(v, k) for v, m in profile for k in range(m)]
-    nslots = len(slots)
-    if nslots > total:
-        return
-
-    # Enumerate per-slot multidegrees: nondecreasing within each variable.
-    def mdeg_assignments(slot_i, remaining, acc):
-        if slot_i == nslots:
-            if mdeg_total(remaining) == 0:
-                yield tuple(acc)
-            return
-        var, k = slots[slot_i]
-        rem_slots = nslots - slot_i
-        rem_total = mdeg_total(remaining)
-        for e in all_sub:
-            if k > 0 and mdeg_key(e) < mdeg_key(acc[-1][1]):
-                continue
-            if not mdeg_leq(e, remaining):
-                continue
-            if mdeg_total(e) > rem_total - (rem_slots - 1):
-                continue
-            yield from mdeg_assignments(slot_i + 1, mdeg_sub(remaining, e), acc + [(var, e)])
-
-    for mASS in mdeg_assignments(0, d, []):
-        # group by variable, then enumerate basis indices canonically
-        per_var = {}
-        for var, e in mASS:
-            per_var.setdefault(var, []).append(e)
-        var_names = sorted(per_var)
-        index_pools = []
-        for var in var_names:
-            es = per_var[var]
-            groups = [(e, len(list(g))) for e, g in itertools.groupby(es)]
-            pools = []
-            for e, cnt in groups:
-                pools.append((e, list(itertools.combinations_with_replacement(range(dim_of(e)), cnt))))
-            index_pools.append(pools)
-        for combo in _product_pools(index_pools):
-            assignment = {}
-            for var, chosen in zip(var_names, combo):
-                ms = []
-                for e, idxs in chosen:
-                    ms.extend((e, i) for i in idxs)
-                assignment[var] = tuple(ms)
-            yield assignment
-
-
-def _product_pools(index_pools):
-    """Cartesian product over variables of (per-group index choices)."""
-    per_var_choices = []
-    for pools in index_pools:
-        groups = [[(e, idxs) for idxs in choices] for e, choices in pools]
-        per_var_choices.append([tuple(sel) for sel in itertools.product(*groups)])
-    return itertools.product(*per_var_choices)
-
-
-def _multiset_shape(ms):
-    """(mdeg, label) per slot of a sorted multiset of (mdeg, basis index) pairs,
-    the labels numbering its distinct elements in order."""
-    out, label = [], -1
-    for k, x in enumerate(ms):
-        if k == 0 or x != ms[k - 1]:
-            label += 1
-        out.append((x[0], label))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +375,9 @@ def _relabel(base, d):
 
     Dropping the zero entries of d is the only order-preserving renaming of
     its variables onto base's.  It keeps mdeg_key, so it keeps the split
-    order (planar and commutative), the spec stream of iter_relation_specs
-    and every relation row, value by value: the component at d is base
+    order (planar and commutative), the spec blocks of iter_relation_specs
+    (row indices, shapes with renamed multidegrees, and basis indices) and
+    every relation row, value by value: the component at d is base
     under renamed split keys.  Only the keys of offsets are renamed; dim,
     paircols, rank, mode, selected, nonpiv and S are base's own objects.
     """
@@ -659,6 +498,26 @@ class InductiveQuotient:
         d2, x2, nxt = self._evaluate(enc, j, leaves)
         return mdeg_add(d1, d2), self._products(d1, x1, d2, x2), nxt
 
+    def _instances(self, block, cols):
+        """Each term of block's identity on each distinct arrangement of its
+        multisets, substituted and split at the root: (coeff, d1, x1, d2, x2).
+        cols[s] holds the basis indices of slot s: an int, or for GF(p) an
+        array over a slice of the block's rows."""
+        es = [e for _, slots in block.shape for e, _ in slots]
+        per_var, first = [], 0          # per variable, the slot of each leaf in each arrangement
+        for v, slots in block.shape:
+            perms = slot_arrangements(tuple(label for _, label in slots))
+            per_var.append([(v, [first + k for k in perm]) for perm in perms])
+            first += len(slots)
+        combos = list(itertools.product(*per_var))
+        for enc, coeff, positions in self._identity_terms()[block.f_idx]:
+            for combo in combos:
+                leaves = {pos: (es[s], cols[s])
+                          for v, ss in combo for pos, s in zip(positions[v], ss)}
+                d1, x1, j = self._evaluate(enc, 1, leaves)
+                d2, x2, _ = self._evaluate(enc, j, leaves)
+                yield coeff, d1, x1, d2, x2
+
     def _build(self, d):
         comp = _Component(d)
         comp.offsets, comp.paircols = {}, 0
@@ -748,10 +607,10 @@ class ModularQuotient(InductiveQuotient):
     def _reduce(self, comp):
         rre = DenseModRREF(self.p, comp.paircols)
         selected = []
-        specs = iter_relation_specs(self.identities, comp.d, self.dim, self.orbits())
-        while chunk := list(itertools.islice(specs, rre.batch)):
-            M = self._relation_rows(comp, chunk)
-            selected += [chunk[pos][0] for pos in rre.add_batch(M)]
+        blocks = iter_relation_specs(self.identities, comp.d, self.dim, self.orbits())
+        for start, stop, parts in row_windows(blocks, rre.batch):
+            M = self._relation_rows(comp, start, stop, parts)
+            selected += [start + pos for pos in rre.add_batch(M)]
         comp.rank = rre.rank
         comp.selected = selected
         S = np.zeros((comp.paircols, comp.paircols - rre.rank))
@@ -760,52 +619,35 @@ class ModularQuotient(InductiveQuotient):
         comp.nonpiv = rre.nonpiv
         return S
 
-    def _relation_rows(self, comp, specs):
-        """The relation rows of specs, reduced mod p, as one (len(specs), paircols) array.
+    def _relation_rows(self, comp, start, stop, parts):
+        """Relation rows start..stop-1, reduced mod p, as one (stop - start, paircols) array.
 
-        Specs of one shape (the identity and, per variable, the multidegrees
-        and equality labels of its multiset; see _multiset_shape) share the
-        distinct arrangements of each multiset as permutations of its slots,
-        and the multidegree of every node of every substituted term.  So each
-        term is evaluated once per shape and arrangement, over arrays of basis
-        indices (_products), and its root product is added into the rows of
-        the shape's specs.  A placement moves an entry by at most
+        parts holds the (block, lo, hi) slices of the spec blocks in that
+        window (row_windows).  The specs of a block share its shape, so each
+        term is evaluated once per slice and arrangement, over arrays of
+        basis indices (_products), and its root product is added into the
+        slice's rows.  A placement moves an entry by at most
         |coeff| (p - 1) <= 2^53 - 2p; the rows are reduced mod p before the
         accumulated bound could leave the exact float64 range, and once at
         the end.
         """
         p = self.p
-        M = np.zeros((len(specs), comp.paircols))
-        shapes = {}
-        for at, (_, f_idx, assignment) in enumerate(specs):
-            key = (f_idx,) + tuple((v, _multiset_shape(assignment[v])) for v in sorted(assignment))
-            shapes.setdefault(key, []).append(at)
-        for (f_idx, *variables), at in shapes.items():
-            rows = np.array(at)
-            slots = [(v, [e for e, _ in shape], np.array([[i for _, i in specs[a][2][v]] for a in at]))
-                     for v, shape in variables]
-            combos = list(itertools.product(*(slot_arrangements(tuple(label for _, label in shape))
-                                              for _, shape in variables)))
+        M = np.zeros((stop - start, comp.paircols))
+        for block, lo, hi in parts:
+            rows = block.rows[lo:hi] - start
             bound = 0
-            for enc, coeff, positions in self._identity_terms()[f_idx]:
+            for coeff, d1, x1, d2, x2 in self._instances(block, block.idx[lo:hi].T):
                 step = abs(coeff) * (p - 1)
-                for combo in combos:
-                    bound += step
-                    if bound > 2 ** 53 - p:
-                        M[rows] = mod_p(M[rows], p)
-                        bound = p + step
-                    leaves = {}
-                    for (v, es, idx), perm in zip(slots, combo):
-                        for pos, k in zip(positions[v], perm):
-                            leaves[pos] = (es[k], idx[:, k])
-                    d1, x1, j = self._evaluate(enc, 1, leaves)
-                    d2, x2, _ = self._evaluate(enc, j, leaves)
-                    split, cols, vals = self._pair_coords(d1, x1, d2, x2)
-                    off = comp.offsets[split]
-                    if cols is None:
-                        M[rows, off:off + vals.shape[1]] += coeff * vals
-                    else:
-                        M[rows[:, None], off + cols] += coeff * vals
+                bound += step
+                if bound > 2 ** 53 - p:
+                    M[rows] = mod_p(M[rows], p)
+                    bound = p + step
+                split, cols, vals = self._pair_coords(d1, x1, d2, x2)
+                off = comp.offsets[split]
+                if cols is None:
+                    M[rows, off:off + vals.shape[1]] += coeff * vals
+                else:
+                    M[rows[:, None], off + cols] += coeff * vals
         return mod_p(M, p, out=M)
 
     def _products(self, d1, x1, d2, x2):
@@ -1023,7 +865,7 @@ def _check_primes(bound):
     while m <= bound:
         if n == len(_CHECK_PRIMES):
             p = _CHECK_PRIMES[-1] - 2 if _CHECK_PRIMES else 2 ** 20 - 1
-            while any(p % f == 0 for f in range(3, math.isqrt(p) + 1, 2)):
+            while not is_prime(p):
                 p -= 2
             _CHECK_PRIMES.append(p)
         m *= _CHECK_PRIMES[n]
@@ -1320,35 +1162,27 @@ class ExactQuotient(InductiveQuotient):
         return all(reduces(e) for e in _tower(d, self.flavor) if e != d)
 
     def _integral_rows(self, comp, only=None):
-        """The nonzero relation rows of comp, scaled to integers; with only, just
-        the rows whose index it holds."""
-        for row_index, f_idx, assignment in iter_relation_specs(self.identities, comp.d,
-                                                                self.dim, self.orbits()):
-            if only is None or row_index in only:
-                row = self._relation_row(comp, f_idx, assignment)
+        """The nonzero relation rows of comp in row order, scaled to integers;
+        with only, a set of row indices, just those rows."""
+        blocks = iter_relation_specs(self.identities, comp.d, self.dim, self.orbits())
+        for _, _, parts in row_windows(blocks, BATCH_ROWS):
+            picked = [(row, block, k) for block, lo, hi in parts
+                      for k, row in enumerate(block.rows[lo:hi].tolist(), lo)
+                      if only is None or row in only]
+            picked.sort(key=lambda t: t[0])
+            for _, block, k in picked:
+                row = self._relation_row(comp, block, k)
                 if row:
                     yield _integral(row)
 
-    def _relation_row(self, comp, f_idx, assignment):
-        """The relation row of one spec as a sparse dict of ints and Fractions:
-        each term of the identity on each distinct arrangement of each
-        variable's multiset, its two root subtrees added into the pair
+    def _relation_row(self, comp, block, k):
+        """The relation row of spec k of a block as a sparse dict of ints and
+        Fractions: each term of the identity on each distinct arrangement of
+        each variable's multiset, its two root subtrees added into the pair
         coordinates of their split."""
-        variables = sorted(assignment)
-        combos = list(itertools.product(*(
-            slot_arrangements(tuple(label for _, label in _multiset_shape(assignment[v])))
-            for v in variables)))
         row = {}
-        for enc, coeff, positions in self._identity_terms()[f_idx]:
-            for combo in combos:
-                leaves = {}
-                for v, perm in zip(variables, combo):
-                    ms = assignment[v]
-                    for pos, k in zip(positions[v], perm):
-                        leaves[pos] = ms[k]
-                d1, x1, j = self._evaluate(enc, 1, leaves)
-                d2, x2, _ = self._evaluate(enc, j, leaves)
-                self._pair_coords(comp.offsets, d1, x1, d2, x2, row, coeff)
+        for coeff, d1, x1, d2, x2 in self._instances(block, block.idx[k].tolist()):
+            self._pair_coords(comp.offsets, d1, x1, d2, x2, row, coeff)
         return row
 
 

@@ -71,12 +71,44 @@ class FieldQ:
         return Fraction(a)
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality below this
+# bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n) -> bool:
+    """Deterministic Miller-Rabin; FieldError for n at or above _MR_BOUND."""
+    if n >= _MR_BOUND:
+        raise FieldError("cannot decide whether a modulus of %d digits is prime; "
+                         "the test is exact below %.3g" % (len(str(n)), _MR_BOUND))
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class FieldFp:
     """Prime field GF(p); values are ints in [0, p)."""
 
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, min(p, 1 + int(p ** 0.5) + 1)) if q < p):
-            raise FieldError("modulus must be prime, got %r" % (p,))
+        if not is_prime(p):
+            raise FieldError("%r is not prime" % (p,))
         self.p = p
         self.char = p
         self.zero = 0

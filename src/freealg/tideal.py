@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import lang, linalg, quotient
+from . import lang, linalg, quotient, specs
 from .quotient import DEFAULT_DEGREE_CAP, BudgetExceeded
 from .term import (COMMUTATIVE, PLANAR, FlavorError, Polynomial, QQ, count_monomials,
                    enumerate_monomials, mdeg, mdeg_key, mdeg_leq, mdeg_sub,
@@ -218,7 +218,7 @@ def substitution_instances(f: Polynomial, d, flavor) -> list[ConsequenceRow]:
         raise ValueError("identity must be multihomogeneous")
     if mdeg_total(f.multidegree()) > mdeg_total(d):
         raise ValueError("target degree smaller than the identity degree")
-    prof = quotient.identity_profile(f)
+    prof = specs.identity_profile(f)
     sizes = [m for _, m in prof]
     var_names = [v for v, _ in prof]
     out = []
@@ -354,5 +354,11 @@ def quotient_dim(variety, d, fld=QQ, degree_cap=DEFAULT_DEGREE_CAP) -> int:
 
 
 def multilinear_dims(variety, upto, fld=QQ, degree_cap=DEFAULT_DEGREE_CAP):
-    """Dimensions of the multilinear components in degrees 1..upto."""
+    """Dimensions of the multilinear components in degrees 1..upto.
+
+    The top component is built first: an exact build then asks a GF(p)
+    child for its whole tower at once, which builds beside the parent's
+    lower components (quotient.request_tower)."""
+    if upto > 0:
+        quotient_dim(variety, (1,) * upto, fld, degree_cap)
     return [quotient_dim(variety, (1,) * n, fld, degree_cap) for n in range(1, upto + 1)]

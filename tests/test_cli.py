@@ -206,6 +206,10 @@ def test_albert_report_deterministic():
     ["--char", "3", "suite", "albert"],
     ["--char", "5", "suite", "char3"],
     ["check", "assym", "1/999983 lietriple(t1 t1, t1 t2, t2 t2)", "--mode", "plus"],
+    # a modulus above the primality test's bound, and a prime near 10^18 too
+    # large for float64 elimination
+    ["--char", str(2 ** 1100), "dim", "assym", "--multidegree", "2"],
+    ["--char", "1000000000000000003", "dim", "assym", "--multidegree", "2"],
 ])
 def test_bad_input_is_one_line_exit_2(argv):
     rc = subprocess.run([sys.executable, "-m", "freealg.cli"] + argv,
@@ -312,7 +316,7 @@ def test_compare_components_script_runs():
     assert runs[0].stdout == runs[1].stdout
     lines = [json.loads(line) for line in runs[0].stdout.splitlines()]
     keys = {"variety", "q", "target", "field", "d", "dim", "rank", "mode", "paircols",
-            "selected", "struct"}
+            "selected", "struct", "specs"}
     assert all(set(line) == keys for line in lines)
     by_field = {}
     for line in lines:

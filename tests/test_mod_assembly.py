@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mod_row_oracle
+import spec_oracle
 from freealg import quotient, tideal
 
 # Multidegrees of degree at most 5 per catalog variety, the last one with an
@@ -48,14 +49,16 @@ LARGE_PRIME = 67108859
 
 def _assert_rows_match_oracle(q, d):
     comp = q.component(d)
-    specs = list(quotient.iter_relation_specs(q.identities, d, q.dim, q.orbits()))
+    specs = list(spec_oracle.relation_specs(q.identities, d, q.dim, q.orbits()))
     assert specs
     want = [mod_row_oracle.relation_row(q, comp, f_idx, assignment)
             for _, f_idx, assignment in specs]
-    # the whole stream as one chunk, and chunks that cut across shapes
+    # the whole stream as one window, and windows that cut across blocks
     for size in (len(specs), 5):
-        got = np.concatenate([q._relation_rows(comp, specs[k:k + size])
-                              for k in range(0, len(specs), size)])
+        blocks = quotient.iter_relation_specs(q.identities, d, q.dim, q.orbits())
+        got = np.concatenate([q._relation_rows(comp, start, stop, parts)
+                              for start, stop, parts in quotient.row_windows(blocks, size)])
+        assert got.shape[0] == len(specs)
         for (row_index, _, _), row, ref in zip(specs, got, want):
             assert np.array_equal(row, ref), (d, row_index)
 
@@ -143,12 +146,17 @@ def test_rational_rows_reduce_to_the_modular_rows(name, q, extra, mdegs):
         for e in quotient._tower(d, qe.flavor):
             if e != d:
                 assert quotient._struct_reduces_to(qe.comps[e], qm.comps[e], p), (d, e)
-        specs = list(quotient.iter_relation_specs(qe.identities, d, qe.dim, qe.orbits()))
-        assert specs == list(quotient.iter_relation_specs(qm.identities, d, qm.dim, qm.orbits()))
-        got = qm._relation_rows(cm, specs)
-        for (row_index, f_idx, assignment), want in zip(specs, got):
-            row = _dense_mod(qe._relation_row(ce, f_idx, assignment), ce.paircols, p)
-            assert np.array_equal(row, want), (d, row_index)
+        blocks = list(quotient.iter_relation_specs(qe.identities, d, qe.dim, qe.orbits()))
+        specs = spec_oracle.expand(blocks)
+        assert specs == spec_oracle.expand(
+            quotient.iter_relation_specs(qm.identities, d, qm.dim, qm.orbits()))
+        [(start, stop, parts)] = quotient.row_windows(blocks, len(specs))
+        got = qm._relation_rows(cm, start, stop, parts)
+        assert got.shape[0] == len(specs)
+        for block in blocks:
+            for k, row_index in enumerate(block.rows.tolist()):
+                row = _dense_mod(qe._relation_row(ce, block, k), ce.paircols, p)
+                assert np.array_equal(row, got[row_index]), (d, row_index)
 
 
 @pytest.mark.parametrize("name", ["assosymmetric", "jordan", "lie_triple"])

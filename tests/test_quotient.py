@@ -1,5 +1,6 @@
 """The inductive quotient construction: eliminators, enumeration, consistency."""
 
+import importlib.util
 import itertools
 import math
 import os
@@ -10,10 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spec_oracle
 from free_oracle import free_dim
 from freealg import engine, lang, linalg, quotient, tideal
 from freealg.term import (COMMUTATIVE, PLANAR, GF, FieldError, Monomial, Polynomial, QQ,
-                          field_by_char)
+                          field_by_char, sub_multidegrees)
 
 
 def rand_int_rows(rng, nrows, ncols, density=0.4, bound=6):
@@ -193,14 +195,14 @@ def test_relation_spec_enumeration_is_deterministic_and_blended():
     assym = tideal.get_variety("assosymmetric")
     qe = quotient.get_quotient(assym, QQ)
     qe.component((2, 1, 1))
-    specs1 = list(quotient.iter_relation_specs(qe.identities, (2, 1, 1), qe.dim))
-    specs2 = list(quotient.iter_relation_specs(qe.identities, (2, 1, 1), qe.dim))
+    specs1 = spec_oracle.expand(quotient.iter_relation_specs(qe.identities, (2, 1, 1), qe.dim))
+    specs2 = spec_oracle.expand(quotient.iter_relation_specs(qe.identities, (2, 1, 1), qe.dim))
     assert specs1 == specs2
     assert [s[0] for s in specs1] == list(range(len(specs1)))
     jor = tideal.get_variety("jordan")
     qj = quotient.get_quotient(jor, QQ)
     qj.component((2, 1, 1))
-    specs = list(quotient.iter_relation_specs(qj.identities, (2, 1, 1), qj.dim))
+    specs = spec_oracle.expand(quotient.iter_relation_specs(qj.identities, (2, 1, 1), qj.dim))
     # the squared variable receives multisets, canonically nondecreasing
     for _, _, assignment in specs:
         ms = assignment[1]
@@ -310,13 +312,47 @@ def test_module_basis_stream_cuts_rows():
     for fld in (QQ, GF(3), GF(5)):
         orbits = quotient.orbit_basis(assym.identities, fld)
         assert list(orbits) == [3] and len(orbits[3]) == 5
-    ordered = list(quotient.iter_relation_specs(assym.identities, (1, 1, 1), lambda e: 1))
-    cut = list(quotient.iter_relation_specs(assym.identities, (1, 1, 1), lambda e: 1, orbits))
+    ordered = spec_oracle.expand(
+        quotient.iter_relation_specs(assym.identities, (1, 1, 1), lambda e: 1))
+    cut = spec_oracle.expand(
+        quotient.iter_relation_specs(assym.identities, (1, 1, 1), lambda e: 1, orbits))
     assert len(ordered) == 12 and len(cut) == 5
     # a multiset with a repeated element gives each distinct instance once
-    cut = list(quotient.iter_relation_specs(assym.identities, (3,), lambda e: 1, orbits))
+    cut = spec_oracle.expand(quotient.iter_relation_specs(assym.identities, (3,), lambda e: 1,
+                                                          orbits))
     instances = {(f_idx, tuple(a[v] for v in sorted(a))) for _, f_idx, a in cut}
     assert len(instances) == len(cut) < 5
+
+
+def _compare_cases():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scripts", "compare_components.py")
+    spec = importlib.util.spec_from_file_location("compare_components", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CASES
+
+
+@pytest.mark.parametrize("name,q,char,target", _compare_cases(),
+                         ids=lambda x: str(x).replace(" ", ""))
+def test_spec_blocks_expand_to_the_per_spec_stream(name, q, char, target):
+    # Row numbering, identities and assignments of the block stream against
+    # the per-spec reference, at every multidegree at or below the target,
+    # with the orbit bases of the case's field and with none.  Dimensions
+    # come from a GF(p) build, p = 999983 at char 0.
+    variety = tideal.get_variety(name, q)
+    qm = quotient.ModularQuotient(variety, char or 999983)
+    qm.component(target)
+    orbits = quotient.orbit_basis(qm.identities, field_by_char(char))
+    for d in sub_multidegrees(target) + [target]:
+        for basis in (orbits, None):
+            want = list(spec_oracle.relation_specs(qm.identities, d, qm.dim, basis))
+            blocks = list(quotient.iter_relation_specs(qm.identities, d, qm.dim, basis))
+            assert spec_oracle.expand(blocks) == want, (d, basis is None)
+            for block in blocks:
+                # one block per shape, its rows ascending
+                assert np.all(np.diff(block.rows) > 0)
+            assert len({(b.f_idx, b.shape) for b in blocks}) == len(blocks)
 
 
 def _compositions(n):

@@ -1,13 +1,14 @@
 """Monomials, multidegrees, scalar fields and sparse polynomial arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freealg.lang import expand
-from freealg.term import (COMMUTATIVE, PLANAR, FlavorError, GF, Monomial,
-                          Polynomial, QQ, count_monomials, enumerate_monomials,
+from freealg.term import (COMMUTATIVE, PLANAR, FieldError, FlavorError, GF, Monomial,
+                          Polynomial, QQ, count_monomials, enumerate_monomials, is_prime,
                           mdeg, mdeg_add)
 
 
@@ -180,3 +181,17 @@ def test_mdeg_add_is_the_normalized_sum(x, y):
     n = max(len(a), len(b))
     padded = [u + v for u, v in zip(a + (0,) * (n - len(a)), b + (0,) * (n - len(b)))]
     assert mdeg_add(a, b) == mdeg(padded)
+
+
+def test_primality_is_exact_below_its_bound_and_refused_above():
+    assert [n for n in range(3000) if is_prime(n)] == [
+        n for n in range(2, 3000) if all(n % q for q in range(2, math.isqrt(n) + 1))]
+    # strong pseudoprimes to the first bases, a Carmichael number, large primes
+    for n in (2047, 3215031751, 3825123056546413051, 561, 10 ** 18 + 1):
+        assert not is_prime(n)
+    for n in (2 ** 61 - 1, 10 ** 18 + 3, 999983):
+        assert is_prime(n)
+    with pytest.raises(FieldError):
+        GF(2 ** 1100)
+    with pytest.raises(FieldError):
+        GF(4)
