@@ -119,7 +119,8 @@ DEFAULT_DEGREE_CAP = 8
 MAX_PAIR_COLUMNS = 100_000
 BATCH_ROWS = 256             # relation rows per DenseModRREF.add_batch, clamped below its chunk
 PANEL_ROWS = 16              # rows per int64 panel; entries stay below p + PANEL_ROWS (p-1)^2
-KILL_CHECK_ROWS = 32         # rows per block of lift_struct's kill check; small ones keep peak RSS
+KILL_CHECK_ROWS = 32         # rows per block of lift_struct's kill check; 32, 64, 128 on 2 CPUs:
+                             # exact_d7 peaks 38.9/39.0/40.2 MB, Glennie top lifts 0.49/0.47/0.51 s
 _CHECK_PRIMES = []           # its moduli: primes below 2^20, descending, each found once
 
 
@@ -880,98 +881,103 @@ def lift_struct(rows, nonpivs, structs, primes):
     over GF(primes[t]) and nonpivs[t] its non-pivot columns; rows is an
     iterable of sparse integer rows that the caller has proven linearly
     independent over QQ, read in blocks and only once the lift has a
-    candidate.  The twins' pivot rows are combined by CRT modulo m, the
+    candidate.  The twins' nonzeros are combined by CRT modulo m, the
     product of the primes (below 2^63), and each distinct residue is
     reconstructed as a fraction with numerator and denominator at most
     sqrt((m - 1) / 2) < each prime (707 for one prime near 10^6), so a value
     that is 0 modulo one prime is 0.
     The candidate S is accepted only when
       1. every twin has twin 0's shape, non-pivot columns and zero entries,
-      2. every residue reconstructs,
+      2. every residue reconstructs, and S is the identity on the non-pivot
+         columns,
       3. rows @ S = 0 exactly: D r S (D the common denominator) is 0 in
          matmul_mod modulo check primes whose product exceeds twice the
          bound l1(r) max(|D S|, D) on its entries, and
       4. there are exactly paircols - dim rows, so, being independent, they
          have that rank.
     Then span_QQ(rows) has dimension paircols - dim and lies in the kernel of
-    S, which has that dimension, so the two are equal.  S is the identity on
-    the non-pivot columns and, like the twins, vanishes left of each pivot,
-    so it is the struct map of the reduced echelon basis of the span: the
-    one IntRREF gives.  Returns, per pair column, {struct column: int or
-    Fraction}.
+    S, which has that dimension, so the two are equal.  Like the twins, S
+    vanishes left of each pivot, so it is the struct map of the reduced
+    echelon basis of the span: the one IntRREF gives.  Returns, per pair
+    column, {struct column: int or Fraction}.
+    Besides its result the lift holds S's nonzeros as flat arrays and, per
+    block of rows and check prime, the rows of D S mod q at the block's
+    columns, dense.
     """
     n0, S0, m = nonpivs[0], structs[0], primes[0]
     ncols, dim = S0.shape
-    k = ncols - dim
     if any(S.shape != S0.shape or not np.array_equal(n, n0) for n, S in zip(nonpivs, structs)):
         return None
-    piv = np.setdiff1d(np.arange(ncols), n0)
-    P = S0[piv]
-    nz = P != 0
-    a = P[nz].astype(np.int64)
+    flat = np.flatnonzero(S0)
+    a = np.take(S0, flat).astype(np.int64)
     for S, p in zip(structs[1:], primes[1:]):
-        P = S[piv]
-        if not np.array_equal(nz, P != 0):
+        if not np.array_equal(flat, np.flatnonzero(S)):
             return None
-        a += m * ((P[nz].astype(np.int64) - a) % p * pow(m, -1, p) % p)
+        a += m * ((np.take(S, flat).astype(np.int64) - a) % p * pow(m, -1, p) % p)
         m *= p
     uniq, inv = np.unique(a, return_inverse=True)
-    del P, a
+    at = np.searchsorted(flat, np.arange(ncols + 1) * dim)  # row i of S: entries at[i]..at[i+1]-1
+    c, inv = (flat % dim).astype(np.int32), inv.astype(np.int32)
+    del a, flat
     bound = math.isqrt((m - 1) // 2)
     fracs = [rational_reconstruction(int(u), m, bound) for u in uniq]
     if None in fracs:
         return None
     vals = [_q(f.numerator, f.denominator) for f in fracs]
-    cols = [None] * ncols
-    for j, c in enumerate(n0):
-        cols[c] = {j: 1}
-    at = np.concatenate([[0], np.cumsum(np.count_nonzero(nz, axis=1))]).tolist()
-    where = np.nonzero(nz)[1].tolist()
-    inv = inv.tolist()
-    for i, c in enumerate(piv):
-        cols[c] = {where[x]: vals[inv[x]] for x in range(at[i], at[i + 1])}
+    cols = [dict(zip(c[lo:hi].tolist(), [vals[x] for x in inv[lo:hi].tolist()]))
+            for lo, hi in itertools.pairwise(at.tolist())]
+    if any(cols[col] != {j: 1} for j, col in enumerate(n0.tolist())):
+        return None
 
     D = math.lcm(*(f.denominator for f in fracs))
     Z = [f.numerator * (D // f.denominator) for f in fracs]
     height = max(max(map(abs, Z), default=0), D)
-    residues = {}                # check prime q -> Z mod q as a k x dim matrix
-    pos = np.argsort(np.concatenate([piv, n0])).tolist()     # block columns: piv, then n0
+    residues = {}                # check prime q -> Z mod q
     count = 0
     rows = iter(rows)
     while block := list(itertools.islice(rows, KILL_CHECK_ROWS)):
         count += len(block)
         l1 = max(sum(map(abs, r.values())) for r in block)
         rs = [i for i, r in enumerate(block) for _ in r]
-        cs = [pos[c] for r in block for c in r]
         xs = [x for r in block for x in r.values()]
+        used, cs = np.unique([j for r in block for j in r], return_inverse=True)
+        # T holds the rows of S at the block's columns: entries e, row by row
+        lens = at[used + 1] - at[used]
+        e = np.repeat(at[used] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+        ti, ce, ie = np.repeat(np.arange(len(used)), lens), c[e], inv[e]
         for q in _check_primes(2 * l1 * height):
             if q not in residues:
-                residues[q] = np.zeros((k, dim))
-                residues[q][nz] = np.array([z % q for z in Z], dtype=float)[inv]
-            M = np.zeros((len(block), ncols))
+                residues[q] = np.array([z % q for z in Z], dtype=float)
+            T = np.zeros((len(used), dim))
+            T[ti, ce] = residues[q][ie]
+            M = np.zeros((len(block), len(used)))
             M[rs, cs] = [x % q for x in xs]
-            R = matmul_mod(M[:, :k], residues[q], q)
-            R += D % q * M[:, k:]
-            if np.any(mod_p(R, q)):
+            if np.any(matmul_mod(M, T, q)):
                 return None
-    return cols if count == k else None
+            del T, M                 # before the next block allocates its own
+    return cols if count == ncols - dim else None
 
 
 def _struct_reduces_to(comp, twin, p):
     """Does a QQ component's struct map reduce mod p, entry by entry, to the
-    GF(p) component twin's S?  False on a denominator divisible by p."""
+    GF(p) component twin's S?  Compared row by row on nonzeros, so both
+    supports must agree.  False on a denominator divisible by p."""
     if (comp.paircols, comp.dim) != (twin.paircols, twin.dim):
         return False
     if not comp.paircols:
         return True
-    R = np.zeros(twin.S.shape)
-    for c, col in enumerate(comp.S):
+    for col, row in zip(comp.S, twin.S):
+        got = {}
         for j, x in col.items():
             den = x.denominator % p
             if not den:
                 return False
-            R[c, j] = x.numerator * pow(den, -1, p) % p
-    return np.array_equal(R, twin.S)
+            if v := x.numerator * pow(den, -1, p) % p:
+                got[j] = v
+        nz = np.flatnonzero(row)
+        if got != dict(zip(nz.tolist(), row[nz].tolist())):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

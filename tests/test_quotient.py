@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -679,6 +680,20 @@ def test_struct_with_a_denominator_divisible_by_p_does_not_reduce():
     assert not quotient._struct_reduces_to(comp, twin, P0)
 
 
+@pytest.mark.parametrize("side", ["twin", "rational"])
+def test_struct_with_a_nonzero_the_other_lacks_does_not_reduce(side):
+    assym = tideal.get_variety("assosymmetric")
+    comp = quotient.ExactQuotient(assym).component((2, 1))
+    twin = quotient.ModularQuotient(assym, P0).component((2, 1))
+    assert quotient._struct_reduces_to(comp, twin, P0)
+    c, j = next((c, j) for c, col in enumerate(comp.S) for j in range(comp.dim) if j not in col)
+    if side == "twin":
+        twin.S[c, j] = 1.0
+    else:
+        comp.S[c][j] = 1
+    assert not quotient._struct_reduces_to(comp, twin, P0)
+
+
 def test_lift_struct_rejects_heights_above_the_bound():
     n, q = 1000003, 999961            # struct constant n/q: both above BOUND
     rows = [{0: q, 1: -n}, {2: 1, 3: 5}]
@@ -723,6 +738,32 @@ def test_lift_struct_from_one_twin_up_to_its_bound():
         got = quotient.lift_struct(rows, [nonpiv], [S], (P0,))
         assert got == (_int_rref_struct(rows, 4) if h == 707 else None)
         assert _lift(rows, 4) == _int_rref_struct(rows, 4)
+
+
+def test_lift_struct_holds_memory_proportional_to_the_nonzeros():
+    # a twin of 1,500 pair columns and dim 150 whose pivot rows are about 10% nonzero,
+    # from rows in reduced echelon form with small integers right of each pivot: the
+    # lift's peak above what it returns stays below half of one dense k x dim matrix
+    rng = np.random.default_rng(5)
+    ncols, dim = 1500, 150
+    k = ncols - dim
+    nonpiv = np.sort(rng.choice(ncols, dim, replace=False))
+    piv = np.setdiff1d(np.arange(ncols), nonpiv)
+    A = rng.integers(-9, 10, (k, dim)) * (rng.random((k, dim)) < 0.2) * (nonpiv > piv[:, None])
+    assert 0.08 < np.count_nonzero(A) / A.size < 0.12
+    rows = [{int(piv[i]): 1} | {int(nonpiv[j]): -int(A[i, j]) for j in np.flatnonzero(A[i])}
+            for i in range(k)]
+    S = np.zeros((ncols, dim))
+    S[nonpiv, np.arange(dim)] = 1.0
+    S[piv] = A % P0
+    tracemalloc.start()
+    try:
+        got = quotient.lift_struct(rows, [nonpiv], [S], (P0,))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held < k * dim * 8 / 2, (peak, held)
+    assert got == _int_rref_struct(rows, ncols)
 
 
 def _components_being_built(monkeypatch):
