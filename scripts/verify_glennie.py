@@ -3,8 +3,9 @@
 assosymmetric algebras (two-prime modular strategy at characteristic 0, or
 with --exact the exact route over the rationals, plus the characteristic-3
 branch), with the element-equality check at [3,3,1] done exactly over the
-rationals.  It ends with the peak RSS of this process and of each GF(p) child
-process."""
+rationals.  It ends with the peak RSS of this process, which builds every
+component of the exact route and of characteristic 3, and on the two-prime
+route of each GF(p) child process, which takes that route's images."""
 
 import argparse
 import resource
@@ -42,7 +43,8 @@ def main():
         ok &= run("multilinear jordan, char 3",
                   lambda: engine.is_identity(assym, "wjor(t1,t2,t3,t4)", 3, "plus"))
     reports = quotient.stop_twin_builders()
-    print("peak RSS: parent %.1f MB" % (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024))
+    print("peak RSS: this process %.1f MB"
+          % (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024))
     for p, report in sorted(reports.items()):
         print("peak RSS: GF(%d) child %s" % (p, "unknown (it died or was killed)" if report is None
                                              else "%.1f MB" % report["maxrss_mb"]))

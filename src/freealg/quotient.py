@@ -44,12 +44,13 @@ product finds its split's block through the component's offsets:
   evaluated together, each identity term once per arrangement over arrays
   of basis indices, gathering struct rows for products of two basis
   elements and using one matmul for every other product, and the window's
-  rows are reduced mod p once.  The reduced basis is kept as its pivot columns and the rank x
-  non-pivot block N, which is also the struct map (S[piv] = -N); batches
-  are reduced on the non-pivot columns only, and rows that are then zero are
-  dropped before the Gauss-Jordan panels.  Products and sums of at most
-  mod_chunk(p) of them are exact in float64, so BLAS matmuls are exact
-  integer arithmetic and the reduced basis is canonical.
+  rows are reduced mod p once.  The reduced basis is kept as its pivot
+  columns and the rank x non-pivot block N, which is also the struct map
+  (S[piv] = -N); N is updated in place, in one buffer with the batch being
+  eliminated.  Batches are reduced on the non-pivot columns only, and rows
+  that are then zero are dropped before the Gauss-Jordan panels.  Products
+  and sums of at most mod_chunk(p) of them are exact in float64, so BLAS
+  matmuls are exact integer arithmetic and the reduced basis is canonical.
 * ExactQuotient: QQ with sparse rows whose values are ints when integral
   and Fractions otherwise.  A relation row is one spec of a block at a
   time, in row order, each term on each distinct arrangement of each
@@ -74,19 +75,16 @@ product finds its split's block through the component's offsets:
   strategy prime in a coefficient's denominator send every relation row
   through IntRREF, an integer-scaled RREF.
 
-GF(p) components are built in long-lived child processes, one per prime,
-each a fresh interpreter that imports freealg from this package's directory
-and uses max(1, ncpu // 2) BLAS threads.  Every request is one call on the
-child's cached ModularQuotient, a zero-free component or a polynomial's
-image, and has one reply: the component, the image or the exception.  The
-parent reads the replies in request order and installs each component in
-the quotient that asked for it, as if built here.  request_tower asks,
-without waiting, for each component of a tower in build order, so the
-child builds beside the parent; only exact builds ask for towers, one
-for twin 0's as it starts.  Engine's two-prime verdicts send both primes'
-children the candidate and get back its image (poly_images), so the two
-build side by side and the parent installs nothing.  With one CPU all
-is built in process.  Children start on the first request, never
+The exact route's twins are built here, in process: their elimination
+needs no more memory than one N and one window.  Only engine's two-prime
+verdicts use child processes, one per prime, each a fresh interpreter
+that imports freealg from this package's directory and uses
+max(1, ncpu // 2) BLAS threads.  Both primes' children are sent the
+candidate and reply with its image (poly_images), so the two build side
+by side and the parent holds no GF(p) component.  Every request is one
+poly_image call on the child's cached ModularQuotient and has one reply,
+the image or the exception, read in request order.  With one CPU the
+images are taken in process.  Children start on the first request, never
 at import, and stop in clear_cache, at exit, or when the parent's pipe
 closes; one with a request in flight is killed, not waited for.
 """
@@ -109,15 +107,18 @@ from fractions import Fraction
 import numpy as np
 
 from .specs import BuildError, iter_relation_specs, orbit_basis, row_windows
-from .term import (COMMUTATIVE, PLANAR, GF, QQ, Monomial, Polynomial, count_monomials,
-                   is_prime, leaf_positions, mdeg, mdeg_add, mdeg_key, mdeg_total,
+from .term import (COMMUTATIVE, PLANAR, GF, QQ, Monomial, Polynomial, is_prime,
+                   leaf_positions, mdeg, mdeg_add, mdeg_key, mdeg_total,
                    slot_arrangements, splits2)
 
 SELECTION_PRIMES = (999983, 999979)
 FULL_COLS_CAP = 420          # exact components at most this wide skip the modular pre-pass
 DEFAULT_DEGREE_CAP = 8
 MAX_PAIR_COLUMNS = 100_000
-BATCH_ROWS = 256             # relation rows per DenseModRREF.add_batch, clamped below its chunk
+BATCH_ROWS = 256             # rows per DenseModRREF batch, below its chunk and as many as fit
+WINDOW_BYTES = 1 << 19       # past N in its buffer, which has max(this, N's largest / 4) spare
+TILE_BYTES = 1 << 17         # scratch per tile or row chunk of add_batch's in-place updates,
+MIN_CHUNK_ROWS = 32          # but at least this many rows, so a chunk's matmul stays BLAS-sized
 PANEL_ROWS = 16              # rows per int64 panel; entries stay below p + PANEL_ROWS (p-1)^2
 KILL_CHECK_ROWS = 32         # rows per block of lift_struct's kill check; 32, 64, 128 on 2 CPUs:
                              # exact_d7 peaks 38.9/39.0/40.2 MB, Glennie top lifts 0.49/0.47/0.51 s
@@ -173,13 +174,14 @@ def block_size(flavor, d1, d2, n1, n2):
 # Exact float64 arithmetic mod p, and the dense GF(p) eliminator.
 # ---------------------------------------------------------------------------
 
-def mod_p(a, p, out=None):
+def mod_p(a, p, out=None, scratch=None):
     """a mod p in [0, p) for a float64 array of integers with |a| <= 2^53 - p.
 
     floor(a * (1/p)) is off by at most one, so one correction each way makes
-    the result exact; this is several times faster than np.mod.
+    the result exact; this is several times faster than np.mod.  The
+    quotient goes into scratch (an array of a's shape) or a new array.
     """
-    q = np.multiply(a, 1.0 / p)
+    q = np.multiply(a, 1.0 / p, out=scratch)
     np.floor(q, out=q)
     q *= p
     r = np.subtract(a, q, out=q if out is None else out)
@@ -207,6 +209,28 @@ def matmul_mod(X, B, p):
     return acc
 
 
+def sub_matmul_mod(A, p, X, B):
+    """A = (A - X @ B) mod p in place, for float64 residues, with the products
+    summed in chunks of mod_chunk(p) and reduced after each.  It works on
+    column tiles (_chunks), so that its scratch and the part of B that BLAS
+    packs at a time (at most about BATCH_ROWS of its rows) stay about
+    TILE_BYTES."""
+    chunk = mod_chunk(p)
+    for j, t in _chunks(A.shape[1], max(A.shape[0], min(B.shape[0], BATCH_ROWS))):
+        At = A[:, j:t]
+        for s in range(0, X.shape[1], chunk):
+            U = X[:, s:s + chunk] @ B[s:s + chunk, j:t]
+            At -= U
+            mod_p(At, p, out=At, scratch=U)
+
+
+def _chunks(n, width, least=1):
+    """Ranges [a, b) of n rows (or columns) of a float64 array whose other side
+    is width long, each of about TILE_BYTES but at least least rows."""
+    step = max(least, TILE_BYTES // (8 * max(1, width)))
+    return [(a, min(a + step, n)) for a in range(0, n, step)]
+
+
 class DenseModRREF:
     """Reduced row echelon basis over GF(p), kept as its non-pivot part.
 
@@ -217,6 +241,15 @@ class DenseModRREF:
     BLAS matmuls are exact integer arithmetic and mod_p applies.  The basis
     is the canonical RREF of the span, so pivots, rows and the positions
     that pivot do not depend on how a row stream is cut into batches.
+
+    N lives at the front of one buffer, an anonymous mapping made up front:
+    rank x (ncols - rank) is at most ncols^2 / 4 entries, and past that
+    there is room for max(WINDOW_BYTES, a quarter of them).  The next batch
+    is assembled right after N (window), as many rows as fit up to
+    BATCH_ROWS, so only batches near N's largest are cut short.  A batch
+    updates N in place, row chunk by row chunk in increasing order, so that
+    no write passes rows not yet read; there is never a second N, and every
+    other scratch array is a tile of about TILE_BYTES.
     """
 
     def __init__(self, p, ncols):
@@ -225,14 +258,35 @@ class DenseModRREF:
             raise BuildError("modulus too large for exact float64 elimination")
         self.p = p
         self.ncols = ncols
-        self.batch = min(BATCH_ROWS, self.chunk - 1)
         self.piv = np.zeros(0, dtype=np.int64)
         self.nonpiv = np.arange(ncols)
-        self.N = np.zeros((0, ncols))
+        size = 8 * (ncols * ncols // 4) + max(WINDOW_BYTES, 8 * (ncols * ncols // 16))
+        import mmap                   # only where GF(p) is eliminated, not in a two-prime parent
+        try:
+            self._map = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        except OSError as exc:
+            raise BuildError("GF(%d) elimination of %d columns needs a %d-byte buffer: %s"
+                             % (p, ncols, size, exc.strerror)) from None
+        self._buf = np.frombuffer(self._map, dtype=float)
+        self.N = self._buf[:0].reshape(0, ncols)
 
     @property
     def rank(self):
         return self.piv.shape[0]
+
+    @property
+    def batch(self):
+        """Rows for the next batch: at most BATCH_ROWS, fewer than chunk, and as
+        many as fit in the buffer past N."""
+        free = self._buf.shape[0] - self.N.size
+        return min(BATCH_ROWS, self.chunk - 1, free // max(1, self.ncols))
+
+    def window(self, nrows):
+        """A zeroed nrows x ncols array in the buffer past N, for the next batch;
+        nrows is at most batch."""
+        M = self._buf[self.N.size:self.N.size + nrows * self.ncols].reshape(nrows, self.ncols)
+        M.fill(0.0)
+        return M
 
     @property
     def pivcols(self):
@@ -248,71 +302,96 @@ class DenseModRREF:
         R[:, self.nonpiv] = self.N[order]
         return R
 
-    def add_batch(self, M):
-        """Insert a batch; returns positions within the batch that pivoted.
+    def struct(self):
+        """The struct map: ncols x (ncols - rank), the projection along the span
+        onto the non-pivot columns (-N on the pivot rows), filled by row chunks
+        once the buffer's pages past N are given back."""
+        import mmap
+        p, N = self.p, self.N
+        start = -(-N.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+        if start < len(self._map):
+            self._map.madvise(mmap.MADV_DONTNEED, start)
+        S = np.zeros((self.ncols, self.nonpiv.shape[0]))
+        S[self.nonpiv, np.arange(S.shape[1])] = 1.0
+        for a, b in _chunks(self.rank, S.shape[1]):
+            T = p - N[a:b]
+            T[T == p] = 0.0
+            S[self.piv[a:b]] = T
+        return S
 
-        The batch is reduced against the basis on the non-pivot columns only
-        (Y = M[:, nonpiv] - M[:, piv] @ N) and reduced mod p once; the rows
-        that are then zero lie in the span already and are dropped before the
-        panels.  The others are eliminated in panels of PANEL_ROWS: a panel
-        is reduced against the batch's earlier new rows W by one matmul
-        (exact, as a batch has fewer than chunk rows), brought to reduced
-        echelon form in int64 residues and written back reduced by
+    def add_batch(self, M):
+        """Insert a batch of rows of residues in [0, p), which it overwrites;
+        returns the positions within the batch that pivoted.
+
+        M's columns are put into non-pivot then pivot order, and the
+        non-pivot part is reduced against the basis (M[:, :m] - M[:, m:] @
+        N); the rows that are then zero lie in the span already, and the
+        others are packed as the rows of Y.  They are eliminated in panels
+        of PANEL_ROWS: a panel is reduced against the batch's earlier new
+        rows W, kept in Y's first rows, by one matmul (exact, as a batch has
+        fewer than chunk rows), brought to reduced echelon form by
         _gauss_jordan_mod, and its new rows are cleared from W by another
-        matmul (the back-substitution among the new rows).  Finally the new
-        pivot columns are cleared from N in one matmul and dropped from the
-        non-pivot set.
+        (the back-substitution among the new rows).  Finally N's rows and
+        W's lose the new pivot columns and are written back packed, W after
+        N.
         """
-        p = self.p
+        p, r, m = self.p, self.rank, self.nonpiv.shape[0]
         if M.shape[0] >= self.chunk:
             raise BuildError("batch too large for deferred reduction")
-        Y = M[:, self.nonpiv]
-        if self.rank:
-            X = M[:, self.piv]
-            if np.any(X):
-                Y -= matmul_mod(X, self.N, p)
-        mod_p(Y, p, out=Y)
-        live = np.flatnonzero(Y.any(axis=1))
-        Y = Y[live]
+        M = np.ascontiguousarray(M, dtype=float)
+        if r:
+            order = np.concatenate([self.nonpiv, self.piv])
+            for a, b in _chunks(M.shape[0], self.ncols):
+                M[a:b] = M[a:b, order]
+        X = M[:, m:]
+        if np.any(X):
+            sub_matmul_mod(M[:, :m], p, X, self.N)
+        live = np.flatnonzero(M[:, :m].any(axis=1))
+        flat = M.reshape(-1)
+        for a, b in _chunks(live.shape[0], m):  # live row i moves to i m <= live[i] ncols
+            flat[a * m:b * m] = M[live[a:b], :m].reshape(-1)
+        Y = flat[:live.shape[0] * m].reshape(live.shape[0], m)
         new, leads = [], []
-        W = np.empty_like(Y)            # rows 0..k-1: the new rows, reduced among themselves
-        k = 0
+        k = 0                           # Y[:k] holds W: the new rows, reduced among themselves
         for start in range(0, Y.shape[0], PANEL_ROWS):
             P = Y[start:start + PANEL_ROWS]
             if k:
                 X = P[:, leads]
                 if np.any(X):
-                    P -= X @ W[:k]
+                    for j, t in _chunks(m, k):
+                        P[:, j:t] -= X @ Y[:k, j:t]
             found = _gauss_jordan_mod(P, p)
             if not found:
                 continue
             rows = [i for i, _ in found]
             cols = [c for _, c in found]
-            W[k:k + len(rows)] = P[rows]
-            if k:
-                X = W[:k, cols]
+            Y[k:k + len(rows)] = P[rows]
+            for a, b in _chunks(k, m):
+                X = Y[a:b, cols]
                 if np.any(X):
-                    W[:k] -= X @ W[k:k + len(rows)]
-                    mod_p(W[:k], p, out=W[:k])
+                    sub_matmul_mod(Y[a:b], p, X, Y[k:k + len(rows)])
             k += len(rows)
             new += [start + i for i in rows]
             leads += cols
         if new:
-            keep = np.ones(self.nonpiv.shape[0], dtype=bool)
+            keep = np.ones(m, dtype=bool)
             keep[leads] = False
-            r = self.rank
-            W = W[:k, keep]
-            N = np.empty((r + k, W.shape[1]))
-            N[:r] = self.N[:, keep]
-            if r:
-                X = self.N[:, leads]
+            kept, m2 = np.flatnonzero(keep), m - k
+            for a, b in _chunks(k, m):          # row i of W moves to i m2 <= i m
+                flat[a * m2:b * m2] = Y[a:b, kept].reshape(-1)
+            W = flat[:k * m2].reshape(k, m2)
+            for a, b in _chunks(r, m, MIN_CHUNK_ROWS):  # row i of N moves to i m2 <= i m
+                old = self._buf[a * m:b * m].reshape(b - a, m)
+                T = old[:, kept]
+                X = old[:, leads]
                 if np.any(X):
-                    N[:r] -= X @ W
-                    mod_p(N[:r], p, out=N[:r])
-            N[r:] = W
-            self.N = N
+                    sub_matmul_mod(T, p, X, W)
+                self._buf[a * m2:b * m2] = T.reshape(-1)
+            for a, b in _chunks(k, m2):         # W may sit past N in the buffer
+                self._buf[(r + a) * m2:(r + b) * m2] = W[a:b].reshape(-1)
+            self.N = self._buf[:(r + k) * m2].reshape(r + k, m2)
             self.piv = np.concatenate([self.piv, self.nonpiv[leads]])
-            self.nonpiv = self.nonpiv[keep]
+            self.nonpiv = self.nonpiv[kept]
         return live[new].tolist()
 
 
@@ -352,8 +431,7 @@ class _Component:
     pair column of its block}; a block ends where the next begins, the last
     at paircols, and is block_size wide.  S is the struct map, one row per
     pair column: a paircols x dim matrix over GF(p), a list of sparse
-    {struct column: int or Fraction} over QQ, None in degree 1.  A child
-    sends a GF(p) component to the parent pickled whole, slots and all."""
+    {struct column: int or Fraction} over QQ, None in degree 1."""
 
     __slots__ = ("d", "dim", "offsets", "paircols", "selected", "rank", "mode", "nonpiv", "S")
 
@@ -553,7 +631,6 @@ class ModularQuotient(InductiveQuotient):
         super().__init__(variety, GF(p), degree_cap)
         self.p = p
         self._coeff_cache: dict[Fraction, int] = {}
-        self._coming: dict[tuple, _Request] = {}   # asked of a child, not yet installed
 
     def poly_image(self, poly: Polynomial):
         """Image of a multihomogeneous polynomial in its component's coordinates,
@@ -578,18 +655,8 @@ class ModularQuotient(InductiveQuotient):
 
     def product(self, d1, v1, d2, v2):
         """Product Q_{d1} x Q_{d2} -> Q_{d1+d2} on coordinate vectors."""
+        self.component(mdeg_add(d1, d2))
         return self._products(d1, v1[None], d2, v2[None])[0]
-
-    def component(self, d):
-        """InductiveQuotient.component, unless a child builds d (request_tower):
-        then the child's replies are read, in order, up to d's, which installs
-        d; the child's exception is raised if d's request failed."""
-        if self._coming:
-            d = mdeg(d)
-            if d in self._coming:
-                request = self._coming[d]
-                request.builder.answer(request)
-        return super().component(d)
 
     def _unit(self, d, i):
         return _one_hot(self.comps[d].dim, i)
@@ -609,19 +676,17 @@ class ModularQuotient(InductiveQuotient):
         rre = DenseModRREF(self.p, comp.paircols)
         selected = []
         blocks = iter_relation_specs(self.identities, comp.d, self.dim, self.orbits())
-        for start, stop, parts in row_windows(blocks, rre.batch):
-            M = self._relation_rows(comp, start, stop, parts)
+        for start, stop, parts in row_windows(blocks, lambda: rre.batch):
+            M = self._relation_rows(comp, start, stop, parts, rre.window(stop - start))
             selected += [start + pos for pos in rre.add_batch(M)]
         comp.rank = rre.rank
         comp.selected = selected
-        S = np.zeros((comp.paircols, comp.paircols - rre.rank))
-        S[rre.nonpiv, np.arange(S.shape[1])] = 1.0
-        S[rre.piv] = mod_p(-rre.N, self.p)
         comp.nonpiv = rre.nonpiv
-        return S
+        return rre.struct()
 
-    def _relation_rows(self, comp, start, stop, parts):
-        """Relation rows start..stop-1, reduced mod p, as one (stop - start, paircols) array.
+    def _relation_rows(self, comp, start, stop, parts, M):
+        """Relation rows start..stop-1, reduced mod p, written into M, a zeroed
+        (stop - start, paircols) array, and returned.
 
         parts holds the (block, lo, hi) slices of the spec blocks in that
         window (row_windows).  The specs of a block share its shape, so each
@@ -633,7 +698,6 @@ class ModularQuotient(InductiveQuotient):
         the end.
         """
         p = self.p
-        M = np.zeros((stop - start, comp.paircols))
         for block, lo, hi in parts:
             rows = block.rows[lo:hi] - start
             bound = 0
@@ -649,14 +713,16 @@ class ModularQuotient(InductiveQuotient):
                     M[rows, off:off + vals.shape[1]] += coeff * vals
                 else:
                     M[rows[:, None], off + cols] += coeff * vals
-        return mod_p(M, p, out=M)
+        for a, b in _chunks(M.shape[0], M.shape[1]):
+            mod_p(M[a:b], p, out=M[a:b])
+        return M
 
     def _products(self, d1, x1, d2, x2):
-        """The products x1[g] x2[g] in Q_{d1+d2} as a (group, dim) array: rows
-        of the struct map for two basis elements, else one matmul_mod with
-        the split's block of it."""
+        """The products x1[g] x2[g] in Q_{d1+d2}, a component already built, as a
+        (group, dim) array: rows of the struct map for two basis elements,
+        else one matmul_mod with the split's block of it."""
         split, cols, vals = self._pair_coords(d1, x1, d2, x2)
-        comp = self.component(mdeg_add(d1, d2))
+        comp = self.comps[mdeg_add(d1, d2)]
         off = comp.offsets[split]
         if x1.ndim == x2.ndim == 1:
             return comp.S[off + cols[:, 0]]
@@ -1012,16 +1078,6 @@ class ExactQuotient(InductiveQuotient):
         self._twinnable = not any(c.denominator % p == 0 for p in SELECTION_PRIMES
                                   for f in self.identities for c in f.terms.values())
 
-    def component(self, d):
-        """InductiveQuotient.component; a build with more than FULL_COLS_CAP free
-        monomials (the most pair columns any component below d can have) first
-        asks twin 0's child for d's tower (request_tower)."""
-        d = mdeg(d)
-        if (d not in self.comps and self._twinnable and mdeg_total(d) > 1
-                and count_monomials(d, self.flavor) > FULL_COLS_CAP):
-            request_tower(self._twin(0), d)
-        return super().component(d)
-
     def poly_image(self, poly: Polynomial):
         """Image of a multihomogeneous polynomial, {coordinate: nonzero Fraction}."""
         d = poly.multidegree()
@@ -1107,7 +1163,7 @@ class ExactQuotient(InductiveQuotient):
     def _reduce(self, comp):
         if comp.paircols > FULL_COLS_CAP and self._twinnable:
             d = comp.d
-            twins = [self._twin_component(i, d) for i in range(max(1, len(self._twins)))]
+            twins = [self._twin(i).component(d) for i in range(max(1, len(self._twins)))]
             if self._selection_proves_rank(d):
                 selected = set(twins[0].selected)
                 while True:
@@ -1122,7 +1178,7 @@ class ExactQuotient(InductiveQuotient):
                         return cols
                     if len(twins) == len(SELECTION_PRIMES):
                         break
-                    twins.append(self._twin_component(len(twins), d))
+                    twins.append(self._twin(len(twins)).component(d))
         basis = IntRREF(comp.paircols)
         for row in self._integral_rows(comp):
             basis.insert(row)
@@ -1135,13 +1191,6 @@ class ExactQuotient(InductiveQuotient):
             p = SELECTION_PRIMES[len(self._twins)]
             self._twins.append(get_quotient(self.variety, GF(p), self.degree_cap))
         return self._twins[i]
-
-    def _twin_component(self, i, d):
-        """Twin i's component at d: from the child of its prime when there is
-        one, else built here."""
-        twin = self._twin(i)
-        request_tower(twin, d)
-        return twin.component(d)
 
     def _selection_proves_rank(self, d):
         """Are the rows the first twin selected at d independent over QQ?
@@ -1247,33 +1296,6 @@ def _builder(p):
         return None
 
 
-def request_tower(q, d):
-    """Ask the child of the ModularQuotient q's prime for d's tower, without waiting.
-
-    Only the exact route's twins come this way.  Each zero-free component of
-    _tower(d) that q neither holds nor awaits is one request, in build
-    order; the child builds it in its own cached ModularQuotient, and q
-    installs the replies when it needs one (ModularQuotient.component) and
-    makes the zero-padded relabelings itself.  They are bit-identical to an
-    in-process build, since GF(p) elimination is exact in any BLAS summation
-    order.  With one CPU, or no process to be had, nothing is asked, nor for
-    a d over the degree cap, which q.component(d) refuses.  The child's
-    exception is raised with its type and message by the component whose
-    request failed; a child that died raises BuildError, and the next
-    request starts a fresh one.
-    """
-    d = mdeg(d)
-    base = _zero_free(d)
-    if mdeg_total(d) > q.degree_cap or base in q.comps or base in q._coming:
-        return
-    builder = _builder(q.p)
-    if builder is None:
-        return
-    for e in _tower(d, q.flavor):
-        if e not in q.comps and e not in q._coming:
-            q._coming[e] = builder.ask(q, e)
-
-
 def poly_images(quotients, poly):
     """[q.poly_image(poly) for q in quotients] for ModularQuotients, each taken by
     its prime's child in the child's own tower, so the parent installs none.
@@ -1282,8 +1304,9 @@ def poly_images(quotients, poly):
     every child is asked before any reply is read, so the children build
     side by side.  The image is one request with one reply, read after the
     replies to every request before it.  A quotient that holds the
-    component, or has no child, takes the image here.  Errors are those of
-    request_tower.
+    component, or has no child, takes the image here.  The child's exception
+    is raised with its type and message; a child that died raises
+    BuildError, and the next request starts a fresh one.
     """
     for q in quotients:
         q._checked_terms(poly)
@@ -1304,20 +1327,15 @@ def stop_twin_builders():
 atexit.register(stop_twin_builders)
 
 
-# A request in flight: q asked builder's child for target, a multidegree or a polynomial.
-_Request = collections.namedtuple("_Request", "builder q target")
-
-
 class _TwinBuilder:
-    """The parent's end of one child process that builds GF(p) components.
+    """The parent's end of one child process that takes GF(p) images.
 
     Requests and replies are pickles on the child's stdin and stdout.  A
-    request, (variety, p, degree_cap, target), asks for one zero-free
-    component or one polynomial's image and has exactly one reply;
-    requests holds those in flight, in order.  The child gets
-    max(1, ncpu // 2) BLAS threads, set before numpy loads, and exits when
-    its stdin reaches EOF or a reply finds the parent gone, so none outlives
-    the parent.
+    request, (variety, p, degree_cap, poly), asks for one polynomial's
+    image and has exactly one reply; requests holds those in flight, in
+    order.  The child gets max(1, ncpu // 2) BLAS threads, set before numpy
+    loads, and exits when its stdin reaches EOF or a reply finds the parent
+    gone, so none outlives the parent.
     """
 
     def __init__(self, p, ncpu):
@@ -1340,12 +1358,13 @@ class _TwinBuilder:
             self.close(force=True)          # interrupted: the child's input is out of step
             raise
 
-    def ask(self, q, target):
-        """Send q's request for target, a zero-free multidegree or a polynomial,
-        and return it, a _Request in flight until answer reads its reply."""
-        self.send((q.variety, q.p, q.degree_cap, target))
-        self.requests.append(_Request(self, q, target))
-        return self.requests[-1]
+    def ask(self, q, poly):
+        """Send the request for poly's image in the ModularQuotient q and return
+        it, a message tuple in flight until answer reads its reply."""
+        request = (q.variety, q.p, q.degree_cap, poly)
+        self.send(request)
+        self.requests.append(request)
+        return request
 
     def receive(self):
         """The child's next reply, (status, payload)."""
@@ -1358,27 +1377,15 @@ class _TwinBuilder:
             raise
 
     def answer(self, request):
-        """Read the replies up to request's, in request order, and deliver each to
-        its request: a component is installed in the quotient that asked for
-        it, unless the child failed, and leaves that quotient's _coming.
-        Returns request's payload; raises the child's exception."""
+        """Read the replies up to request's, in request order, dropping the
+        earlier ones.  Returns request's payload; raises the child's
+        exception."""
         while True:
             status, payload = self.receive()
-            asked = self._forget()
-            if status == "ok" and isinstance(asked.target, tuple):
-                asked.q.comps[asked.target] = payload
-            if asked is request:
+            if self.requests.popleft() is request:
                 if status == "error":
                     raise payload
                 return payload
-
-    def _forget(self):
-        """Take the oldest request in flight off requests and return it; a
-        component's leaves the _coming of the quotient that asked."""
-        asked = self.requests.popleft()
-        if isinstance(asked.target, tuple):
-            del asked.q._coming[asked.target]
-        return asked
 
     def stop(self):
         """End the child; returns its report, or None if it had died or had a
@@ -1399,8 +1406,7 @@ class _TwinBuilder:
         (it may be mid-build)."""
         if _BUILDERS.get(self.p) is self:
             del _BUILDERS[self.p]
-        while self.requests:
-            self._forget()
+        self.requests.clear()
         if force:
             self.proc.kill()
         for pipe in (self.proc.stdin, self.proc.stdout):
@@ -1421,12 +1427,11 @@ class _TwinBuilder:
 
 
 def serve_twin_builds():
-    """Child side of request_tower and poly_images: answer each request from
-    stdin, in order, until EOF or "stop".
+    """Child side of poly_images: answer each request from stdin, in order,
+    until EOF or "stop".
 
-    A request is one call on the cached ModularQuotient of its variety,
-    prime and degree cap: component for a multidegree, poly_image for a
-    polynomial.  Its one reply is ("ok", the _Component or the image) or
+    A request is one poly_image call on the cached ModularQuotient of its
+    variety, prime and degree cap.  Its one reply is ("ok", the image) or
     ("error", the exception).  Replies go out through a writer thread, so a
     reply the parent has not read yet never holds up the next build."""
     import queue                  # the child's only; the parent never loads it
@@ -1448,11 +1453,9 @@ def serve_twin_builds():
                                 "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                                 / 1024}))
             break
-        variety, p, degree_cap, target = msg
+        variety, p, degree_cap, poly = msg
         try:
-            q = get_quotient(variety, GF(p), degree_cap)
-            replies.put(("ok", q.component(target) if isinstance(target, tuple)
-                         else q.poly_image(target)))
+            replies.put(("ok", get_quotient(variety, GF(p), degree_cap).poly_image(poly)))
         except Exception as exc:
             replies.put(("error", _portable(exc)))
     replies.put(None)

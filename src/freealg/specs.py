@@ -220,12 +220,15 @@ def _blocks(parts):
 def row_windows(blocks, size):
     """Cut a block stream into consecutive row windows of at most size rows.
 
+    size is a number, or a function that gives the next window's, called
+    each time a window is to be cut (after the one before it was used).
     Yields (start, stop, parts): parts lists (block, lo, hi) for each block
     with rows in [start, stop), which are block.rows[lo:hi].  A window is cut
     only when every row below its stop has been read; as a multidegree
     assignment's blocks take contiguous rows, that holds whenever the
     largest row read is one less than the number read.
     """
+    rows = size if callable(size) else lambda: size
     pending, start, seen, top = [], 0, 0, -1
     blocks = iter(blocks)
     while True:
@@ -236,8 +239,8 @@ def row_windows(blocks, size):
             top = max(top, int(block.rows[-1]))
             if top != seen - 1:
                 continue
-        while seen - start >= size or (block is None and start < seen):
-            stop = min(start + size, seen)
+        while seen - start >= (want := rows()) or (block is None and start < seen):
+            stop = min(start + want, seen)
             parts = []
             for entry in pending:
                 b, lo = entry

@@ -354,11 +354,6 @@ def quotient_dim(variety, d, fld=QQ, degree_cap=DEFAULT_DEGREE_CAP) -> int:
 
 
 def multilinear_dims(variety, upto, fld=QQ, degree_cap=DEFAULT_DEGREE_CAP):
-    """Dimensions of the multilinear components in degrees 1..upto.
-
-    The top component is built first: an exact build then asks a GF(p)
-    child for its whole tower at once, which builds beside the parent's
-    lower components (quotient.request_tower)."""
-    if upto > 0:
-        quotient_dim(variety, (1,) * upto, fld, degree_cap)
+    """Dimensions of the multilinear components in degrees 1..upto; over QQ
+    the wide ones build their GF(p) twins in process, as they start."""
     return [quotient_dim(variety, (1,) * n, fld, degree_cap) for n in range(1, upto + 1)]

@@ -56,7 +56,8 @@ def _assert_rows_match_oracle(q, d):
     # the whole stream as one window, and windows that cut across blocks
     for size in (len(specs), 5):
         blocks = quotient.iter_relation_specs(q.identities, d, q.dim, q.orbits())
-        got = np.concatenate([q._relation_rows(comp, start, stop, parts)
+        got = np.concatenate([q._relation_rows(comp, start, stop, parts,
+                                              np.zeros((stop - start, comp.paircols)))
                               for start, stop, parts in quotient.row_windows(blocks, size)])
         assert got.shape[0] == len(specs)
         for (row_index, _, _), row, ref in zip(specs, got, want):
@@ -151,7 +152,7 @@ def test_rational_rows_reduce_to_the_modular_rows(name, q, extra, mdegs):
         assert specs == spec_oracle.expand(
             quotient.iter_relation_specs(qm.identities, d, qm.dim, qm.orbits()))
         [(start, stop, parts)] = quotient.row_windows(blocks, len(specs))
-        got = qm._relation_rows(cm, start, stop, parts)
+        got = qm._relation_rows(cm, start, stop, parts, np.zeros((stop - start, cm.paircols)))
         assert got.shape[0] == len(specs)
         for block in blocks:
             for k, row_index in enumerate(block.rows.tolist()):

@@ -1,7 +1,9 @@
 """The inductive quotient construction: eliminators, enumeration, consistency."""
 
+import hashlib
 import importlib.util
 import itertools
+import json
 import math
 import os
 import random
@@ -877,8 +879,6 @@ def test_a_lower_struct_off_the_first_twin_re_eliminates_the_rank(monkeypatch):
     full = _full_reference(assym, d, monkeypatch)
     twins = [quotient.ModularQuotient(assym, p) for p in quotient.SELECTION_PRIMES]
     for t in twins:
-        quotient.request_tower(t, d)
-    for t in twins:
         t.component(d)
     # one struct constant of twin 0 at the full component e, changed after its tower was built
     low = twins[0].component(e)
@@ -937,8 +937,82 @@ def test_a_strategy_prime_in_a_denominator_skips_the_twins(monkeypatch):
     d = (2, 1, 1)
     requests = []
     monkeypatch.setattr(quotient, "FULL_COLS_CAP", 20)
-    monkeypatch.setattr(quotient, "request_tower", lambda *args: requests.append(args))
+    monkeypatch.setattr(quotient.ExactQuotient, "_twin", lambda self, i: requests.append(i))
     qe = quotient.ExactQuotient(variety)
     comp = qe.component(d)
     assert comp.paircols > 20 and comp.mode == "full" and not requests and not qe._twins
     assert comp.dim == free_dim(variety, d, QQ)
+
+
+def _record(comp):
+    S = None if comp.S is None else comp.S.tobytes()
+    nonpiv = None if comp.nonpiv is None else comp.nonpiv.tolist()
+    return comp.dim, comp.rank, comp.selected, nonpiv, S, comp.mode, comp.paircols
+
+
+def test_an_exact_build_makes_its_twins_in_process(monkeypatch):
+    # [3,3,1], as in the D = shest check, with two CPUs: no child starts, twin 0 is
+    # built here and lifts every replay, and both match a one-CPU build
+    builds = []
+    for ncpu in (2, 1):
+        monkeypatch.setattr(quotient, "_CACHE", {})
+        quotient.stop_twin_builders()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=ncpu: set(range(n)))
+        qe = quotient.ExactQuotient(tideal.get_variety("assosymmetric"))
+        qe.component((3, 3, 1))
+        assert not quotient._BUILDERS
+        assert [t.p for t in qe._twins] == [P0]
+        assert {d for d, c in qe.comps.items() if c.mode == "replay"} == \
+            {(3, 2, 1), (2, 3, 1), (3, 3, 1)}
+        builds.append(qe)
+    two, one = builds
+    assert _structs(two) == _structs(one)
+    assert list(two._twins[0].comps) == list(one._twins[0].comps)
+    for d, comp in two._twins[0].comps.items():
+        assert _record(comp) == _record(one._twins[0].comps[d]), d
+
+
+def test_a_gfp_build_holds_one_n_and_one_window():
+    # N is updated in place in one buffer, and one window of relation rows is alive at
+    # a time: the build's peak above what the tower holds afterwards stays below the
+    # bytes of N's largest shape plus one window.  The buffer is an anonymous mapping,
+    # which tracemalloc does not see, so its size is added to the traced scratch.  An
+    # elimination that makes a new N per batch, next to copies of the window, peaks
+    # 13.8 MB above, against a bound of 6.1 MB
+    q = quotient.ModularQuotient(tideal.get_variety("assosymmetric"), P0)
+    d = (3, 3, 1)
+    for e in quotient._tower(d, q.flavor):
+        if e != d:
+            q.component(e)
+    tracemalloc.start()
+    try:
+        comp = q.component(d)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = comp.paircols
+    rre = quotient.DenseModRREF(P0, n)
+    assert (n, comp.rank) == (1306, 1143)
+    assert rre._buf.nbytes + peak - held < 8 * (n * n // 4) + rre.batch * n * 8, (peak, held)
+
+
+GFP_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "gfp_twin_digests.json")
+
+
+def test_gfp_towers_match_their_golden_digests():
+    # dim, rank and SHA-256 digests of the selected rows and of S (as int64, with its
+    # shape) of every zero-free GF(p0) component of three towers, so that a rewrite of
+    # the elimination that changes a struct map or a selection fails here
+    with open(GFP_GOLDEN) as fh:
+        golden = json.load(fh)
+    got = {}
+    for case in golden:
+        name, target = case.split()
+        q = quotient.ModularQuotient(tideal.get_variety(name), P0)
+        q.component(tuple(int(x) for x in target.split(",")))
+        got[case] = {",".join(map(str, d)): [
+            c.dim, c.rank, hashlib.sha256(json.dumps(c.selected).encode()).hexdigest(),
+            "" if c.S is None else hashlib.sha256(
+                repr(c.S.shape).encode() + c.S.astype(np.int64).tobytes()).hexdigest()]
+            for d, c in q.comps.items() if all(d)}
+    assert got == golden
