@@ -14,12 +14,12 @@ order; a block is the slice of S from its split's offset to the next) and of
 its relation-spec stream (every (row index, identity, assignment) of
 iter_relation_specs at d, by row index, whether the checkout yields them one
 spec at a time or in blocks of one shape).  A
-case over QQ that has a component wider than FULL_COLS_CAP also reports, at
-every multidegree at or below the target, the GF(p) quotients of both
-SELECTION_PRIMES, built in process: its twins, however many of them its
-lifts asked for.  Each case starts from empty caches.  The struct map is read
-from each component's S and offsets; an older checkout that stored it
-elsewhere is read with that checkout's own copy of this script.
+case over QQ also reports, at every multidegree at or below the target, the
+GF(p) quotients of both SELECTION_PRIMES, built in process: its twins,
+however many of them its lifts asked for.  Each case starts from empty
+caches.  The struct map is read from each component's S and offsets; an
+older checkout that stored it elsewhere is read with that checkout's own
+copy of this script.
 """
 
 import argparse
@@ -105,16 +105,12 @@ def main():
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--src", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     help="root of the checkout whose src/freealg to run (default: this one)")
-    ap.add_argument("--full-cols-cap", type=int, default=None,
-                    help="set quotient.FULL_COLS_CAP; a small cap lifts more QQ components")
     args = ap.parse_args()
     sys.path.insert(0, os.path.join(os.path.abspath(args.src), "src"))
     import numpy as np
     from freealg import quotient, tideal
     from freealg.term import field_by_char, mdeg_key, sub_multidegrees
 
-    if args.full_cols_cap is not None:
-        quotient.FULL_COLS_CAP = args.full_cols_cap
     try:
         for case in CASES:
             name, q, char, target = case
@@ -123,7 +119,7 @@ def main():
             qa.component(target)
             below = sorted(sub_multidegrees(target) + [target], key=mdeg_key)
             built = [qa]
-            if char == 0 and any(c.paircols > quotient.FULL_COLS_CAP for c in qa.comps.values()):
+            if char == 0:
                 built += [quotient.ModularQuotient(qa.variety, p)
                           for p in quotient.SELECTION_PRIMES]
             for b in built:

@@ -10,7 +10,7 @@ child gets the component and replies with its image (quotient.poly_images);
 both are asked before either reply is read, so the two towers build side by
 side in two child processes, or one after the other in process on a single
 CPU, and the parent holds no GF(p) component for such a verdict.  Over QQ
-the wide components lift their struct maps from one prime's tower, built
+the components lift their struct maps from one prime's tower, built
 in process, and a second prime's only when reconstruction needs it
 (quotient.ExactQuotient).  Zero images over QQ are exact membership proofs
 even when the span was assembled from modular-selected rows (the rows are

@@ -54,26 +54,26 @@ product finds its split's block through the component's offsets:
 * ExactQuotient: QQ with sparse rows whose values are ints when integral
   and Fractions otherwise.  A relation row is one spec of a block at a
   time, in row order, each term on each distinct arrangement of each
-  variable's multiset; a product of
-  two basis elements is a cached struct row, any other product its pair
-  coordinates through the struct map.  Large components assemble only the
-  rows that pivoted modulo the first strategy prime; replayed rows are
-  honest T-ideal members.  Their struct map is lifted by CRT and rational
-  reconstruction (lift_struct) from the GF(p) struct matrices of the twins
-  present, one per prime, starting with one; only a residue that does not
-  reconstruct or a candidate the exact check refuses asks for the next
-  prime's twin.  A lift is accepted only when every replayed row maps to
-  zero exactly (modulo as many primes as an a-priori bound needs) and the
-  rows have full rank, which proves it is the map of their span whatever
-  the twins did; so zero residuals stay proofs.  The
+  variable's multiset; a product of two basis elements is a cached struct
+  row, any other product its pair coordinates through the struct map.
+  A component of degree 2 or more assembles only the rows that pivoted
+  modulo the first strategy prime; replayed rows are honest T-ideal
+  members.  Their struct map is lifted by CRT and rational reconstruction
+  (lift_struct) from the GF(p) struct matrices of the twins present, one
+  per prime, starting with one; only a residue that does not reconstruct
+  or a candidate the exact check refuses asks for the next prime's twin.
+  A lift is accepted only when every replayed row maps to zero exactly
+  (modulo as many primes as an a-priori bound needs) and the rows have
+  full rank, which proves it is the map of their span whatever the twins
+  did; so zero residuals stay proofs.  The
   first twin's selection is the only proof of that rank: it holds when the
   twin has the rational orbit bases and every lower rational struct map
   reduces modulo its prime to the twin's, for then each replayed row
-  reduces to a unit multiple of a row the twin found independent.  A
-  component whose selection proves nothing, a lift refused with every
-  prime, every small component and every component of identities with a
-  strategy prime in a coefficient's denominator send every relation row
-  through IntRREF, an integer-scaled RREF.
+  reduces to a unit multiple of a row the twin found independent.  Only
+  a component whose selection proves nothing, a lift refused with every
+  prime, and every component of identities with a strategy prime in a
+  coefficient's denominator send every relation row through IntRREF, an
+  integer-scaled RREF.
 
 The exact route's twins are built here, in process: their elimination
 needs no more memory than one N and one window.  Only engine's two-prime
@@ -112,7 +112,6 @@ from .term import (COMMUTATIVE, PLANAR, GF, QQ, Monomial, Polynomial, is_prime,
                    slot_arrangements, splits2)
 
 SELECTION_PRIMES = (999983, 999979)
-FULL_COLS_CAP = 420          # exact components at most this wide skip the modular pre-pass
 DEFAULT_DEGREE_CAP = 8
 MAX_PAIR_COLUMNS = 100_000
 BATCH_ROWS = 256             # rows per DenseModRREF batch, below its chunk and as many as fit
@@ -1053,17 +1052,18 @@ def _struct_reduces_to(comp, twin, p):
 class ExactQuotient(InductiveQuotient):
     """Relatively-free algebra over QQ.
 
-    A component wider than FULL_COLS_CAP pair columns gets GF(p) twins, one
-    per SELECTION_PRIMES prime in order, unless a prime divides the
-    denominator of an identity coefficient.  _twins starts with twin 0
+    Every component of degree 2 or more gets GF(p) twins, one per
+    SELECTION_PRIMES prime in order, unless a prime divides the denominator
+    of an identity coefficient (_twinnable).  _twins starts with twin 0
     alone and grows only when a lift needs another prime; each lift uses
     every twin present.  When _selection_proves_rank shows that the rows
     twin 0 selected are independent over QQ, those rows are assembled over
     QQ (honest T-ideal members) and the struct map is lifted from the twins'
     struct matrices by CRT and rational reconstruction; the exact check of
     lift_struct proves it is the map of the span of those rows (mode
-    "replay").  Every other component, and one whose lift every prime's twin
-    leaves refused, sends every relation row through IntRREF (mode "full").
+    "replay").  A component whose selection proves nothing, one whose lift
+    every prime's twin leaves refused, and every component of a quotient
+    without twins send every relation row through IntRREF (mode "full").
     Coordinates are sparse dicts whose values are ints when integral and
     Fractions otherwise; poly_image returns Fractions.  Relation rows and
     products both add into pair coordinates through _pair_coords.
@@ -1161,24 +1161,20 @@ class ExactQuotient(InductiveQuotient):
         return _q(fr.numerator, fr.denominator)
 
     def _reduce(self, comp):
-        if comp.paircols > FULL_COLS_CAP and self._twinnable:
-            d = comp.d
-            twins = [self._twin(i).component(d) for i in range(max(1, len(self._twins)))]
-            if self._selection_proves_rank(d):
-                selected = set(twins[0].selected)
-                while True:
-                    cols = lift_struct(self._integral_rows(comp, selected),
-                                       [t.nonpiv for t in twins], [t.S for t in twins],
-                                       [t.p for t in self._twins[:len(twins)]])
-                    if cols is not None:
-                        comp.mode = "replay"
-                        comp.rank = twins[0].rank
-                        # the fractions are the CRT residues, with denominators below p
-                        self._reduces[d] = True
-                        return cols
-                    if len(twins) == len(SELECTION_PRIMES):
-                        break
-                    twins.append(self._twin(len(twins)).component(d))
+        d = comp.d
+        if self._twinnable and self._selection_proves_rank(d):
+            # a lift from every twin present, then from one more each time it is refused
+            for k in range(len(self._twins), len(SELECTION_PRIMES) + 1):
+                twins = [self._twin(i).component(d) for i in range(k)]
+                cols = lift_struct(self._integral_rows(comp, set(twins[0].selected)),
+                                   [t.nonpiv for t in twins], [t.S for t in twins],
+                                   [q.p for q in self._twins[:k]])
+                if cols is not None:
+                    comp.mode = "replay"
+                    comp.rank = twins[0].rank
+                    # the fractions are the CRT residues, with denominators below p
+                    self._reduces[d] = True
+                    return cols
         basis = IntRREF(comp.paircols)
         for row in self._integral_rows(comp):
             basis.insert(row)
@@ -1203,9 +1199,10 @@ class ExactQuotient(InductiveQuotient):
         relabeling shares its base's struct map).  Then each integral QQ
         relation row at d reduces mod p to a unit multiple of the twin's
         row for the same spec, and the rows the twin selected are
-        independent mod p, hence over QQ.
+        independent mod p, hence over QQ.  Builds twin 0 up to d.
         """
-        twin = self._twins[0]
+        twin = self._twin(0)
+        twin.component(d)
         if twin.orbits() != self.orbits():
             return False
 

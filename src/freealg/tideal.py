@@ -355,5 +355,5 @@ def quotient_dim(variety, d, fld=QQ, degree_cap=DEFAULT_DEGREE_CAP) -> int:
 
 def multilinear_dims(variety, upto, fld=QQ, degree_cap=DEFAULT_DEGREE_CAP):
     """Dimensions of the multilinear components in degrees 1..upto; over QQ
-    the wide ones build their GF(p) twins in process, as they start."""
+    each builds its GF(p) twins in process, as it starts."""
     return [quotient_dim(variety, (1,) * n, fld, degree_cap) for n in range(1, upto + 1)]

@@ -299,14 +299,14 @@ spec = importlib.util.spec_from_file_location("compare_components", sys.argv[1])
 script = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(script)
 script.CASES = [("assosymmetric", None, 0, (2, 1, 1)), ("assosymmetric", None, 3, (2, 0, 1))]
-sys.argv = [sys.argv[1], "--src", sys.argv[2], "--full-cols-cap", "20"]
+sys.argv = [sys.argv[1], "--src", sys.argv[2]]
 script.main()
 """
 
 
 def test_compare_components_script_runs():
-    # in a fresh interpreter: the script sets quotient.FULL_COLS_CAP and clears the
-    # caches, which this process shares with the other tests
+    # in a fresh interpreter: the script clears the caches, which this process shares
+    # with the other tests
     root = os.path.dirname(SRC)
     script = os.path.join(root, "scripts", "compare_components.py")
     runs = [subprocess.run([sys.executable, "-c", COMPARE_RUNNER, script, root],
@@ -323,7 +323,7 @@ def test_compare_components_script_runs():
         by_field.setdefault((tuple(line["target"]), line["field"]), []).append(line)
     p0, p1 = quotient.SELECTION_PRIMES
     assert set(by_field) == {((2, 1, 1), 0), ((2, 1, 1), p0), ((2, 1, 1), p1), ((2, 0, 1), 3)}
-    # the QQ case reports its twins at the same multidegrees, and the cap of 20 lifts
+    # the QQ case reports its twins at the same multidegrees, and its components lift
     assert len({tuple(tuple(x["d"]) for x in group) for (target, _), group in by_field.items()
                 if target == (2, 1, 1)}) == 1
     assert any(x["mode"] == "replay" for x in by_field[(2, 1, 1), 0])

@@ -273,19 +273,18 @@ def test_char3_wjor_strictly_weaker_than_jor():
     assert not res
 
 
-def _full_reference(variety, d, monkeypatch):
-    """An ExactQuotient built through IntRREF alone up to component d; afterwards
-    FULL_COLS_CAP is 20, so the quotient under test lifts its wider components."""
-    monkeypatch.setattr(quotient, "FULL_COLS_CAP", 10 ** 6)
+def _full_reference(variety, d):
+    """An ExactQuotient built through IntRREF alone up to component d: one without
+    twins."""
     full = quotient.ExactQuotient(variety)
+    full._twinnable = False
     full.component(d)
-    monkeypatch.setattr(quotient, "FULL_COLS_CAP", 20)
     return full
 
 
-def test_replay_mode_claims_and_warnings(monkeypatch):
+def test_replay_mode_claims_and_warnings():
     assym = tideal.get_variety("assosymmetric")
-    full = _full_reference(assym, (2, 1, 1), monkeypatch)
+    full = _full_reference(assym, (2, 1, 1))
     qe = quotient.ExactQuotient(assym)
     comp = qe.component((2, 1, 1))
     assert comp.mode == "replay"
@@ -489,11 +488,12 @@ def test_module_basis_stream_degree5(char, monkeypatch):
     assym = tideal.get_variety("assosymmetric")
     fld = field_by_char(char)
     d = (1, 1, 1, 1, 1)
-    monkeypatch.setattr(quotient, "FULL_COLS_CAP", 10 ** 6)
 
     def fresh():
         if char == 0:
-            return quotient.ExactQuotient(assym)
+            q = quotient.ExactQuotient(assym)
+            q._twinnable = False      # every relation row through IntRREF, not a replay
+            return q
         return quotient.ModularQuotient(assym, char)
 
     ordered = fresh()
@@ -512,7 +512,7 @@ def test_replay_needs_matching_orbit_bases(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})   # a child sees no patch
     assym = tideal.get_variety("assosymmetric")
     d = (2, 1, 1)
-    full = _full_reference(assym, d, monkeypatch)
+    full = _full_reference(assym, d)
     lifts = _lifts(monkeypatch)
     for k, mode in ((1, "replay"), (0, "full")):
         twins = [quotient.ModularQuotient(assym, p) for p in quotient.SELECTION_PRIMES]
@@ -536,7 +536,7 @@ def test_twin_of_another_width_is_generated_in_full(monkeypatch):
     # and other orbit bases: the first twin's selection proves no rank
     assym = tideal.get_variety("assosymmetric")
     d = (2, 1, 1)
-    full = _full_reference(assym, d, monkeypatch)
+    full = _full_reference(assym, d)
     assoc = tideal.get_variety("associative")
     qe = quotient.ExactQuotient(assym)
     monkeypatch.setattr(qe, "_twins", [quotient.ModularQuotient(assoc, p)
@@ -639,7 +639,7 @@ def test_lift_struct_rejects_rank_deficient_rows(monkeypatch):
     assym = tideal.get_variety("assosymmetric")
     d = (1, 1, 1, 1)
     calls = _replay_inserts(monkeypatch)
-    full = _full_reference(assym, d, monkeypatch)
+    full = _full_reference(assym, d)
     full_calls = dict(calls)
     calls.clear()
     lift = quotient.lift_struct
@@ -825,23 +825,29 @@ def _below_a_relabeling(e, d):
                for at in itertools.combinations(range(len(d)), len(e)))
 
 
-@pytest.mark.parametrize("name,q", [("assosymmetric", None), ("quasi_assosymmetric", Fraction(3))])
-def test_replay_lifts_struct_without_int_rref(name, q, monkeypatch):
+@pytest.mark.parametrize("name,q,d", [
+    ("assosymmetric", None, (2, 1, 1, 1)),
+    ("quasi_assosymmetric", Fraction(3), (2, 1, 1, 1)),
+    ("assosymmetric", None, (1,) * 5),              # the multilinear dims of the tables
+    ("dual_assosymmetric", None, (1,) * 6),         # the dual dims of the tables
+], ids=["assosymmetric-None", "quasi_assosymmetric-q1", "assosymmetric-1^5", "dual-1^6"])
+def test_replay_lifts_struct_without_int_rref(name, q, d, monkeypatch):
     variety = tideal.get_variety(name, q)
-    full = _full_reference(variety, (2, 1, 1, 1), monkeypatch)
+    full = _full_reference(variety, d)
     calls = _replay_inserts(monkeypatch)
     lifts = _lifts(monkeypatch)
     qe = quotient.ExactQuotient(variety)
-    qe.component((2, 1, 1, 1))
+    qe.component(d)
     # only zero-free components are built; a zero-padded one is its base's, mode included
-    assert all(c.mode == qe.comps[_base(d)].mode for d, c in qe.comps.items())
-    replayed = [d for d, c in qe.comps.items() if c.mode == "replay" and d == _base(d)]
-    assert (2, 1, 1, 1) in replayed
-    assert not any(calls.get(d) for d in replayed)
+    assert all(c.mode == qe.comps[_base(e)].mode for e, c in qe.comps.items())
+    replayed = [e for e, c in qe.comps.items() if c.mode == "replay" and e == _base(e)]
+    # every component of degree 2 or more is lifted: IntRREF inserts no row
+    assert replayed == [e for e in qe.comps if e == _base(e) and sum(e) > 1]
+    assert not calls
     # twin 0's selection proves every rank: each replayed component is lifted once, and
     # once more where GF(p0) alone is refused (q = 3: a numerator 713 at (2,1,1))
     second = {(2, 1, 1)} if q is not None else set()
-    assert lifts == {d: 1 + (d in second) for d in replayed}
+    assert lifts == {e: 1 + (e in second) for e in replayed}
     assert _structs(qe) == _structs(full)
 
 
@@ -851,7 +857,7 @@ def test_a_residue_over_one_primes_bound_asks_for_the_next_twin(monkeypatch):
     # both replays; every later lift uses both twins
     variety = tideal.get_variety("quasi_assosymmetric", Fraction(3))
     d = (2, 1, 1, 1)
-    full = _full_reference(variety, d, monkeypatch)
+    full = _full_reference(variety, d)
     assert max(abs(Fraction(x).numerator) for col in full.comps[(2, 1, 1)].S
                for x in col.values()) == 713
     building = _components_being_built(monkeypatch)
@@ -865,7 +871,9 @@ def test_a_residue_over_one_primes_bound_asks_for_the_next_twin(monkeypatch):
     monkeypatch.setattr(quotient, "lift_struct", recorded)
     qe = quotient.ExactQuotient(variety)
     qe.component(d)
-    assert tried == {(2, 1, 1): [((P0,), False), ((P0, P1), True)],
+    assert tried == {(2,): [((P0,), True)], (1, 1): [((P0,), True)],
+                     (2, 1): [((P0,), True)], (1, 1, 1): [((P0,), True)],
+                     (2, 1, 1): [((P0,), False), ((P0, P1), True)],
                      (1, 1, 1, 1): [((P0, P1), True)], d: [((P0, P1), True)]}
     assert [t.p for t in qe._twins] == [P0, P1]
     assert all(qe.comps[e].mode == "replay" for e in tried)
@@ -876,28 +884,28 @@ def test_a_lower_struct_off_the_first_twin_re_eliminates_the_rank(monkeypatch):
     assym = tideal.get_variety("assosymmetric")
     # (2,1) lies below (2,1,1) and (2,1,1,1), but no relabeling of it lies below (1,1,1,1)
     d, e = (2, 1, 1, 1), (2, 1)
-    full = _full_reference(assym, d, monkeypatch)
+    full = _full_reference(assym, d)
     twins = [quotient.ModularQuotient(assym, p) for p in quotient.SELECTION_PRIMES]
     for t in twins:
         t.component(d)
-    # one struct constant of twin 0 at the full component e, changed after its tower was built
+    # one struct constant of twin 0 at e, changed after its tower was built and before
+    # the QQ build: e's one lift, from both twins, is refused, so e goes through IntRREF
     low = twins[0].component(e)
-    assert low.paircols <= quotient.FULL_COLS_CAP
     row = np.setdiff1d(np.arange(low.paircols), low.nonpiv)[0]
     low.S[row, 0] = (low.S[row, 0] + 1) % twins[0].p
     lifts = _lifts(monkeypatch)
     qe = quotient.ExactQuotient(assym)
     monkeypatch.setattr(qe, "_twins", twins)
     qe.component(d)
-    # exactly the twinned components with e or one of its relabelings below them lose
-    # the rank proof and read "full" without a lift; the relabelings share e's struct
-    # map; the others are lifted once and read "replay"
-    twinned = {d2 for d2, c in qe.comps.items()
-               if d2 == _base(d2) and c.paircols > quotient.FULL_COLS_CAP}
-    above = {d2 for d2 in twinned if _below_a_relabeling(e, d2)}
-    assert d in above and above != twinned
+    # exactly the components strictly above e or one of its relabelings lose the rank
+    # proof and read "full" without a lift; the relabelings share e's struct map; the
+    # others are lifted once and read "replay"
+    twinned = {d2 for d2 in qe.comps if d2 == _base(d2) and sum(d2) > 1}
+    above = {d2 for d2 in twinned if d2 != e and _below_a_relabeling(e, d2)}
+    assert d in above and above != twinned - {e}
     assert lifts == {d2: 1 for d2 in twinned - above}
-    assert all(qe.comps[d2].mode == ("full" if d2 in above else "replay") for d2 in twinned)
+    assert all(qe.comps[d2].mode == ("full" if d2 in above | {e} else "replay")
+               for d2 in twinned)
     assert _structs(qe) == _structs(full)
 
 
@@ -906,7 +914,7 @@ def test_replay_falls_back_to_int_rref_above_the_height_bound(monkeypatch):
     # the lift is refused with every prime and every relation row goes through IntRREF
     variety = tideal.get_variety("quasi_assosymmetric", Fraction(-1, 3))
     calls = _replay_inserts(monkeypatch)
-    full = _full_reference(variety, (2, 1, 1, 1), monkeypatch)
+    full = _full_reference(variety, (2, 1, 1, 1))
     full_calls = dict(calls)
     calls.clear()
     building = _components_being_built(monkeypatch)
@@ -925,7 +933,7 @@ def test_replay_falls_back_to_int_rref_above_the_height_bound(monkeypatch):
     # a zero-free component reads "replay" exactly when its last lift was accepted; the
     # zero-padded ones are relabelings and lift nothing
     built = {d: c for d, c in qe.comps.items() if d == _base(d)}
-    assert set(tried) == {d for d, c in built.items() if c.paircols > 20}
+    assert set(tried) == {d for d in built if sum(d) > 1}
     assert all((c.mode == "replay") == tried.get(d, [(0, False)])[-1][1]
                for d, c in built.items())
     assert _structs(qe) == _structs(full)
@@ -936,11 +944,10 @@ def test_a_strategy_prime_in_a_denominator_skips_the_twins(monkeypatch):
     variety = tideal.get_variety("quasi_assosymmetric", Fraction(1, P0))
     d = (2, 1, 1)
     requests = []
-    monkeypatch.setattr(quotient, "FULL_COLS_CAP", 20)
     monkeypatch.setattr(quotient.ExactQuotient, "_twin", lambda self, i: requests.append(i))
     qe = quotient.ExactQuotient(variety)
     comp = qe.component(d)
-    assert comp.paircols > 20 and comp.mode == "full" and not requests and not qe._twins
+    assert comp.mode == "full" and not requests and not qe._twins
     assert comp.dim == free_dim(variety, d, QQ)
 
 
@@ -962,8 +969,9 @@ def test_an_exact_build_makes_its_twins_in_process(monkeypatch):
         qe.component((3, 3, 1))
         assert not quotient._BUILDERS
         assert [t.p for t in qe._twins] == [P0]
+        # every component of degree 2 or more replays, the zero-padded ones as views
         assert {d for d, c in qe.comps.items() if c.mode == "replay"} == \
-            {(3, 2, 1), (2, 3, 1), (3, 3, 1)}
+            {d for d in qe.comps if sum(d) > 1}
         builds.append(qe)
     two, one = builds
     assert _structs(two) == _structs(one)

@@ -17,6 +17,13 @@ P0, P1 = quotient.SELECTION_PRIMES
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(freealg.__file__)))
 
 
+@pytest.fixture(autouse=True)
+def _no_children():
+    # every test starts with no child, whatever an earlier test (such as a two-prime
+    # verdict of test_engine) left running
+    quotient.stop_twin_builders()
+
+
 def _cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
