@@ -15,6 +15,10 @@ in process, and a second prime's only when reconstruction needs it
 (quotient.ExactQuotient).  Zero images over QQ are exact membership proofs
 even when the span was assembled from modular-selected rows (the rows are
 honest consequence members either way).
+
+Kernels and spans are tideal.image_kernel, through the quotient.  The only
+free-monomial RREF is a certificate's, whose cost grows steeply with the
+component's free monomials: above CERTIFICATE_CAP of them, a note stands in.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .term import (COMMUTATIVE, PLANAR, GF, QQ, Polynomial, count_monomials,
                    enumerate_monomials, field_by_char, linear_combination, mdeg)
 
 EXACT_COLUMN_CAP = 20000
-CERTIFICATE_CAP = 2000
+CERTIFICATE_CAP = 1000
 
 
 class EngineError(RuntimeError):
@@ -225,14 +229,9 @@ def plus_identity_kernel(variety, d, char=0, degree_cap=quotient.DEFAULT_DEGREE_
     if variety.flavor != PLANAR:
         raise EngineError("plus kernels are defined for planar varieties")
     d = mdeg(d)
-    fld = field_by_char(char)
     comm = enumerate_monomials(d, COMMUTATIVE)
-    qa = quotient.get_quotient(variety, fld, degree_cap)
-    rows = [{} for _ in range(qa.dim(d))]
-    for i, m in enumerate(comm):
-        for k, x in qa.poly_image(lang.star_expand(Polynomial.unit(m, 1, QQ))).items():
-            rows[k][i] = x
-    return linalg.kernel(rows, len(comm), fld), comm
+    stars = [lang.star_expand(Polynomial.unit(m, 1, QQ)) for m in comm]
+    return tideal.image_kernel(variety, d, stars, field_by_char(char), degree_cap), comm
 
 
 def kernel_polynomials(kb, comm, fld=QQ):

@@ -430,7 +430,9 @@ class _Component:
     pair column of its block}; a block ends where the next begins, the last
     at paircols, and is block_size wide.  S is the struct map, one row per
     pair column: a paircols x dim matrix over GF(p), a list of sparse
-    {struct column: int or Fraction} over QQ, None in degree 1."""
+    {struct column: int or Fraction} over QQ, None in degree 1.  mode says
+    how it was built: "generator" in degree 1, "eliminated" over GF(p), and
+    over QQ "replay" (a lifted struct map) or "full" (IntRREF)."""
 
     __slots__ = ("d", "dim", "offsets", "paircols", "selected", "rank", "mode", "nonpiv", "S")
 
@@ -438,7 +440,7 @@ class _Component:
         self.d = d
         self.selected = []
         self.rank = 0
-        self.mode = "full"
+        self.mode = None
         self.nonpiv = None       # GF(p): non-pivot columns, ascending
         self.S = None
 
@@ -601,6 +603,7 @@ class InductiveQuotient:
         comp.offsets, comp.paircols = {}, 0
         if mdeg_total(d) == 1:
             comp.dim = 1
+            comp.mode = "generator"
             return comp
         for d1, d2 in component_splits(d, self.flavor):
             n1, n2 = self.comps[d1].dim, self.comps[d2].dim
@@ -678,6 +681,7 @@ class ModularQuotient(InductiveQuotient):
         for start, stop, parts in row_windows(blocks, lambda: rre.batch):
             M = self._relation_rows(comp, start, stop, parts, rre.window(stop - start))
             selected += [start + pos for pos in rre.add_batch(M)]
+        comp.mode = "eliminated"
         comp.rank = rre.rank
         comp.selected = selected
         comp.nonpiv = rre.nonpiv
@@ -1178,6 +1182,7 @@ class ExactQuotient(InductiveQuotient):
         basis = IntRREF(comp.paircols)
         for row in self._integral_rows(comp):
             basis.insert(row)
+        comp.mode = "full"
         comp.rank = basis.rank
         return basis.struct_columns()
 

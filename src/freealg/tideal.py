@@ -1,19 +1,14 @@
-"""T-ideal consequence spans inside fixed multihomogeneous components.
+"""Varieties, substitution instances and T-ideal consequence spans.
 
-A variety is an ambient flavor plus a list of defining identities.  The span
-of all consequences of the identities at a multidegree d is generated in two
-phases: blended substitution instances whose multidegree fits inside d, then
-closure under single left/right multiplications by monomials until the target
-multidegree is reached.  Rows live in the coordinate space indexed by
-enumerate_monomials(d); reduction is canonical RREF.
-
-This free-monomial construction is exact and simple, but its coordinate
-spaces grow like Catalan(n-1) * n!, so dimensions (quotient_dim,
-multilinear_dims) and membership verdicts come from the inductive quotient
-(quotient.py) in every degree.  The spans here serve the questions whose
-answers live in free coordinates (commutative spans, system equivalence,
-certificates, the pivot-complement basis of the multilinear degree-4
-assosymmetric component) and are the tests' reference for the quotient.
+A variety is an ambient flavor plus a list of defining identities.  Spans are
+kernels taken through the inductive quotient (quotient.py): image_kernel
+sends polynomials of multidegree d to their images in Q_V(d), the component
+of the relatively free algebra, and returns the kernel in canonical RREF.
+consequence_span is that kernel on the free monomials of d (monomial_index
+order), for the answers stated in free coordinates.  generating_rows, read
+only by certificates, lists substitution instances and single left/right
+monomial multiples of lower consequence spans; tests/free_oracle.py keeps
+the free-monomial RREF of such rows as the tests' independent reference.
 """
 
 from __future__ import annotations
@@ -233,7 +228,7 @@ def substitution_instances(f: Polynomial, d, flavor) -> list[ConsequenceRow]:
 
 
 # ---------------------------------------------------------------------------
-# Consequence spans (phase 1 + multiplicative closure), free coordinates.
+# Consequence spans: kernels of the map into the quotient.
 # ---------------------------------------------------------------------------
 
 def vectorize(p: Polynomial, index: dict) -> dict:
@@ -243,108 +238,70 @@ def vectorize(p: Polynomial, index: dict) -> dict:
     return row
 
 
-def _dedupe(rows, fld):
-    """Drop repeated rows up to scale (substitution instances repeat heavily)."""
-    seen = set()
-    out = []
-    for row in rows:
-        if not row:
-            continue
-        lead = min(row)
-        inv = fld.inv(row[lead])
-        key = tuple(sorted((c, str(fld.mul(inv, x))) for c, x in row.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(row)
-    return out
-
-
 def monomial_index(d, flavor):
     mons = enumerate_monomials(mdeg(d), flavor)
     return mons, {m: i for i, m in enumerate(mons)}
 
 
-class SpanCache:
-    """Free-coordinate span bases per multidegree for one (variety, field)."""
-
-    def __init__(self, variety, fld, degree_cap=DEFAULT_DEGREE_CAP):
-        self.variety = variety
-        self.field = fld
-        self.degree_cap = degree_cap
-        self.bases = {}
-
-    def rows(self, d) -> list[ConsequenceRow]:
-        """Generating rows at exactly multidegree d: substitution instances plus
-        single left/right monomial multiples of lower reduced basis rows."""
-        d = mdeg(d)
-        flavor = self.variety.flavor
-        out = []
-        for f_idx, f in enumerate(self.variety.identities):
-            if mdeg_total(f.multidegree()) > mdeg_total(d):
-                continue
-            for cr in substitution_instances(f, d, flavor):
-                if cr.poly.multidegree() == d:
-                    out.append(ConsequenceRow(cr.poly.to_field(self.field),
-                                              ("identity", f_idx) + cr.provenance))
-        for d1, d2 in splits2(d):
-            lower = self.basis(d2)
-            lmons, _ = monomial_index(d2, flavor)
-            for ri, row in enumerate(lower.rows):
-                p = Polynomial(flavor, {lmons[c]: x for c, x in row.items()}, self.field)
-                for m in enumerate_monomials(d1, flavor):
-                    mp = Polynomial.unit(m, 1, self.field)
-                    out.append(ConsequenceRow(mp * p, ("mul-left", m.to_text(), d2, ri)))
-                    if flavor == PLANAR:
-                        out.append(ConsequenceRow(p * mp, ("mul-right", m.to_text(), d2, ri)))
-        return out
-
-    def basis(self, d) -> linalg.SpanBasis:
-        d = mdeg(d)
-        got = self.bases.get(d)
-        if got is not None:
-            return got
-        quotient.check_degree_cap(d, self.degree_cap)
-        if count_monomials(d, self.variety.flavor) > MAX_FREE_COLUMNS:
-            raise BudgetExceeded("component %r exceeds the column budget %d"
-                                 % (d, MAX_FREE_COLUMNS))
-        mons, index = monomial_index(d, self.variety.flavor)
-        rows = _dedupe([vectorize(cr.poly, index) for cr in self.rows(d)], self.field)
-        basis = linalg.rref(rows, len(mons), self.field)
-        self.bases[d] = basis
-        return basis
+def image_kernel(variety, d, polys, fld=QQ, degree_cap=DEFAULT_DEGREE_CAP) -> linalg.SpanBasis:
+    """Kernel of e_i -> the image of polys[i] in Q_V(d), the multidegree-d
+    component of the relatively free algebra (quotient.get_quotient): the
+    combinations of polys, all of multidegree d, that are consequences of
+    the identities of V.  Canonical RREF over fld."""
+    qa = quotient.get_quotient(variety, fld, degree_cap)
+    rows = [{} for _ in range(qa.dim(d))]
+    for i, p in enumerate(polys):
+        for k, x in qa.poly_image(p).items():
+            rows[k][i] = x
+    return linalg.kernel(rows, len(polys), fld)
 
 
-_SPAN_CACHE: dict[tuple, SpanCache] = {}
-
-
-def span_cache(variety, fld, degree_cap=DEFAULT_DEGREE_CAP) -> SpanCache:
-    key = (variety.cache_key(), getattr(fld, "p", 0), degree_cap)
-    sc = _SPAN_CACHE.get(key)
-    if sc is None:
-        sc = SpanCache(variety, fld, degree_cap)
-        _SPAN_CACHE[key] = sc
-    return sc
+_SPANS: dict[tuple, linalg.SpanBasis] = {}
 
 
 def consequence_span(variety, d, fld=QQ, degree_cap=DEFAULT_DEGREE_CAP) -> linalg.SpanBasis:
-    """Deterministic reduced basis of the T-ideal component at multidegree d."""
-    return span_cache(variety, fld, degree_cap).basis(d)
+    """Deterministic reduced basis of the T-ideal component at multidegree d,
+    in the free-monomial coordinates of monomial_index: the image_kernel of
+    its free monomials."""
+    d = mdeg(d)
+    quotient.check_degree_cap(d, degree_cap)
+    if count_monomials(d, variety.flavor) > MAX_FREE_COLUMNS:
+        raise BudgetExceeded("component %r exceeds the column budget %d"
+                             % (d, MAX_FREE_COLUMNS))
+    key = (variety.cache_key(), getattr(fld, "p", 0), degree_cap, d)
+    got = _SPANS.get(key)
+    if got is None:
+        mons, _ = monomial_index(d, variety.flavor)
+        got = _SPANS[key] = image_kernel(variety, d, [Polynomial.unit(m, 1, fld) for m in mons],
+                                         fld, degree_cap)
+    return got
 
 
 def generating_rows(variety, d, fld=QQ, degree_cap=DEFAULT_DEGREE_CAP) -> list[ConsequenceRow]:
-    """The generating consequence rows at multidegree d, with provenance."""
-    return span_cache(variety, fld, degree_cap).rows(d)
-
-
-def member_of_span(variety, poly: Polynomial, fld=QQ):
-    """(certificate-or-None, residual) of a multihomogeneous polynomial."""
-    d = poly.multidegree()
-    if d is None:
-        raise ValueError("membership needs a multihomogeneous polynomial")
-    mons, index = monomial_index(d, variety.flavor)
-    basis = consequence_span(variety, d, fld)
-    return linalg.member(basis, vectorize(poly.to_field(fld), index))
+    """The generating consequence rows at exactly multidegree d, with
+    provenance: substitution instances plus single left/right monomial
+    multiples of the basis rows of each lower consequence_span."""
+    d = mdeg(d)
+    flavor = variety.flavor
+    out = []
+    for f_idx, f in enumerate(variety.identities):
+        if mdeg_total(f.multidegree()) > mdeg_total(d):
+            continue
+        for cr in substitution_instances(f, d, flavor):
+            if cr.poly.multidegree() == d:
+                out.append(ConsequenceRow(cr.poly.to_field(fld),
+                                          ("identity", f_idx) + cr.provenance))
+    for d1, d2 in splits2(d):
+        lower = consequence_span(variety, d2, fld, degree_cap)
+        lmons, _ = monomial_index(d2, flavor)
+        for ri, row in enumerate(lower.rows):
+            p = Polynomial(flavor, {lmons[c]: x for c, x in row.items()}, fld)
+            for m in enumerate_monomials(d1, flavor):
+                mp = Polynomial.unit(m, 1, fld)
+                out.append(ConsequenceRow(mp * p, ("mul-left", m.to_text(), d2, ri)))
+                if flavor == PLANAR:
+                    out.append(ConsequenceRow(p * mp, ("mul-right", m.to_text(), d2, ri)))
+    return out
 
 
 def quotient_dim(variety, d, fld=QQ, degree_cap=DEFAULT_DEGREE_CAP) -> int:

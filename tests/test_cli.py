@@ -261,6 +261,22 @@ def test_certificate_flag():
     assert rows and rows[0]["coefficient"] == "1"
 
 
+def test_certificate_over_the_cap_is_refused_at_once(monkeypatch):
+    # [1^5] has 1,680 free monomials, over engine.CERTIFICATE_CAP: the identity is
+    # decided, and its entry says the component is too large without building a row
+    def never(*args, **kwargs):
+        raise AssertionError("generating rows were built")
+
+    monkeypatch.setattr(tideal, "generating_rows", never)
+    rc, out = run(["--certificate", "--format", "json", "check", "assym",
+                   "[t1,t2] A(t3,t4,t5)"])
+    assert rc == 0
+    (entry,) = json.loads(out)
+    assert entry["verdict"] == "identity"
+    assert entry["certificate"] == {
+        "[1, 1, 1, 1, 1]": "component too large for a stored certificate"}
+
+
 def test_console_entry_point_runs():
     env = cli_env()
     rc = subprocess.run(
@@ -321,7 +337,8 @@ def test_compare_components_script_runs():
     by_field = {}
     for line in lines:
         by_field.setdefault((tuple(line["target"]), line["field"]), []).append(line)
-    p0, p1 = quotient.SELECTION_PRIMES
+    p0 = quotient.SELECTION_PRIMES[0]
+    p1 = quotient.SELECTION_PRIMES[1]
     assert set(by_field) == {((2, 1, 1), 0), ((2, 1, 1), p0), ((2, 1, 1), p1), ((2, 0, 1), 3)}
     # the QQ case reports its twins at the same multidegrees, and its components lift
     assert len({tuple(tuple(x["d"]) for x in group) for (target, _), group in by_field.items()

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from free_oracle import member_of_span
 from freealg import engine, lang, quotient, tideal
 from freealg.term import COMMUTATIVE, PLANAR, QQ, Monomial, Polynomial, field_by_char, mdeg
 
@@ -116,7 +117,7 @@ def test_free_coordinate_residual_of_the_quartic(assym):
     # reduction against the monomial-coordinate span at [4]: the canonical
     # residual is supported on the three non-pivot monomials
     g4 = lang.star_expand(lang.expand("g4_1(t1)", COMMUTATIVE))
-    cert, residual = tideal.member_of_span(assym, g4, QQ)
+    cert, residual = member_of_span(assym, g4, QQ)
     mons, _ = tideal.monomial_index((4,), PLANAR)
     got = {mons[c].to_text(): v for c, v in residual.items()}
     assert got == {"((t1 t1) (t1 t1))": Fraction(-2),
@@ -165,10 +166,10 @@ def test_systems_equivalent_examples():
 def test_jordan_vs_lie_triple_one_way():
     jordan = tideal.get_variety("jordan")
     lt = tideal.get_variety("lie_triple")
-    cert, res = tideal.member_of_span(
+    cert, res = member_of_span(
         jordan, lang.expand("lietriple(t1,t2,t3)", COMMUTATIVE), QQ)
     assert not res
-    cert, res = tideal.member_of_span(lt, lang.expand("jor(t1,t2)", COMMUTATIVE), QQ)
+    cert, res = member_of_span(lt, lang.expand("jor(t1,t2)", COMMUTATIVE), QQ)
     assert res  # not a consequence
 
 
@@ -180,7 +181,7 @@ def test_assder_implies_lie_triple():
 def test_quasi_laws_imply_assder():
     for q in [Fraction(2), Fraction(3), Fraction(1, 2)]:
         v = tideal.quasi_assosymmetric(q)
-        cert, res = tideal.member_of_span(
+        cert, res = member_of_span(
             v, lang.expand("assder(t1,t2,t3,t4)", PLANAR), QQ)
         assert not res
 
@@ -196,7 +197,7 @@ def test_suite_memberships_agree_with_the_free_oracle(char):
                       engine.ARMAN_CUBIC))
     fld = field_by_char(char)
     for v, expr in questions:
-        _, residual = tideal.member_of_span(v, lang.expand(expr, v.flavor), fld)
+        _, residual = member_of_span(v, lang.expand(expr, v.flavor), fld)
         assert engine.is_identity(v, expr, char, "direct").is_identity == (not residual), v.name
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spec_oracle
-from free_oracle import free_dim
+from free_oracle import free_dim, member_of_span
 from freealg import engine, lang, linalg, quotient, tideal
 from freealg.term import (COMMUTATIVE, PLANAR, GF, FieldError, Monomial, Polynomial, QQ,
                           field_by_char, sub_multidegrees)
@@ -263,13 +263,13 @@ def test_char3_wjor_strictly_weaker_than_jor():
     wjorv = tideal.variety_with(comm, ["wjor(t1,t2,t3,t4)"], name="comm+wjor")
     jor = lang.expand("jor(t1,t2)", COMMUTATIVE)
     wjor = lang.expand("wjor(t1,t2,t3,t4)", COMMUTATIVE)
-    cert, res = tideal.member_of_span(jorv, wjor, f3)
+    cert, res = member_of_span(jorv, wjor, f3)
     assert not res  # wjor is a consequence of jor at p = 3
-    cert, res = tideal.member_of_span(wjorv, jor, f3)
+    cert, res = member_of_span(wjorv, jor, f3)
     assert res      # but not conversely
     # and at a prime > 3 the two systems agree at the quartic type
     f5 = GF(5)
-    cert, res = tideal.member_of_span(wjorv, jor, f5)
+    cert, res = member_of_span(wjorv, jor, f5)
     assert not res
 
 
@@ -550,7 +550,8 @@ def test_twin_of_another_width_is_generated_in_full(monkeypatch):
 
 # -- struct maps lifted from the GF(p) twins -----------------------------------
 
-P0, P1 = quotient.SELECTION_PRIMES
+P0 = quotient.SELECTION_PRIMES[0]
+P1 = quotient.SELECTION_PRIMES[1]
 BOUND = math.isqrt((P0 * P1 - 1) // 2)
 
 

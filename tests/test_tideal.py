@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import free_oracle
 from free_oracle import free_dim
-from freealg import engine, lang, linalg, quotient, series, tideal
+from freealg import cli, engine, lang, linalg, quotient, series, tideal
 from freealg.term import (COMMUTATIVE, PLANAR, GF, Monomial, Polynomial, QQ,
-                          count_monomials, enumerate_monomials, mdeg, mdeg_leq,
+                          count_monomials, enumerate_monomials, field_by_char, mdeg, mdeg_leq,
                           mdeg_sub, mdeg_total, splits2, sub_multidegrees)
 
 
@@ -107,7 +108,7 @@ def test_defining_identity_instances_are_members(assym):
             for cr in tideal.substitution_instances(f, d, PLANAR):
                 if cr.poly.multidegree() != mdeg(d):
                     continue
-                cert, residual = tideal.member_of_span(assym, cr.poly, QQ)
+                cert, residual = free_oracle.member_of_span(assym, cr.poly, QQ)
                 assert not residual
 
 
@@ -121,7 +122,7 @@ def test_span_closed_under_multiplication(assym):
         p = Polynomial(PLANAR, {mons[c]: x for c, x in row.items()})
         tv = Polynomial.variable(extra)
         for prod in (tv * p, p * tv):
-            cert, residual = tideal.member_of_span(assym, prod, QQ)
+            cert, residual = free_oracle.member_of_span(assym, prod, QQ)
             assert not residual
 
 
@@ -161,10 +162,14 @@ def test_free_and_quotient_paths_agree_commutative():
 
 
 def test_dimensions_and_memberships_never_reach_the_free_oracle(monkeypatch, assym):
-    def refuse(self, d):
-        raise AssertionError("free-monomial span requested at %r" % (d,))
+    # one engine: dimensions, memberships, spans, suites and equivalences go through
+    # the inductive quotient; only a certificate builds free-monomial generating rows
+    def refuse(*args, **kwargs):
+        raise AssertionError("free-monomial rows requested")
 
-    monkeypatch.setattr(tideal.SpanCache, "basis", refuse)
+    monkeypatch.setattr(tideal, "generating_rows", refuse)
+    monkeypatch.setattr(free_oracle.SpanCache, "basis", refuse)
+    monkeypatch.setattr(tideal, "_SPANS", {})
     dual = tideal.get_variety("dual_assosymmetric")
     want = {(4,): 3, (3, 1): 7, (2, 2): 9, (2, 1, 1): 16, (1, 1, 1, 1): 29}
     assert {d: tideal.quotient_dim(assym, d, QQ) for d in want} == want
@@ -174,6 +179,29 @@ def test_dimensions_and_memberships_never_reach_the_free_oracle(monkeypatch, ass
     assert resid == series.TruncatedSeries.from_coeffs([0, 0, 0, 0, Fraction(3, 8)])
     entries = engine.suite_quasi(0)
     assert [e["check"] for e in entries if e["verdict"] != "pass"] == []
+    for name, kw in [("deg4", {}), ("arman", {}), ("char3", {"heavy": False})]:
+        assert engine.theorem_suite(name, **kw)["passed"], name
+    assert cli.main(["equiv", "--left", "lietriple(t1,t2,t3)", "--right", "jor1(t1,t2,t3,t4)",
+                     "--multidegree", "1,1,1,1", "--multidegree", "2,1,1"]) == 0
+    assert len(engine.hentzel_basis((1, 1, 1, 1))) == 29
+
+
+SPAN_VARIETIES = ["assosymmetric", "associative", "dual_assosymmetric", "jordan", "lie_triple",
+                  "commutative_magmatic"]
+# every multidegree of degree <= 4 in at most 3 variables, zero entries too, and [1^4]
+SPAN_DEGREES = sorted({mdeg(d) for d in itertools.product(range(5), repeat=3)
+                       if 0 < sum(d) <= 4} | {(1, 1, 1, 1)}, key=lambda d: (sum(d), d))
+
+
+@pytest.mark.parametrize("char", [0, 3, 5])
+@pytest.mark.parametrize("name", SPAN_VARIETIES)
+def test_kernel_route_spans_equal_the_free_oracle(name, char):
+    v = tideal.get_variety(name)
+    fld = field_by_char(char)
+    for d in SPAN_DEGREES:
+        got = tideal.consequence_span(v, d, fld)
+        want = free_oracle.consequence_span(v, d, fld)
+        assert got.pivots == want.pivots and got.same_span(want), d
 
 
 def test_koszul_residual_reuses_the_default_cap_quotients(assym):
@@ -194,9 +222,8 @@ def test_degree_cap_enforced(assym):
 
 def test_column_budget_enforced(assym, monkeypatch):
     monkeypatch.setattr(tideal, "MAX_FREE_COLUMNS", 10)
-    small = tideal.SpanCache(assym, QQ)
     with pytest.raises(tideal.BudgetExceeded):
-        small.basis((1, 1, 1))
+        tideal.consequence_span(assym, (1, 1, 1), QQ)
 
 
 def test_dedupe_preserves_rank(assym):
@@ -205,7 +232,7 @@ def test_dedupe_preserves_rank(assym):
     rows = [tideal.vectorize(cr.poly, index)
             for cr in tideal.generating_rows(assym, d, QQ)]
     doubled = rows + [ {c: 7 * v for c, v in r.items()} for r in rows ]
-    deduped = tideal._dedupe(doubled, QQ)
+    deduped = free_oracle._dedupe(doubled, QQ)
     assert len(deduped) < len(doubled)
     import freealg.linalg as linalg_mod
     assert (linalg_mod.rref(deduped, len(mons), QQ).rank

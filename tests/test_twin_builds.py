@@ -13,7 +13,8 @@ import freealg
 from freealg import cli, engine, quotient, tideal
 from freealg.term import GF, FieldError
 
-P0, P1 = quotient.SELECTION_PRIMES
+P0 = quotient.SELECTION_PRIMES[0]
+P1 = quotient.SELECTION_PRIMES[1]
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(freealg.__file__)))
 
 
